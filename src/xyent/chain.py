@@ -3,17 +3,18 @@
 #
 # Conventions:
 #   * Hamiltonian H = -sum_j [(1+gamma) sx sx + (1-gamma) sy sy + h sz].
-#   * XY block of length L: real antisymmetric 2L x 2L Majorana matrix B_L
-#     with 2x2 blocks Pi_{i-j}; Pi_l carries the Fourier coefficients of the
-#     unimodular symbol phi(theta) = w(theta)/|w(theta)|,
-#     w = cos(theta) - i gamma sin(theta) - h/2.
+#   * XY block of length L: the real L x L Toeplitz matrix G_ij = g_{i-j},
+#     g_l the Fourier coefficients of the unimodular symbol
+#     phi(theta) = w(theta)/|w(theta)|, w = cos(theta) - i gamma sin(theta) - h/2.
+#     The 2L x 2L Majorana matrix B_L interleaves G and -G^T, so
+#     spec(i B_L) = +-svd(G) and nu is read off as the singular values of G
+#     (Peschel, J. Phys. A 36 L205 (2003); Vidal et al., PRL 90 227902 (2003)).
 #   * XX (gamma = 0): real symmetric Toeplitz L x L matrix with closed-form
 #     entries; its signed eigenvalues are kept (entropies are even in nu and
 #     the signed values feed the characteristic-determinant oracle).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -31,7 +32,6 @@ __all__ = [
     "classify_case",
     "branch_points",
     "modulus_k",
-    "symbol_phi0",
     "build_correlation_matrix",
     "build_xx_matrix",
     "nu_spectrum",
@@ -40,6 +40,10 @@ __all__ = [
 # Relative tolerance deciding "on the critical boundary"; on-boundary inputs
 # are rejected, never silently assigned to a side.
 _BOUNDARY_TOL = 1e-12
+
+# Largest Fourier grid build_correlation_matrix doubles up to before it
+# declares the symbol's coefficients unresolved.
+MAX_QUAD_POINTS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -88,26 +92,24 @@ class BranchPoints:
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    """Finite-block correlation matrix.
+    """Finite-block correlation matrix: the real L x L Toeplitz block.
 
-    kind 'MajoranaXY': entries is the real antisymmetric 2L x 2L matrix B_L.
-    kind 'SymmetricXX': entries is the real symmetric Toeplitz L x L matrix.
+    symmetric is True for the XX block (from build_xx_matrix), whose signed
+    eigenvalues are its nu-spectrum; otherwise entries is the XY block G,
+    whose singular values are.
     """
 
-    L: int
     entries: np.ndarray = field(repr=False)
-    kind: str
+    symmetric: bool = False
 
     def __post_init__(self) -> None:
-        if self.kind not in ("MajoranaXY", "SymmetricXX"):
-            raise DomainError(f"unknown correlation-matrix kind {self.kind!r}")
-        n = 2 * self.L if self.kind == "MajoranaXY" else self.L
+        n = self.entries.shape[0]
         if self.entries.shape != (n, n):
-            raise DomainError(f"expected {n}x{n} entries for kind {self.kind}")
-        if self.kind == "MajoranaXY":
-            skew = np.max(np.abs(self.entries + self.entries.T))
-            if skew > 1e-12:
-                raise DomainError(f"Majorana matrix not antisymmetric: max |B+B^T| = {skew:.3e}")
+            raise DomainError(f"expected square entries, got shape {self.entries.shape}")
+
+    @property
+    def L(self) -> int:
+        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -119,7 +121,6 @@ class NuSpectrum:
     """
 
     nus: np.ndarray = field(repr=False)
-    kind: str
 
     def __len__(self) -> int:
         return len(self.nus)
@@ -207,26 +208,6 @@ def modulus_k(p: ModelParams) -> EllipticModulus:
 # -----------------------------------------------------------------------------
 # Correlation matrices
 # -----------------------------------------------------------------------------
-def _symbol_scalar(theta: float, p: ModelParams) -> complex:
-    w = math.cos(theta) - 1j * p.gamma * math.sin(theta) - p.h / 2.0
-    r = abs(w)
-    if r == 0.0:
-        raise BoundaryError(
-            f"symbol vanishes at theta = {theta:.6g}: (gamma, h) = ({p.gamma}, {p.h}) is critical"
-        )
-    return w / r
-
-
-def symbol_phi0(theta: float, p: ModelParams) -> np.ndarray:
-    """The 2x2 matrix symbol Phi0(theta) = [[0, phi], [-1/phi, 0]] with the
-    unimodular scalar phi = w/|w|, w = cos(theta) - i gamma sin(theta) - h/2.
-
-    Raises BoundaryError where w vanishes (critical manifolds only).
-    """
-    phi = _symbol_scalar(theta, p)
-    return np.array([[0.0, phi], [-1.0 / phi, 0.0]], dtype=complex)
-
-
 def _xx_coefficients(h: float, lmax: int) -> np.ndarray:
     """Closed-form Fourier coefficients of the piecewise XX symbol.
 
@@ -241,39 +222,25 @@ def _xx_coefficients(h: float, lmax: int) -> np.ndarray:
     return c
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
+def build_correlation_matrix(p: ModelParams, L: int) -> CorrelationMatrix:
+    """Real Toeplitz block G_ij = g_{i-j} of an XY block of length L.
 
-
-def build_correlation_matrix(
-    p: ModelParams, L: int, quad_points: int | None = None
-) -> CorrelationMatrix:
-    """Majorana correlation matrix B_L of an XY block of length L.
-
-    Off-diagonal Fourier coefficients of the smooth symbol are taken on a
-    uniform grid of `quad_points` samples (a power of two >= 4L; default
-    max(4096, 8L) rounded up).  On the XX line gamma = 0 the symbol is
-    piecewise constant and the closed-form coefficients are used instead of
-    the grid transform.
+    The coefficients g_l come from the FFT of the smooth symbol on a uniform
+    grid that starts at max(4096, 8L) points (rounded up to a power of two)
+    and doubles until the coefficients around the grid's middle fall below
+    1e-12, up to MAX_QUAD_POINTS.  The XX line gamma = 0 has a piecewise
+    constant symbol; its block comes from build_xx_matrix.
     """
     if L < 1:
         raise DomainError(f"block length must be >= 1, got {L}")
+    if p.gamma == 0.0:
+        raise BoundaryError("gamma = 0 is the XX line; use build_xx_matrix(h, L)")
     scale = max(1.0, p.h)
     if abs(p.h - 2.0) <= _BOUNDARY_TOL * scale:
         raise BoundaryError("on the critical manifold h = 2")
 
-    if p.gamma == 0.0:
-        c = _xx_coefficients(p.h, L - 1) if L > 1 else _xx_coefficients(p.h, 0)
-        g_pos = c  # g_l for l >= 0; even symbol gives g_{-l} = g_l
-        g_of = lambda l: g_pos[abs(l)]
-    else:
-        if quad_points is None:
-            quad_points = max(4096, 1 << (8 * L - 1).bit_length())
-        if not _is_power_of_two(quad_points):
-            raise DomainError(f"quad_points must be a power of two, got {quad_points}")
-        if quad_points < 4 * L:
-            raise DomainError(f"quad_points must be >= 4 L = {4 * L}, got {quad_points}")
-        n = quad_points
+    n = max(4096, 1 << (8 * L - 1).bit_length())
+    while True:
         thetas = 2.0 * math.pi * np.arange(n) / n
         w = np.cos(thetas) - 1j * p.gamma * np.sin(thetas) - p.h / 2.0
         r = np.abs(w)
@@ -281,23 +248,21 @@ def build_correlation_matrix(
             raise BoundaryError(
                 f"symbol vanishes on the grid: (gamma, h) = ({p.gamma}, {p.h}) is critical"
             )
-        samples = w / r
-        g = np.fft.fft(samples) / n  # g[l % n] = (1/2pi) int e^{-il theta} phi
-        # Smooth symbol: coefficients must have decayed by the grid edge.
+        g = np.fft.fft(w / r) / n  # g[l % n] = (1/2pi) int e^{-il theta} phi
+        # Smooth symbol: coefficients must have decayed by the grid's middle.
         tail = np.max(np.abs(g[n // 2 - n // 8: n // 2 + n // 8]))
-        if tail > 1e-12:
+        if tail <= 1e-12:
+            break
+        if n >= MAX_QUAD_POINTS:
             raise ResolutionError(
-                f"trailing symbol coefficients {tail:.3e} exceed 1e-12; "
-                f"raise quad_points (smooth off criticality)"
+                f"trailing symbol coefficients {tail:.3e} exceed 1e-12 on the largest "
+                f"grid, MAX_QUAD_POINTS = {MAX_QUAD_POINTS}: (gamma, h) = "
+                f"({p.gamma}, {p.h}) is too close to criticality"
             )
-        g_of = lambda l: g[l % n].real
+        n *= 2
 
-    B = np.zeros((2 * L, 2 * L))
-    for i in range(L):
-        for j in range(L):
-            B[2 * i, 2 * j + 1] = g_of(i - j)
-            B[2 * i + 1, 2 * j] = -g_of(j - i)
-    return CorrelationMatrix(L=L, entries=B, kind="MajoranaXY")
+    idx = np.arange(L)
+    return CorrelationMatrix(entries=g[(idx[:, None] - idx[None, :]) % n].real)
 
 
 def build_xx_matrix(h: float, L: int) -> CorrelationMatrix:
@@ -309,31 +274,24 @@ def build_xx_matrix(h: float, L: int) -> CorrelationMatrix:
         raise DomainError(f"block length must be >= 1, got {L}")
     c = _xx_coefficients(h, L - 1)
     idx = np.abs(np.subtract.outer(np.arange(L), np.arange(L)))
-    return CorrelationMatrix(L=L, entries=c[idx], kind="SymmetricXX")
+    return CorrelationMatrix(entries=c[idx], symmetric=True)
 
 
 def nu_spectrum(c: CorrelationMatrix) -> NuSpectrum:
     """Extract the nu-spectrum, sorted descending.
 
-    XY: the L nonnegative numbers nu_m with spec(B_L) = {+-i nu_m}, obtained
-    from the Hermitian matrix i B_L; clamped to [0, 1].
+    XY: the L singular values of G, which are the nonnegative eigenvalues of
+    i B_L; clamped to [0, 1].
     XX: the signed eigenvalues of the symmetric matrix, clamped to [-1, 1].
-    Values beyond +-1 by more than 1e-8 indicate a failed eigensolve.
+    Values beyond +-1 by more than 1e-8 indicate a failed solve.
     """
-    if c.kind == "MajoranaXY":
-        ev = np.linalg.eigvalsh(1j * c.entries)
-        nus = ev[c.L:][::-1].copy()  # nonnegative half, descending
-        if np.any(nus > 1.0 + 1e-8) or np.any(nus < -1e-8):
-            raise SpectrumRangeError(
-                f"nu outside [0, 1] beyond tolerance: range [{nus.min():.3e}, {nus.max():.3e}]"
-            )
-        np.clip(nus, 0.0, 1.0, out=nus)
+    if c.symmetric:
+        nus = np.linalg.eigvalsh(c.entries)[::-1].copy()
     else:
-        ev = np.linalg.eigvalsh(c.entries)
-        nus = ev[::-1].copy()
-        if np.any(np.abs(nus) > 1.0 + 1e-8):
-            raise SpectrumRangeError(
-                f"|nu| > 1 beyond tolerance: range [{nus.min():.3e}, {nus.max():.3e}]"
-            )
-        np.clip(nus, -1.0, 1.0, out=nus)
-    return NuSpectrum(nus=nus, kind=c.kind)
+        nus = np.linalg.svd(c.entries, compute_uv=False)
+    if np.any(np.abs(nus) > 1.0 + 1e-8):
+        raise SpectrumRangeError(
+            f"|nu| > 1 beyond tolerance: range [{nus.min():.3e}, {nus.max():.3e}]"
+        )
+    np.clip(nus, -1.0, 1.0, out=nus)
+    return NuSpectrum(nus=nus)

@@ -46,8 +46,6 @@ from .toeplitz import (
 
 __all__ = ["RunConfig", "parse_args", "run", "main"]
 
-_COMMANDS = ("entropy", "renyi", "spectrum", "detcheck", "sweep")
-
 # Cap on how many exact finite-L eigenvalues the spectrum table will list
 # alongside the ladder; multiplicities grow fast enough that deeper rungs
 # would need millions of subset products for no display value.
@@ -69,7 +67,7 @@ class RunConfig:
     tol: float | None = None
 
     def __post_init__(self) -> None:
-        if self.command not in _COMMANDS:
+        if self.command not in _DISPATCH:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
@@ -132,7 +130,7 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
     common.add_argument("--lambda", dest="lam", type=str, default=None, help="lambda as 're' or 're,im'")
     common.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     common.add_argument("--tol", type=float, default=None, help="override tolerance/threshold")
-    for name in ("entropy", "renyi", "spectrum", "detcheck"):
+    for name in _DISPATCH:
         sub.add_parser(name, parents=[common])
     ns = ap.parse_args(argv)
     return RunConfig(
@@ -297,10 +295,7 @@ _DISPATCH = {
 
 def run(cfg: RunConfig) -> str:
     """Execute one command, returning the rendered table."""
-    handler = _DISPATCH.get(cfg.command)
-    if handler is None:
-        raise ConfigError(f"command {cfg.command!r} has no runnable handler")
-    header, rows = handler(cfg)
+    header, rows = _DISPATCH[cfg.command](cfg)
     if cfg.fmt == "csv":
         lines = [",".join(header)]
         lines.extend(",".join(_fmt(x) for x in row) for row in rows)

@@ -89,7 +89,9 @@ def e_func(x: float, nu: float) -> float:
 
 def vn_entropy_exact(nus: NuSpectrum) -> EntropyResult:
     """Block von Neumann entropy S = sum_m e(1, nu_m)."""
-    s = sum(e_func(1.0, float(nu)) for nu in nus.nus)
+    p = (1.0 + nus.nus) / 2.0
+    q = (1.0 - nus.nus) / 2.0
+    s = -float(np.sum(xlogy(p, p) + xlogy(q, q)))
     return _mk(s, "ExactFiniteL", L=len(nus))
 
 

@@ -428,7 +428,7 @@ def xx_char_det_asymptotic(s: SpectralParameter, h: float, L: int) -> ScaledValu
 def xx_char_det_exact(nus: NuSpectrum, s: SpectralParameter) -> ScaledValue:
     """D_L(lambda) = prod_m (lambda - nu_m) from the exact nu-spectrum."""
     lam = complex(s.lam)
-    logd = sum(cmath.log(lam - float(nu)) for nu in nus.nus)
+    logd = np.sum(np.log(lam - nus.nus))
     return ScaledValue(float(logd.real), float(logd.imag))
 
 
@@ -453,7 +453,7 @@ def xy_block_det_asymptotic(
     L: int,
     proximity_tol: float = 1e-3,
 ) -> ScaledValue:
-    """Large-L determinant of the 2L x 2L XY block problem:
+    """Large-L form of the XY block determinant of xy_block_det_exact:
 
     D_L(lambda) ~ [theta-prefactor](beta(lambda)) * (1 - lambda^2)^L.
 
@@ -490,5 +490,5 @@ def xy_block_det_exact(nus: NuSpectrum, s: SpectralParameter) -> ScaledValue:
     (nonnegative) XY nu-spectrum."""
     lam = complex(s.lam)
     L = len(nus)
-    logd = sum(cmath.log(lam * lam - float(nu) ** 2) for nu in nus.nus)
+    logd = np.sum(np.log(lam * lam - nus.nus ** 2))
     return ScaledValue(float(logd.real), float(logd.imag + math.pi * (L % 2)))

@@ -1,6 +1,7 @@
 # Independent reference implementations used to check the package.  These
-# are deliberately slow and simple: brute-force enumeration and adaptive
-# quadrature, no shared code with the library under test.
+# are deliberately slow and simple: brute-force enumeration, adaptive
+# quadrature and the 2L x 2L Majorana layout of the XY block, no shared code
+# with the library under test.
 
 from __future__ import annotations
 
@@ -60,6 +61,25 @@ def quad_fourier_coeff(symbol, k: int) -> complex:
     im, _ = quad(lambda t: (symbol(t) * np.exp(-1j * k * t)).imag, 0.0, 2.0 * math.pi,
                  limit=400, epsabs=1e-13)
     return complex(re, im) / (2.0 * math.pi)
+
+
+def majorana_matrix(gamma: float, h: float, L: int, n_grid: int = 1 << 16) -> np.ndarray:
+    """The real antisymmetric 2L x 2L Majorana matrix B_L of an XY block.
+
+    B_L has 2x2 blocks [[0, g_{i-j}], [-g_{j-i}, 0]], where g_l are the
+    Fourier coefficients of phi = w/|w|, w = cos t - i gamma sin t - h/2,
+    taken here by an FFT on a fixed grid of n_grid points.  The nu-spectrum
+    is the nonnegative half of the eigenvalues of the Hermitian i B_L.
+    """
+    t = 2.0 * math.pi * np.arange(n_grid) / n_grid
+    w = np.cos(t) - 1j * gamma * np.sin(t) - h / 2.0
+    g = np.fft.fft(w / np.abs(w)).real / n_grid
+    B = np.zeros((2 * L, 2 * L))
+    for i in range(L):
+        for j in range(L):
+            B[2 * i, 2 * j + 1] = g[(i - j) % n_grid]
+            B[2 * i + 1, 2 * j] = -g[(j - i) % n_grid]
+    return B
 
 
 def quad_elliptic_K(k: float) -> float:

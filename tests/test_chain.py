@@ -17,9 +17,8 @@ from xyent import (
     complete_elliptic_K,
     modulus_k,
     nu_spectrum,
-    symbol_phi0,
 )
-from oracles import quad_fourier_coeff
+from oracles import majorana_matrix, quad_fourier_coeff
 
 
 class TestModelParams:
@@ -132,27 +131,19 @@ class TestCorrelationMatrix:
 
         for l in (-3, -1, 0, 2):
             want = quad_fourier_coeff(phi, l)
-            # B[2i, 2j+1] = g_{i-j}
-            i = 3 + l
-            got = c.entries[2 * i, 2 * 3 + 1]
+            # G[i, j] = g_{i-j}
+            got = c.entries[3 + l, 3]
             assert got == pytest.approx(want.real, abs=1e-10)
             assert abs(want.imag) < 1e-10
 
-    def test_antisymmetry_enforced(self):
-        p = ModelParams(0.5, 1.0)
-        c = build_correlation_matrix(p, 4)
-        assert np.max(np.abs(c.entries + c.entries.T)) < 1e-12
-        bad = c.entries.copy()
-        bad[0, 1] += 1e-6
+    def test_real_toeplitz_block(self):
+        c = build_correlation_matrix(ModelParams(0.5, 1.0), 5)
+        assert c.entries.shape == (5, 5) and c.L == 5
+        assert c.entries.dtype == np.float64
+        assert not c.symmetric
+        assert np.array_equal(c.entries[1:, 1:], c.entries[:-1, :-1])
         with pytest.raises(DomainError):
-            CorrelationMatrix(L=4, entries=bad, kind="MajoranaXY")
-
-    def test_quad_point_validation(self):
-        p = ModelParams(0.5, 1.0)
-        with pytest.raises(DomainError):
-            build_correlation_matrix(p, 8, quad_points=48)  # not a power of two
-        with pytest.raises(DomainError):
-            build_correlation_matrix(p, 8, quad_points=16)  # < 4 L
+            CorrelationMatrix(entries=np.zeros((2, 3)))
 
     def test_boundary_rejected(self):
         with pytest.raises(BoundaryError):
@@ -160,16 +151,14 @@ class TestCorrelationMatrix:
 
     def test_slow_decay_flagged(self):
         # nearly-critical symbol: correlations decay too slowly for the
-        # default grid, which must be reported rather than truncated
-        with pytest.raises(ResolutionError):
+        # largest grid, which must be reported rather than truncated
+        with pytest.raises(ResolutionError, match="MAX_QUAD_POINTS"):
             build_correlation_matrix(ModelParams(1e-7, 1.0), 4)
 
     def test_gamma_zero_matches_xx(self):
-        h = 0.5
-        L = 6
-        xy_nus = nu_spectrum(build_correlation_matrix(ModelParams(0.0, h), L))
-        xx_nus = nu_spectrum(build_xx_matrix(h, L))
-        assert np.allclose(np.sort(xy_nus.nus), np.sort(np.abs(xx_nus.nus)), atol=1e-12)
+        # the XX line has its own block; the XY builder sends callers there
+        with pytest.raises(BoundaryError, match="build_xx_matrix"):
+            build_correlation_matrix(ModelParams(0.0, 0.5), 6)
 
 
 class TestXXMatrix:
@@ -200,12 +189,26 @@ class TestNuSpectrum:
         assert nus.nus.min() < 0 < nus.nus.max()
 
     def test_out_of_range_flagged(self):
-        bad = CorrelationMatrix(L=1, entries=np.array([[2.0]]), kind="SymmetricXX")
+        bad = CorrelationMatrix(entries=np.array([[2.0]]), symmetric=True)
         with pytest.raises(SpectrumRangeError):
             nu_spectrum(bad)
+        with pytest.raises(SpectrumRangeError):
+            nu_spectrum(CorrelationMatrix(entries=np.array([[2.0]])))
 
-    def test_symbol_phi0_shape(self):
-        m = symbol_phi0(0.7, ModelParams(0.5, 1.0))
-        assert m.shape == (2, 2)
-        assert m[0, 0] == 0 and m[1, 1] == 0
-        assert m[0, 1] == pytest.approx(-1.0 / m[1, 0], rel=1e-14)
+    @pytest.mark.parametrize(
+        "g,h,L",
+        [
+            (0.5, 1.0, 1),
+            (0.9, 1.8, 40),
+            (0.5, 1.0, 40),
+            (0.7, 2.5, 40),
+            (0.02, 0.6, 200),
+            # the starting grid of 4096 points leaves a tail of ~4e-10 here
+            (0.5, 1.99, 50),
+        ],
+    )
+    def test_matches_majorana_oracle(self, g, h, L):
+        # singular values of G against the nonnegative eigenvalues of i B_L
+        nus = nu_spectrum(build_correlation_matrix(ModelParams(g, h), L))
+        want = np.linalg.eigvalsh(1j * majorana_matrix(g, h, L))[L:][::-1]
+        assert np.max(np.abs(nus.nus - want)) < 1e-13

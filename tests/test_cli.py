@@ -1,9 +1,10 @@
 import json
+import math
 
 import pytest
 
 from xyent import ConfigError
-from xyent.cli import RunConfig, main, parse_args, run
+from xyent.cli import RunConfig, main, parse_args
 
 
 def run_cli(capsys, *argv):
@@ -40,10 +41,9 @@ class TestParsing:
             RunConfig(command="entropy", fmt="xml")
         with pytest.raises(ConfigError):
             RunConfig(command="entropy", tol=-1.0)
-        # the config type admits a sweep command, but nothing serves it yet
-        cfg = RunConfig(command="sweep")
+        # only commands with a handler are admitted
         with pytest.raises(ConfigError):
-            run(cfg)
+            RunConfig(command="sweep")
 
 
 class TestEntropyCommand:
@@ -66,6 +66,12 @@ class TestEntropyCommand:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+    def test_near_critical_grid(self, capsys):
+        # h = 1.99 needs a finer Fourier grid than the starting one at L = 50
+        code, out, err = run_cli(capsys, "entropy", "--gamma", "0.5", "--h", "1.99", "--L", "50")
+        assert code == 0
+        assert math.isfinite(float(out.strip().split("\n")[1].split(",")[1]))
 
     def test_json_metadata(self, capsys):
         code, out, err = run_cli(

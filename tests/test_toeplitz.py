@@ -32,7 +32,7 @@ from xyent import (
     xy_block_det_exact,
     xy_widom_prefactor,
 )
-from oracles import quad_fourier_coeff
+from oracles import majorana_matrix, quad_fourier_coeff
 
 
 def pure_root_coeffs(a: float, n: int) -> np.ndarray:
@@ -249,6 +249,16 @@ class TestXYDet:
         ex = xy_block_det_exact(nus, s)
         asym = xy_block_det_asymptotic(s, self.e, self.case, 40)
         assert abs(asym.ratio(ex) - 1.0) < 1e-6
+
+    def test_exact_det_equals_dense_majorana(self):
+        # (-1)^L prod (lam^2 - nu^2) against det(lam - i B_L) of the 2L x 2L matrix
+        s = SpectralParameter(2.0 + 1.0j)
+        L = 12
+        via_nus = xy_block_det_exact(nu_spectrum(build_correlation_matrix(self.p, L)), s)
+        m = s.lam * np.eye(2 * L) - 1j * majorana_matrix(self.p.gamma, self.p.h, L)
+        sign, logdet = np.linalg.slogdet(m)
+        via_det = ScaledValue(float(logdet), float(cmath.phase(sign)) + math.pi * (L % 2))
+        assert abs(via_det.ratio(via_nus) - 1.0) < 1e-10
 
     def test_exact_sign(self):
         s = SpectralParameter(2.0)

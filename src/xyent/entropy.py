@@ -14,12 +14,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import xlogy
+from numpy.polynomial.legendre import leggauss
 
 from .chain import NuSpectrum, ModelParams, PhaseCase
 from .errors import ConvergenceError, DomainError, RegimeError
-from .special import EllipticModulus, complete_elliptic_K, modular_lambda, theta
+from .special import EllipticModulus, complete_elliptic_K, modular_lambda
 
 __all__ = [
     "EntropyResult",
@@ -84,14 +83,16 @@ def e_func(x: float, nu: float) -> float:
         raise DomainError(f"e(x, nu) needs x >= |nu|, got x = {x}, nu = {nu}")
     p = max((x + nu) / 2.0, 0.0)
     q = max((x - nu) / 2.0, 0.0)
-    return float(-(xlogy(p, p) + xlogy(q, q)))
+    return -((p * math.log(p) if p > 0.0 else 0.0)
+             + (q * math.log(q) if q > 0.0 else 0.0))
 
 
 def vn_entropy_exact(nus: NuSpectrum) -> EntropyResult:
     """Block von Neumann entropy S = sum_m e(1, nu_m)."""
     p = (1.0 + nus.nus) / 2.0
     q = (1.0 - nus.nus) / 2.0
-    s = -float(np.sum(xlogy(p, p) + xlogy(q, q)))
+    s = -float(np.sum(p * np.log(p, out=np.zeros_like(p), where=p > 0.0)
+                      + q * np.log(q, out=np.zeros_like(q), where=q > 0.0)))
     return _mk(s, "ExactFiniteL", L=len(nus))
 
 
@@ -118,7 +119,9 @@ def renyi_exact(nus: NuSpectrum, alpha: float) -> EntropyResult:
 # directly below t ~ 1 costs ~3|log10 t| digits to cancellation.  On [0, 1]
 # the combined integrand is therefore evaluated from its Taylor series
 # (exact rational coefficients, frozen below, truncation < 1e-20 at t = 1);
-# the raw form is safe on [1, 50] and the remaining tail is ~e^{-50}.
+# the raw form is safe on [1, 50] and the remaining tail is ~e^{-50}.  The
+# [1, 50] piece is Gauss-Legendre on panels that double in width, so each
+# panel sits at least half its width from the pole at t = 0.
 
 _UPSILON_SERIES = [
     -0.3333333333333333,
@@ -146,9 +149,21 @@ _UPSILON_SERIES = [
 ]
 
 
-def _upsilon_integrand(t: float) -> float:
-    sh = math.sinh(t / 2.0)
-    return math.exp(-t) / (3.0 * t) + 1.0 / (t * sh * sh) - math.cosh(t / 2.0) / (2.0 * sh ** 3)
+_UPSILON_PANELS = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 50.0])
+_UPSILON_ORDER = 20
+
+
+def _upsilon_integrand(t: np.ndarray) -> np.ndarray:
+    sh = np.sinh(t / 2.0)
+    return np.exp(-t) / (3.0 * t) + 1.0 / (t * sh * sh) - np.cosh(t / 2.0) / (2.0 * sh ** 3)
+
+
+def _upsilon_tail(order: int) -> float:
+    """int_1^50 of the Upsilon1 integrand, order-point Gauss-Legendre per panel."""
+    x, w = leggauss(order)
+    a, b = _UPSILON_PANELS[:-1, None], _UPSILON_PANELS[1:, None]
+    half = (b - a) / 2.0
+    return float(np.sum(half * w * _upsilon_integrand(half * x + (a + b) / 2.0)))
 
 
 @functools.lru_cache(maxsize=1)
@@ -157,7 +172,8 @@ def upsilon1() -> float:
     Upsilon1 = -int_0^inf [e^-t/(3t) + 1/(t sinh^2(t/2)) - cosh(t/2)/(2 sinh^3(t/2))] dt.
     """
     head = sum(c / (j + 1) for j, c in enumerate(_UPSILON_SERIES))
-    tail, err = quad(_upsilon_integrand, 1.0, 50.0, epsabs=1e-14, epsrel=1e-13, limit=200)
+    tail = _upsilon_tail(2 * _UPSILON_ORDER)
+    err = abs(tail - _upsilon_tail(_UPSILON_ORDER))
     if err > 1e-10:
         raise ConvergenceError(f"tail quadrature error estimate {err:.3e} exceeds 1e-10")
     return -(head + tail)
@@ -219,52 +235,76 @@ def vn_entropy_limit_series(e: EllipticModulus, sigma: int, tol: float = 1e-16) 
     return _mk(total, "LimitSeries", L=None)
 
 
-def _log_theta3_imag(y: float, tau0: float) -> float:
-    """ln theta3(i y | i tau0) for real y, reduced by quasi-periodicity.
+# Largest theta index N summed per node.  N grows like tau0^{-1/2}; any
+# modulus built by tau0_from_modulus has tau0 > 0.08 and N <= 13, so the
+# budget only stops hand-built moduli with tau0 below about 1e-5, whose
+# (nodes x 2N) term array would otherwise grow without bound.
+_THETA_TERM_BUDGET = 1000
+# Cut-off and the two steps of the midpoint rule.  The integrand is even and
+# analytic in |Im x| < 1/2 (ln theta3 has its nearest log singularities
+# there), so the rule's error falls like e^{-pi/step}: about 2e-14 at 0.1
+# and 6e-28 at 0.05, and the two rules' difference bounds the coarse one.
+_INTEGRAL_CUTOFF = 10.0
+_INTEGRAL_STEP = 0.1
+
+
+def _log_theta3_imag(y: np.ndarray, tau0: float) -> np.ndarray:
+    """ln theta3(i y | i tau0) for an array of real y, reduced by
+    quasi-periodicity.
 
     theta3(s + a tau) picks up exp(-i pi a^2 tau - 2 pi i a s); shifting by
-    a = round(y/tau0) keeps the series argument near its maximum, where the
-    sum is O(1), so the result never overflows.
+    a = round(y/tau0) leaves y0 = y - a tau0 in [-tau0/2, tau0/2], where the
+    terms exp(-pi tau0 n^2 - 2 pi y0 n) are largest at n = 0 (value 1).  So
+    the log-sum-exp over |n| <= N needs no rescaling, and the sum of the
+    n != 0 terms goes through log1p.  N is the least index with
+    pi tau0 N (N+1) >= ln(1e17), which puts every dropped term below 1e-17.
     """
-    a = round(y / tau0)
+    c = math.log(1e17) / (math.pi * tau0)
+    N = max(1, math.ceil((math.sqrt(1.0 + 4.0 * c) - 1.0) / 2.0))
+    if N > _THETA_TERM_BUDGET:
+        raise ConvergenceError(
+            f"theta series at tau0 = {tau0:.3e} needs {N} terms, "
+            f"over the budget of {_THETA_TERM_BUDGET}"
+        )
+    a = np.rint(y / tau0)
     y0 = y - a * tau0
-    base = theta(3, 1j * y0, 1j * tau0, tol=1e-15).real
-    return 2.0 * math.pi * a * y - math.pi * tau0 * a * a + math.log(base)
+    n = np.arange(1, N + 1, dtype=float)
+    even = -math.pi * tau0 * n * n
+    odd = 2.0 * math.pi * y0[:, None] * n
+    tail = np.sum(np.exp(even - odd) + np.exp(even + odd), axis=1)
+    return 2.0 * math.pi * a * y - math.pi * tau0 * a * a + np.log1p(tail)
 
 
 def vn_entropy_limit_integral(e: EllipticModulus, sigma: int) -> EntropyResult:
     """Limit entropy as the theta-kernel integral
     S = (pi/2) int_0^inf ln[theta3(ix+s t/2) theta3(ix-s t/2)/theta3^2(s t/2)] dx / sinh^2(pi x).
 
-    Both the log-numerator and sinh^2 vanish quadratically at x = 0; the
-    head [0, 1e-3] uses the even quadratic/quartic fit of the integrand and
-    the rest goes to adaptive quadrature.
+    The integrand is even in x and analytic in |Im x| < 1/2, so the midpoint
+    rule on (0, 10] converges geometrically in 1/step; its nodes never touch
+    x = 0, where the log-numerator and sinh^2 both vanish.  The rule runs at
+    step 0.1 and 0.05 in one pass over all nodes, and the finer value is
+    returned.  A difference above both 1e-13 and 1e-12 |S| raises
+    ConvergenceError.
     """
     if sigma not in (0, 1):
         raise DomainError(f"sigma must be 0 or 1, got {sigma}")
     tau0 = e.tau0
     off = sigma * tau0 / 2.0
-    base = 2.0 * _log_theta3_imag(off, tau0)
-
-    def integrand(x: float) -> float:
-        num = _log_theta3_imag(x + off, tau0) + _log_theta3_imag(abs(x - off), tau0) - base
-        sh = math.sinh(math.pi * x)
-        return num / (sh * sh)
-
-    # Even-function head: fit a + b x^2 + c x^4 through three small nodes.
-    x0 = 1e-3
-    xs = np.array([x0, 2 * x0, 4 * x0])
-    fs = np.array([integrand(x) for x in xs])
-    m = np.vander(xs * xs, 3, increasing=True)  # columns 1, x^2, x^4
-    a, b, c = np.linalg.solve(m, fs)
-    head = a * x0 + b * x0 ** 3 / 3.0 + c * x0 ** 5 / 5.0
-
-    body, err, info, *rest = quad(
-        integrand, x0, 10.0, epsabs=1e-13, epsrel=1e-12, limit=200, full_output=True
-    )
-    if rest:
-        raise ConvergenceError(f"limit-entropy quadrature failed: {rest[0]}")
-    return _mk(math.pi / 2.0 * (head + body), "LimitIntegral", L=None)
+    h = _INTEGRAL_STEP
+    m = round(_INTEGRAL_CUTOFF / h)
+    # nodes of the step-h rule, then of the step-h/2 rule
+    x = np.concatenate(((np.arange(m) + 0.5) * h, (np.arange(2 * m) + 0.5) * (h / 2.0)))
+    logs = _log_theta3_imag(np.concatenate((x + off, np.abs(x - off), [off])), tau0)
+    num = logs[: x.size] + logs[x.size: -1] - 2.0 * logs[-1]
+    f = num / np.sinh(math.pi * x) ** 2
+    coarse = math.pi / 2.0 * h * float(np.sum(f[:m]))
+    fine = math.pi / 2.0 * (h / 2.0) * float(np.sum(f[m:]))
+    diff = abs(fine - coarse)
+    if diff > max(1e-13, 1e-12 * abs(fine)):
+        raise ConvergenceError(
+            f"limit-entropy midpoint rules at steps {h} and {h / 2.0} differ by {diff:.3e}"
+        )
+    return _mk(fine, "LimitIntegral", L=None)
 
 
 def vn_entropy_closed(e: EllipticModulus, case: PhaseCase) -> EntropyResult:

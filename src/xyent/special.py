@@ -14,8 +14,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from scipy.special import zeta as hurwitz_zeta
-
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
@@ -93,7 +91,8 @@ def _as_tau(tau: ModularPoint | complex) -> complex:
 # directly, so the first _N_DIRECT factors are multiplied out and the rest
 # of the log-sum is resummed analytically: expanding n*log(1+x/n) - x
 # + x^2/(2n) in powers of x/n and summing over n > _N_DIRECT gives Hurwitz
-# zeta values.
+# zeta values.  scipy.special, which supplies them, costs about a third of a
+# second to import, so only these two functions load it, on first call.
 
 _N_DIRECT = 32
 
@@ -116,6 +115,7 @@ def log_barnes_g(x: complex, tol: float = 1e-14) -> complex:
     if x == -1:
         # G(0) = 0: the n=1 factor (1 + x/n)^n vanishes.
         return complex("-inf")
+    from scipy.special import zeta as hurwitz_zeta
 
     total = (
         0.5 * x * math.log(2.0 * math.pi)
@@ -158,6 +158,7 @@ def log_barnes_g_pair(beta: complex, tol: float = 1e-14) -> complex:
     beta = complex(beta)
     if abs(beta.real) >= 0.5:
         raise DomainError(f"pair form needs |Re beta| < 1/2, got Re beta = {beta.real:.6g}")
+    from scipy.special import zeta as hurwitz_zeta
     b2 = beta * beta
     total = -(1.0 + EULER_GAMMA) * b2
     for n in range(1, _N_DIRECT + 1):

@@ -139,9 +139,7 @@ def fourier_coeffs(
         raise DomainError(f"quad_points = {quad_points} < 4 n = {4 * n}")
     vals = _fft_samples(symbol, quad_points)
     c = np.fft.fft(vals) / quad_points  # c[k] = c_k for k >= 0, c[-k] at the top
-    out = np.empty(2 * n + 1, dtype=complex)
-    for k in range(-n, n + 1):
-        out[n + k] = c[k % quad_points]
+    out = c[np.arange(-n, n + 1) % quad_points]
     if smooth and max(abs(out[0]), abs(out[-1])) > _COEFF_TAIL_TOL:
         raise ResolutionError(
             f"coefficients at |k| = {n} still of size "
@@ -157,11 +155,8 @@ def xx_symbol_coeffs(s: SpectralParameter, h: float, n: int) -> np.ndarray:
     if not (abs(h) < 2.0):
         raise DomainError(f"XX symbol needs |h| < 2, got h = {h}")
     g = _xx_coefficients(h, n)
-    out = np.zeros(2 * n + 1, dtype=complex)
-    out[n] = s.lam - g[0]
-    for k in range(1, n + 1):
-        out[n + k] = -g[k]
-        out[n - k] = -g[k]
+    out = -g[np.abs(np.arange(-n, n + 1))].astype(complex)
+    out[n] += s.lam
     return out
 
 
@@ -205,29 +200,17 @@ class SmoothSymbolFactorization:
     """Wiener-Hopf data of a smooth nonvanishing index-zero symbol phi.
 
     Vk holds the Fourier coefficients of log phi (length 2n+1, V_k at index
-    n+k); bplus_coeffs / bminus_coeffs are the Taylor coefficients of the
-    factors b+(z) = e^{sum_{k>=1} V_k z^k} and b-(z) = e^{sum_{k<=-1} V_k z^k}
-    in z and 1/z respectively, normalized to b+(0) = b-(inf) = 1.
+    n+k); the factors b+(z) = e^{sum_{k>=1} V_k z^k} and
+    b-(z) = e^{sum_{k<=-1} V_k z^k}, normalized to b+(0) = b-(inf) = 1, are
+    read from it by log_b_plus and log_b_minus.
     """
 
     Vk: np.ndarray = field(repr=False)
     V0: complex
-    bplus_coeffs: np.ndarray = field(repr=False)
-    bminus_coeffs: np.ndarray = field(repr=False)
 
     @property
     def order(self) -> int:
         return self.Vk.size // 2
-
-    @staticmethod
-    def _series_exp(v: np.ndarray) -> np.ndarray:
-        # exp of sum_{k>=1} v[k] z^k via b_m = (1/m) sum_{k=1}^{m} k v[k] b_{m-k}
-        n = v.size - 1
-        b = np.zeros(n + 1, dtype=complex)
-        b[0] = 1.0
-        for m in range(1, n + 1):
-            b[m] = sum(k * v[k] * b[m - k] for k in range(1, m + 1)) / m
-        return b
 
     @classmethod
     def from_symbol(
@@ -264,30 +247,20 @@ class SmoothSymbolFactorization:
             )
         logs = np.log(np.abs(vals)) + 1j * ph
         vhat = np.fft.fft(logs) / quad_points
-        vk = np.empty(2 * n + 1, dtype=complex)
-        for k in range(-n, n + 1):
-            vk[n + k] = vhat[k % quad_points]
+        vk = vhat[np.arange(-n, n + 1) % quad_points]
         tail = max(abs(vk[0]), abs(vk[-1]))
         if tail > tail_tol:
             raise ResolutionError(
                 f"log-symbol coefficients at |k| = {n} still {tail:.3e} > {tail_tol:.0e}"
             )
-        vplus = np.concatenate(([0.0], vk[n + 1:]))
-        vminus = np.concatenate(([0.0], vk[n - 1::-1]))
-        return cls(
-            Vk=vk,
-            V0=complex(vk[n]),
-            bplus_coeffs=cls._series_exp(vplus),
-            bminus_coeffs=cls._series_exp(vminus),
-        )
+        return cls(Vk=vk, V0=complex(vk[n]))
 
     @classmethod
     def constant(cls, V0: complex) -> "SmoothSymbolFactorization":
         """Factorization of the constant symbol e^{V0} (b+ = b- = 1)."""
         vk = np.zeros(3, dtype=complex)
         vk[1] = V0
-        one = np.array([1.0 + 0.0j, 0.0j])
-        return cls(Vk=vk, V0=complex(V0), bplus_coeffs=one, bminus_coeffs=one)
+        return cls(Vk=vk, V0=complex(V0))
 
     def log_b_plus(self, z: complex) -> complex:
         """log b+(z) = sum_{k=1}^{n} V_k z^k (|z| <= 1)."""

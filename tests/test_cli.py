@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import xyent
 from xyent import ConfigError
 from xyent.cli import RunConfig, main, parse_args
 
@@ -185,3 +189,14 @@ class TestExitCodes:
     def test_resolution_failure_is_3(self, capsys):
         code, out, err = run_cli(capsys, "entropy", "--gamma", "1e-7", "--h", "1", "--L", "8")
         assert code == 3
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy costs most of a cold start; only the Barnes G tail loads it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(xyent.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, xyent.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import xyent.entropy as entropy_mod
 from xyent import (
     CASE_1A,
     CASE_2,
+    ConvergenceError,
     DomainError,
+    EllipticModulus,
     ModelParams,
     RegimeError,
     build_correlation_matrix,
@@ -26,6 +31,7 @@ from xyent import (
     vn_entropy_limit_integral,
     vn_entropy_limit_series,
     xx_entropy_asymptotic,
+    XyentError,
 )
 from oracles import UPSILON1_REFERENCE, brute_renyi_entropy, brute_vn_entropy
 
@@ -126,6 +132,21 @@ class TestLimitForms:
         assert s1 == pytest.approx(s2, abs=1e-10)
         assert s1 == pytest.approx(s3, abs=1e-10)
 
+    def test_integral_rules_disagree(self, monkeypatch):
+        # at step 1 and 0.5 the midpoint rules differ by ~e^{-pi}: the
+        # certificate must refuse rather than return the finer value
+        monkeypatch.setattr(entropy_mod, "_INTEGRAL_STEP", 1.0)
+        e = modulus_k(ModelParams(0.5, 1.0))
+        with pytest.raises(ConvergenceError, match="midpoint rules"):
+            vn_entropy_limit_integral(e, 1)
+
+    def test_integral_term_budget(self):
+        # tau0 = 1e-6 needs ~3500 theta terms per node; no modulus from
+        # tau0_from_modulus gets there, a hand-built one must be refused
+        e = EllipticModulus(k=0.6, kprime=0.8, tau0=1e-6)
+        with pytest.raises(ConvergenceError, match="budget"):
+            vn_entropy_limit_integral(e, 1)
+
     def test_methods(self):
         e = modulus_k(ModelParams(0.5, 1.0))
         assert vn_entropy_limit_series(e, 1).method == "LimitSeries"
@@ -143,6 +164,43 @@ class TestLimitForms:
         ]
         assert diffs[2] < diffs[1] < diffs[0]
         assert diffs[2] < 1e-8
+
+
+def _log_approach(lo: float, hi: float):
+    """Distances 10^-u with u uniform in [lo, hi]."""
+    return st.floats(lo, hi).map(lambda u: 10.0 ** -u)
+
+
+# The whole plane, plus log-spaced approach to each boundary at the depths
+# of the benchmark's limit ladders: h -> 2 from both sides (10^-1..10^-3),
+# gamma -> 0 at h = 1 (10^-1..10^-1.5), the circle h^2 = 4(1 - gamma^2) from
+# both sides (10^-1..10^-7) and the Ising line gamma = 1 at h = 10^-1..10^-3.
+_PLANE = st.one_of(
+    st.tuples(st.floats(0.02, 2.0), st.floats(0.0, 4.0)),
+    st.tuples(st.floats(0.05, 1.5), st.sampled_from((-1.0, 1.0)), _log_approach(1, 3)).map(
+        lambda t: (t[0], 2.0 + t[1] * t[2])
+    ),
+    st.tuples(_log_approach(1, 1.5), st.just(1.0)),
+    st.tuples(st.floats(0.1, 0.95), st.sampled_from((-1.0, 1.0)), _log_approach(1, 7)).map(
+        lambda t: (t[0], 2.0 * math.sqrt(1.0 - t[0] ** 2) + t[1] * t[2])
+    ),
+    st.tuples(st.just(1.0), _log_approach(1, 3)),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_PLANE)
+def test_integral_matches_series_over_plane(point):
+    # either the two limit forms agree, or a typed error says why not
+    g, h = point
+    try:
+        p = ModelParams(g, h)
+        c = classify_case(p)
+        e = modulus_k(p)
+    except XyentError:
+        return
+    s_int = vn_entropy_limit_integral(e, c.sigma).value
+    assert s_int == pytest.approx(vn_entropy_limit_series(e, c.sigma).value, abs=1e-11)
 
 
 class TestRenyiLimits:

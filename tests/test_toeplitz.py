@@ -139,9 +139,6 @@ class TestSzego:
         assert f.V0 == pytest.approx(0.0, abs=1e-13)
         assert f.Vk[24 + 1] == pytest.approx(a / 2.0, rel=1e-12)
         assert f.Vk[24 - 1] == pytest.approx(a / 2.0, rel=1e-12)
-        # b+ is exp((a/2) z): Taylor coefficients (a/2)^m / m!
-        for m in range(5):
-            assert f.bplus_coeffs[m] == pytest.approx((a / 2.0) ** m / math.factorial(m), rel=1e-10)
         assert f.log_b_plus(0.3 + 0.1j) == pytest.approx((a / 2.0) * (0.3 + 0.1j), rel=1e-12)
 
     def test_limit_matches_exact_det(self):

@@ -8,172 +8,25 @@
 #   entropy   entropy evaluations (exact, asymptotic, limit, closed forms)
 #   spectrum  limit density-matrix ladder, multiplicities, zeta function
 #   cli       the xyent command-line tool
+#
+# The public API is each library module's __all__, re-exported here.
 
-from .chain import (
-    CASE_1A,
-    CASE_1B,
-    CASE_2,
-    BranchPoints,
-    CorrelationMatrix,
-    ModelParams,
-    NuSpectrum,
-    PhaseCase,
-    branch_points,
-    build_correlation_matrix,
-    build_xx_matrix,
-    classify_case,
-    modulus_k,
-    nu_spectrum,
-)
-from .entropy import (
-    EntropyResult,
-    ThetaZeroLadder,
-    critical_entropy_approx,
-    e_func,
-    renyi_exact,
-    renyi_limit_modular,
-    renyi_limit_qproduct,
-    theta_zero_ladder,
-    upsilon1,
-    vn_entropy_closed,
-    vn_entropy_exact,
-    vn_entropy_limit_integral,
-    vn_entropy_limit_series,
-    xx_entropy_asymptotic,
-)
-from .errors import (
-    BoundaryError,
-    ConfigError,
-    ConvergenceError,
-    CutError,
-    DomainError,
-    ProximityError,
-    RegimeError,
-    ResolutionError,
-    SpectrumRangeError,
-    XyentError,
-)
-from .special import (
-    EllipticModulus,
-    ModularPoint,
-    barnes_g,
-    barnes_g_pair,
-    complete_elliptic_K,
-    log_barnes_g,
-    log_barnes_g_pair,
-    modular_lambda,
-    tau0_from_modulus,
-    theta,
-)
-from .spectrum import (
-    DensitySpectrum,
-    PartitionTable,
-    density_spectrum,
-    finite_l_eigenvalues,
-    multiplicities,
-    multiplicity_asymptotic,
-    partition_counts,
-    required_nmax,
-    zeta_function,
-)
-from .toeplitz import (
-    FHSingularity,
-    ScaledValue,
-    SmoothSymbolFactorization,
-    SpectralParameter,
-    fisher_hartwig_asymptotic,
-    fourier_coeffs,
-    szego_asymptotic,
-    toeplitz_det_exact,
-    toeplitz_matrix,
-    xx_char_det_asymptotic,
-    xx_char_det_exact,
-    xx_symbol_coeffs,
-    xy_block_det_asymptotic,
-    xy_block_det_exact,
-    xy_widom_prefactor,
-)
+from . import chain, entropy, errors, special, spectrum, toeplitz
+from .chain import *  # noqa: F403
+from .entropy import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .special import *  # noqa: F403
+from .spectrum import *  # noqa: F403
+from .toeplitz import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # chain
-    "ModelParams",
-    "PhaseCase",
-    "CASE_1A",
-    "CASE_1B",
-    "CASE_2",
-    "BranchPoints",
-    "CorrelationMatrix",
-    "NuSpectrum",
-    "classify_case",
-    "branch_points",
-    "modulus_k",
-    "build_correlation_matrix",
-    "build_xx_matrix",
-    "nu_spectrum",
-    # special
-    "ModularPoint",
-    "EllipticModulus",
-    "log_barnes_g",
-    "barnes_g",
-    "log_barnes_g_pair",
-    "barnes_g_pair",
-    "complete_elliptic_K",
-    "theta",
-    "modular_lambda",
-    "tau0_from_modulus",
-    # toeplitz
-    "ScaledValue",
-    "SpectralParameter",
-    "FHSingularity",
-    "SmoothSymbolFactorization",
-    "fourier_coeffs",
-    "xx_symbol_coeffs",
-    "toeplitz_matrix",
-    "toeplitz_det_exact",
-    "szego_asymptotic",
-    "fisher_hartwig_asymptotic",
-    "xx_char_det_asymptotic",
-    "xx_char_det_exact",
-    "xy_widom_prefactor",
-    "xy_block_det_asymptotic",
-    "xy_block_det_exact",
-    # entropy
-    "EntropyResult",
-    "ThetaZeroLadder",
-    "e_func",
-    "vn_entropy_exact",
-    "renyi_exact",
-    "upsilon1",
-    "xx_entropy_asymptotic",
-    "theta_zero_ladder",
-    "vn_entropy_limit_series",
-    "vn_entropy_limit_integral",
-    "vn_entropy_closed",
-    "renyi_limit_qproduct",
-    "renyi_limit_modular",
-    "critical_entropy_approx",
-    # spectrum
-    "PartitionTable",
-    "partition_counts",
-    "multiplicities",
-    "multiplicity_asymptotic",
-    "DensitySpectrum",
-    "density_spectrum",
-    "zeta_function",
-    "required_nmax",
-    "finite_l_eigenvalues",
-    # errors
-    "XyentError",
-    "DomainError",
-    "BoundaryError",
-    "CutError",
-    "ProximityError",
-    "RegimeError",
-    "ConfigError",
-    "ConvergenceError",
-    "ResolutionError",
-    "SpectrumRangeError",
+    *chain.__all__,
+    *special.__all__,
+    *toeplitz.__all__,
+    *entropy.__all__,
+    *spectrum.__all__,
+    *errors.__all__,
 ]

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BoundaryError, DomainError, ResolutionError, SpectrumRangeError
 from .special import EllipticModulus, tau0_from_modulus
@@ -26,6 +27,9 @@ from .special import EllipticModulus, tau0_from_modulus
 __all__ = [
     "ModelParams",
     "PhaseCase",
+    "CASE_1A",
+    "CASE_1B",
+    "CASE_2",
     "BranchPoints",
     "CorrelationMatrix",
     "NuSpectrum",
@@ -41,9 +45,14 @@ __all__ = [
 # are rejected, never silently assigned to a side.
 _BOUNDARY_TOL = 1e-12
 
-# Largest Fourier grid build_correlation_matrix doubles up to before it
-# declares the symbol's coefficients unresolved.
+# Largest Fourier grid build_correlation_matrix may use; a symbol whose
+# coefficients decay too slowly for it is declared unresolved.
 MAX_QUAD_POINTS = 2 ** 20
+
+# The XY grid is sized so the coefficients fall by e^-_DECAY_LOG = 1e-16
+# beyond the block, and certified by the computed ones there (_TAIL_TOL).
+_DECAY_LOG = 16.0 * math.log(10.0)
+_TAIL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -150,6 +159,29 @@ def classify_case(p: ModelParams) -> PhaseCase:
     return CASE_1B
 
 
+def _branch_pair(gamma: float, h: float) -> tuple[complex, complex]:
+    """The closed forms of lambda1, lambda2 (see branch_points), chosen by the
+    sign of h^2 - 4(1-gamma^2) alone, so points on the circle are covered."""
+    disc2 = h * h - 4.0 * (1.0 - gamma * gamma)
+    if disc2 >= 0.0:
+        disc = math.sqrt(disc2)
+        lam1 = complex((h - disc) / (2.0 * (1.0 + gamma)))
+        # h = disc = 0 only at (1, 0), where lambda2 has moved out to infinity
+        lam2 = complex(2.0 * (1.0 + gamma) / (h + disc) if h + disc > 0.0 else math.inf)
+    else:
+        lam1 = (h - 1j * math.sqrt(-disc2)) / (2.0 * (1.0 + gamma))
+        lam2 = 1.0 / lam1.conjugate()
+    return lam1, lam2
+
+
+def _branch_rho(gamma: float, h: float) -> float:
+    """Largest modulus of the branch points inside the unit circle; the
+    symbol is analytic in rho < |z| < 1/rho, so |g_l| decays like rho^|l|.
+    The branch points come in pairs z, 1/conj(z), one of each inside."""
+    return max(min(abs(lam), 1.0 / abs(lam)) if lam != 0 else 0.0
+               for lam in _branch_pair(gamma, h))
+
+
 def branch_points(p: ModelParams) -> BranchPoints:
     """Branch points of the symbol and the cut-endpoint labeling.
 
@@ -162,14 +194,7 @@ def branch_points(p: ModelParams) -> BranchPoints:
     lambda2 = 1/conj(lambda1).
     """
     case = classify_case(p)
-    g, h = p.gamma, p.h
-    if case.label in ("1a", "2"):
-        disc = math.sqrt(h * h - 4.0 * (1.0 - g * g))
-        lam1 = complex((h - disc) / (2.0 * (1.0 + g)))
-        lam2 = complex(2.0 * (1.0 + g) / (h + disc))
-    else:
-        lam1 = (h - 1j * math.sqrt(4.0 * (1.0 - g * g) - h * h)) / (2.0 * (1.0 + g))
-        lam2 = 1.0 / lam1.conjugate()
+    lam1, lam2 = _branch_pair(p.gamma, p.h)
 
     # on the Ising line gamma = 1 the curve degenerates: lam1 sits at the
     # origin and its partner moves out to infinity, which is still a valid
@@ -222,13 +247,29 @@ def _xx_coefficients(h: float, lmax: int) -> np.ndarray:
     return c
 
 
+def _toeplitz_fill(c: np.ndarray) -> np.ndarray:
+    """L x L Toeplitz matrix T[i, j] = c_{i-j} from the two-sided vector
+    c = (c_{1-L}, ..., c_0, ..., c_{L-1}), whose length 2L - 1 gives L.
+
+    Row i is the window c_{i-L+1..i} read backwards: one strided view of
+    the reversed vector, copied once.
+    """
+    L = (c.size + 1) // 2
+    rows = sliding_window_view(np.ascontiguousarray(c[::-1]), L)
+    return rows[::-1].copy()
+
+
 def build_correlation_matrix(p: ModelParams, L: int) -> CorrelationMatrix:
     """Real Toeplitz block G_ij = g_{i-j} of an XY block of length L.
 
-    The coefficients g_l come from the FFT of the smooth symbol on a uniform
-    grid that starts at max(4096, 8L) points (rounded up to a power of two)
-    and doubles until the coefficients around the grid's middle fall below
-    1e-12, up to MAX_QUAD_POINTS.  The XX line gamma = 0 has a piecewise
+    The coefficients g_l come from one FFT of the smooth symbol.  They decay
+    like rho^|l|, rho the largest modulus of a branch point inside the unit
+    circle, so within K = ceil(16 ln 10 / ln(1/rho)) steps they lose 16
+    digits.  The grid has the least power of two n >= max(64, 2(L + K))
+    points, which puts every alias of an entry with |l| < L at least
+    L + 2K steps out.  Certificate: the computed |g_l| on L + K <= |l| <= n/2
+    must be at most 1e-12, or ResolutionError is raised; so is a grid over
+    MAX_QUAD_POINTS, before any FFT.  The XX line gamma = 0 has a piecewise
     constant symbol; its block comes from build_xx_matrix.
     """
     if L < 1:
@@ -239,30 +280,26 @@ def build_correlation_matrix(p: ModelParams, L: int) -> CorrelationMatrix:
     if abs(p.h - 2.0) <= _BOUNDARY_TOL * scale:
         raise BoundaryError("on the critical manifold h = 2")
 
-    n = max(4096, 1 << (8 * L - 1).bit_length())
-    while True:
-        thetas = 2.0 * math.pi * np.arange(n) / n
-        w = np.cos(thetas) - 1j * p.gamma * np.sin(thetas) - p.h / 2.0
-        r = np.abs(w)
-        if np.min(r) < 1e-14:
-            raise BoundaryError(
-                f"symbol vanishes on the grid: (gamma, h) = ({p.gamma}, {p.h}) is critical"
-            )
-        g = np.fft.fft(w / r) / n  # g[l % n] = (1/2pi) int e^{-il theta} phi
-        # Smooth symbol: coefficients must have decayed by the grid's middle.
-        tail = np.max(np.abs(g[n // 2 - n // 8: n // 2 + n // 8]))
-        if tail <= 1e-12:
-            break
-        if n >= MAX_QUAD_POINTS:
-            raise ResolutionError(
-                f"trailing symbol coefficients {tail:.3e} exceed 1e-12 on the largest "
-                f"grid, MAX_QUAD_POINTS = {MAX_QUAD_POINTS}: (gamma, h) = "
-                f"({p.gamma}, {p.h}) is too close to criticality"
-            )
-        n *= 2
-
-    idx = np.arange(L)
-    return CorrelationMatrix(entries=g[(idx[:, None] - idx[None, :]) % n].real)
+    rho = _branch_rho(p.gamma, p.h)
+    decay = -math.log(rho) if rho > 0.0 else math.inf
+    K = math.ceil(_DECAY_LOG / decay) if decay > 0.0 else math.inf
+    if 2 * (L + K) > MAX_QUAD_POINTS:
+        raise ResolutionError(
+            f"coefficients decay like rho^|l| with rho = {rho!r}: L = {L} needs a grid of "
+            f"{2 * (L + K)} points, over MAX_QUAD_POINTS = {MAX_QUAD_POINTS}; (gamma, h) = "
+            f"({p.gamma}, {p.h}) is too close to criticality"
+        )
+    n = 1 << (max(64, 2 * (L + K)) - 1).bit_length()
+    thetas = 2.0 * math.pi * np.arange(n) / n
+    w = np.cos(thetas) - 1j * p.gamma * np.sin(thetas) - p.h / 2.0
+    g = np.fft.fft(w / np.abs(w)) / n  # g[l % n] = (1/2pi) int e^{-il theta} phi
+    tail = np.max(np.abs(g[L + K: n - L - K + 1]))
+    if tail > _TAIL_TOL:
+        raise ResolutionError(
+            f"symbol coefficients {tail:.3e} at L + K <= |l| <= n/2 exceed {_TAIL_TOL} on "
+            f"the {n}-point grid sized from rho = {rho!r}: (gamma, h) = ({p.gamma}, {p.h})"
+        )
+    return CorrelationMatrix(entries=_toeplitz_fill(np.concatenate((g[n - L + 1:], g[:L])).real))
 
 
 def build_xx_matrix(h: float, L: int) -> CorrelationMatrix:
@@ -273,8 +310,7 @@ def build_xx_matrix(h: float, L: int) -> CorrelationMatrix:
     if L < 1:
         raise DomainError(f"block length must be >= 1, got {L}")
     c = _xx_coefficients(h, L - 1)
-    idx = np.abs(np.subtract.outer(np.arange(L), np.arange(L)))
-    return CorrelationMatrix(entries=c[idx], symmetric=True)
+    return CorrelationMatrix(entries=_toeplitz_fill(np.concatenate((c[:0:-1], c))), symmetric=True)
 
 
 def nu_spectrum(c: CorrelationMatrix) -> NuSpectrum:

@@ -3,6 +3,19 @@
 # CLI exit codes): bad inputs (DomainError, exit 2) and numerical failures
 # (ConvergenceError, exit 3).
 
+__all__ = [
+    "XyentError",
+    "DomainError",
+    "BoundaryError",
+    "CutError",
+    "ProximityError",
+    "RegimeError",
+    "ConfigError",
+    "ConvergenceError",
+    "ResolutionError",
+    "SpectrumRangeError",
+]
+
 
 class XyentError(Exception):
     """Base class for all library errors."""
@@ -41,7 +54,8 @@ class ConvergenceError(XyentError):
 
 class ResolutionError(ConvergenceError):
     """Fourier/quadrature grid too coarse: trailing coefficients of a
-    symbol declared smooth do not decay below tolerance."""
+    symbol declared smooth do not decay below tolerance, or the grid they
+    need is over its cap."""
 
 
 class SpectrumRangeError(ConvergenceError):

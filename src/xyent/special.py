@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "EULER_GAMMA",
     "ModularPoint",
     "EllipticModulus",
     "barnes_g",

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chain import NuSpectrum, PhaseCase, _xx_coefficients
+from .chain import NuSpectrum, PhaseCase, _toeplitz_fill, _xx_coefficients
 from .errors import CutError, DomainError, ProximityError, ResolutionError
 from .special import EllipticModulus, log_barnes_g, log_barnes_g_pair, theta
 
@@ -171,8 +171,7 @@ def toeplitz_matrix(coeffs: np.ndarray, L: int) -> np.ndarray:
         raise DomainError(f"matrix size must be >= 1, got {L}")
     if n < L - 1:
         raise DomainError(f"need coefficients out to |k| = {L - 1}, have {n}")
-    idx = np.arange(L)
-    return coeffs[n + (idx[:, None] - idx[None, :])]
+    return _toeplitz_fill(coeffs[n - L + 1: n + L])
 
 
 def toeplitz_det_exact(coeffs: np.ndarray, L: int) -> ScaledValue:

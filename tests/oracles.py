@@ -63,17 +63,23 @@ def quad_fourier_coeff(symbol, k: int) -> complex:
     return complex(re, im) / (2.0 * math.pi)
 
 
+def xy_coefficients(gamma: float, h: float, n_grid: int = 1 << 18) -> np.ndarray:
+    """Real parts of the Fourier coefficients g_l of phi = w/|w|,
+    w = cos t - i gamma sin t - h/2, by an FFT on a fixed grid of n_grid
+    points: g_l at index l % n_grid."""
+    t = 2.0 * math.pi * np.arange(n_grid) / n_grid
+    w = np.cos(t) - 1j * gamma * np.sin(t) - h / 2.0
+    return np.fft.fft(w / np.abs(w)).real / n_grid
+
+
 def majorana_matrix(gamma: float, h: float, L: int, n_grid: int = 1 << 16) -> np.ndarray:
     """The real antisymmetric 2L x 2L Majorana matrix B_L of an XY block.
 
-    B_L has 2x2 blocks [[0, g_{i-j}], [-g_{j-i}, 0]], where g_l are the
-    Fourier coefficients of phi = w/|w|, w = cos t - i gamma sin t - h/2,
-    taken here by an FFT on a fixed grid of n_grid points.  The nu-spectrum
-    is the nonnegative half of the eigenvalues of the Hermitian i B_L.
+    B_L has 2x2 blocks [[0, g_{i-j}], [-g_{j-i}, 0]], with g_l from
+    xy_coefficients on n_grid points.  The nu-spectrum is the nonnegative
+    half of the eigenvalues of the Hermitian i B_L.
     """
-    t = 2.0 * math.pi * np.arange(n_grid) / n_grid
-    w = np.cos(t) - 1j * gamma * np.sin(t) - h / 2.0
-    g = np.fft.fft(w / np.abs(w)).real / n_grid
+    g = xy_coefficients(gamma, h, n_grid)
     B = np.zeros((2 * L, 2 * L))
     for i in range(L):
         for j in range(L):

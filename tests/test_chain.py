@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xyent import (
     BoundaryError,
@@ -17,8 +19,10 @@ from xyent import (
     complete_elliptic_K,
     modulus_k,
     nu_spectrum,
+    toeplitz_matrix,
 )
-from oracles import majorana_matrix, quad_fourier_coeff
+from xyent.chain import _xx_coefficients
+from oracles import majorana_matrix, quad_fourier_coeff, xy_coefficients
 
 
 class TestModelParams:
@@ -161,6 +165,127 @@ class TestCorrelationMatrix:
             build_correlation_matrix(ModelParams(0.0, 0.5), 6)
 
 
+def _counting_fft(monkeypatch):
+    """Route np.fft.fft through a spy; returns the list of its outputs."""
+    outputs = []
+    fft = np.fft.fft
+
+    def spy(a, *args, **kwargs):
+        outputs.append(fft(a, *args, **kwargs))
+        return outputs[-1]
+
+    monkeypatch.setattr(np.fft, "fft", spy)
+    return outputs
+
+
+class TestGridRule:
+    @pytest.mark.parametrize(
+        "g,h,L,n",
+        [
+            (1.0, 3.0, 12, 256),
+            (0.5, 1.0, 100, 512),
+            (0.02, 0.6, 800, 8192),
+            (0.5, 1.99, 50, 8192),
+            # on the circle h^2 = 4(1 - gamma^2): a valid block
+            (0.6, 1.6, 40, 256),
+            # gamma = 1, h = 0: phi = e^{-i theta}, no branch point in reach
+            (1.0, 0.0, 10, 64),
+        ],
+    )
+    def test_one_fft_sized_from_rho(self, monkeypatch, g, h, L, n):
+        outputs = _counting_fft(monkeypatch)
+        build_correlation_matrix(ModelParams(g, h), L)
+        assert [len(o) for o in outputs] == [n]
+
+    def test_refused_before_any_fft(self, monkeypatch):
+        # rho = 1 - 1e-7 asks for a grid of about 7e8 points
+        outputs = _counting_fft(monkeypatch)
+        with pytest.raises(ResolutionError, match="MAX_QUAD_POINTS") as err:
+            build_correlation_matrix(ModelParams(1e-7, 1.0), 4)
+        assert "rho = 0.99999" in str(err.value)
+        assert outputs == []
+
+    def test_certificate_refuses_unresolved_tail(self, monkeypatch):
+        # a grid the rule cannot certify: the coefficients are scrambled,
+        # so the tail band is far above 1e-12 and the block is refused
+        fft = np.fft.fft
+        monkeypatch.setattr(np.fft, "fft", lambda a: fft(a)[::-1] + 1e-9)
+        with pytest.raises(ResolutionError, match="exceed 1e-12"):
+            build_correlation_matrix(ModelParams(0.5, 1.0), 10)
+
+
+class TestToeplitzFill:
+    @pytest.mark.parametrize("L", [1, 2, 7, 300])
+    def test_xx_equals_index_gather(self, L):
+        c = _xx_coefficients(0.7, L - 1)
+        idx = np.abs(np.subtract.outer(np.arange(L), np.arange(L)))
+        assert np.array_equal(build_xx_matrix(0.7, L).entries, c[idx])
+
+    @pytest.mark.parametrize("L", [1, 2, 7, 300])
+    def test_xy_equals_index_gather(self, monkeypatch, L):
+        outputs = _counting_fft(monkeypatch)
+        got = build_correlation_matrix(ModelParams(0.9, 1.8), L).entries
+        n = len(outputs[0])
+        g = outputs[0] / n
+        idx = np.arange(L)
+        assert np.array_equal(got, g[(idx[:, None] - idx[None, :]) % n].real)
+
+    @pytest.mark.parametrize("L,n", [(1, 0), (1, 3), (5, 4), (6, 9)])
+    def test_toeplitz_matrix_equals_index_gather(self, L, n):
+        rng = np.random.default_rng(L + n)
+        coeffs = rng.standard_normal(2 * n + 1) + 1j * rng.standard_normal(2 * n + 1)
+        idx = np.arange(L)
+        want = coeffs[n + (idx[:, None] - idx[None, :])]
+        got = toeplitz_matrix(coeffs, L)
+        assert got.dtype == np.complex128 and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+
+def _log_approach(lo: float, hi: float):
+    """Distances 10^-u with u uniform in [lo, hi]."""
+    return st.floats(lo, hi).map(lambda u: 10.0 ** -u)
+
+
+# The whole plane away from h = 2, plus log-spaced approach to h = 2 from
+# both sides (10^-1..10^-3), gamma -> 0 at h = 1 (10^-1..10^-3), the circle
+# h^2 = 4(1 - gamma^2) from both sides (10^-1..10^-7) and the Ising line
+# gamma = 1 from both sides (10^-1..10^-7) and at h -> 0 (10^-1..10^-3).
+# At these depths K stays under 1.5e5, so on the 2^18-point oracle grid
+# every alias of an entry the block uses lies more than K steps out.
+_PLANE = st.one_of(
+    st.tuples(st.floats(0.02, 2.0), st.floats(0.0, 4.0).filter(lambda h: abs(h - 2.0) > 1e-3)),
+    st.tuples(st.floats(0.05, 1.5), st.sampled_from((-1.0, 1.0)), _log_approach(1, 3)).map(
+        lambda t: (t[0], 2.0 + t[1] * t[2])
+    ),
+    st.tuples(_log_approach(1, 3), st.just(1.0)),
+    st.tuples(st.floats(0.1, 0.95), st.sampled_from((-1.0, 1.0)), _log_approach(1, 7)).map(
+        lambda t: (t[0], 2.0 * math.sqrt(1.0 - t[0] ** 2) + t[1] * t[2])
+    ),
+    st.tuples(st.sampled_from((-1.0, 1.0)), _log_approach(1, 7), st.floats(0.0, 1.9)).map(
+        lambda t: (1.0 + t[0] * t[1], t[2])
+    ),
+    st.tuples(st.just(1.0), _log_approach(1, 3)),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_PLANE, st.integers(1, 400))
+def test_entries_match_oracle_over_plane(point, L):
+    # either the block matches a 2^18-point grid, or the rule refuses it
+    try:
+        p = ModelParams(*point)
+    except DomainError:
+        return
+    try:
+        got = build_correlation_matrix(p, L).entries
+    except ResolutionError:
+        return
+    g = xy_coefficients(p.gamma, p.h)
+    idx = np.arange(L)
+    want = g[(idx[:, None] - idx[None, :]) % g.size]
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
 class TestXXMatrix:
     def test_entries(self):
         h = 1.0
@@ -203,7 +328,7 @@ class TestNuSpectrum:
             (0.5, 1.0, 40),
             (0.7, 2.5, 40),
             (0.02, 0.6, 200),
-            # the starting grid of 4096 points leaves a tail of ~4e-10 here
+            # slow decay near h = 2: rho = 0.990, an 8192-point grid
             (0.5, 1.99, 50),
         ],
     )

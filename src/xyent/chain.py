@@ -88,15 +88,11 @@ CASE_2 = PhaseCase("2", 0)
 
 @dataclass(frozen=True)
 class BranchPoints:
-    """Branch points lambda1, lambda2 of the symbol's elliptic curve and
-    their A/B/C/D cut-endpoint labels (A, B inside the unit circle)."""
+    """Branch points lambda1, lambda2 of the symbol's elliptic curve; with
+    their reciprocals they are the four endpoints of its cuts."""
 
     lambda1: complex
     lambda2: complex
-    lambda_a: complex
-    lambda_b: complex
-    lambda_c: complex
-    lambda_d: complex
 
 
 @dataclass(frozen=True)
@@ -192,23 +188,10 @@ def branch_points(p: ModelParams) -> BranchPoints:
     finite on the Ising line gamma = 1.
     Case 1b (complex pair): lambda1 = (h - i sqrt(4(1-gamma^2)-h^2)) / (2(1+gamma)),
     lambda2 = 1/conj(lambda1).
+    On the Ising line gamma = 1, lambda1 sits at the origin.
     """
-    case = classify_case(p)
-    lam1, lam2 = _branch_pair(p.gamma, p.h)
-
-    # on the Ising line gamma = 1 the curve degenerates: lam1 sits at the
-    # origin and its partner moves out to infinity, which is still a valid
-    # endpoint configuration
-    def recip(z: complex) -> complex:
-        return complex(math.inf, 0.0) if z == 0 else 1.0 / z
-
-    if case.label == "1a":
-        labels = (lam1, recip(lam2), lam2, recip(lam1))
-    elif case.label == "1b":
-        labels = (lam1, recip(lam2), recip(lam1), lam2)
-    else:
-        labels = (lam1, lam2, recip(lam2), recip(lam1))
-    return BranchPoints(lam1, lam2, *labels)
+    classify_case(p)  # rejects the XX line and the critical manifolds
+    return BranchPoints(*_branch_pair(p.gamma, p.h))
 
 
 def modulus_k(p: ModelParams) -> EllipticModulus:
@@ -228,6 +211,13 @@ def modulus_k(p: ModelParams) -> EllipticModulus:
     else:
         k = g / math.sqrt(q)
     return tau0_from_modulus(k)
+
+
+def _ladder_node(m, sigma: int, tau0: float):
+    """Zero lambda_m = tanh((m + (1-sigma)/2) pi tau0) of the theta prefactor;
+    m an integer or an integer array.  The nodes rise from tanh(0) = 0
+    (sigma = 1) or tanh(pi tau0/2) (sigma = 0) and accumulate at 1."""
+    return np.tanh((m + (1 - sigma) / 2.0) * math.pi * tau0)
 
 
 # -----------------------------------------------------------------------------

@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .chain import NuSpectrum, ModelParams, PhaseCase
+from .chain import NuSpectrum, ModelParams, PhaseCase, _ladder_node
 from .errors import ConvergenceError, DomainError, RegimeError
-from .special import EllipticModulus, complete_elliptic_K, modular_lambda
+from .special import EllipticModulus, _agm, modular_lambda
+from .spectrum import _ladder_params
 
 __all__ = [
     "EntropyResult",
@@ -38,6 +39,8 @@ __all__ = [
 ]
 
 _SERIES_BUDGET = 10 ** 5
+# The ladder series stops at its first term below this.
+_SERIES_TOL = 1e-16
 
 
 @dataclass(frozen=True)
@@ -96,14 +99,18 @@ def vn_entropy_exact(nus: NuSpectrum) -> EntropyResult:
     return _mk(s, "ExactFiniteL", L=len(nus))
 
 
+def _check_alpha(alpha: float) -> None:
+    if not (alpha > 0.0) or alpha == 1.0:
+        raise DomainError(f"Renyi order must be > 0 and != 1, got {alpha}")
+
+
 def renyi_exact(nus: NuSpectrum, alpha: float) -> EntropyResult:
     """Block Renyi entropy (1/(1-alpha)) sum_k ln[((1+nu)/2)^a + ((1-nu)/2)^a].
 
     alpha must be positive and distinct from 1 (the functional degenerates
     there; its alpha -> 1 limit is the von Neumann value).
     """
-    if not (alpha > 0.0) or alpha == 1.0:
-        raise DomainError(f"Renyi order must be > 0 and != 1, got {alpha}")
+    _check_alpha(alpha)
     p = (1.0 + nus.nus) / 2.0
     q = (1.0 - nus.nus) / 2.0
     s = float(np.sum(np.log(np.power(p, alpha) + np.power(q, alpha))))
@@ -204,35 +211,27 @@ def theta_zero_ladder(e: EllipticModulus, sigma: int, M: int) -> ThetaZeroLadder
         raise DomainError(f"sigma must be 0 or 1, got {sigma}")
     if M < 0:
         raise DomainError(f"ladder length must be >= 0, got {M}")
-    m = np.arange(M + 1, dtype=float)
-    vals = np.tanh((m + (1 - sigma) / 2.0) * math.pi * e.tau0)
+    vals = _ladder_node(np.arange(M + 1), sigma, e.tau0)
     return ThetaZeroLadder(tau0=e.tau0, sigma=sigma, values=vals)
 
 
-def vn_entropy_limit_series(e: EllipticModulus, sigma: int, tol: float = 1e-16) -> EntropyResult:
+def vn_entropy_limit_series(e: EllipticModulus, sigma: int) -> EntropyResult:
     """Limit entropy as the two-sided ladder sum S = sum_{m in Z} e(1, lambda_m).
 
-    Terms fall off like m e^{-2 pi tau0 m}; summation stops in each
-    direction once a term drops below tol.
+    The ladder is symmetric about 0 and e(1, nu) is even in nu, so the sum
+    runs over m >= sigma with weight 2, plus e(1, 0) once when sigma = 1.
+    Terms fall off like m e^{-2 pi tau0 m}; summation stops once a term
+    drops below 1e-16.
     """
     if sigma not in (0, 1):
         raise DomainError(f"sigma must be 0 or 1, got {sigma}")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    shift = (1 - sigma) / 2.0
-    total = 0.0
-    for direction in (0, -1):
-        m = direction
-        while abs(m) < _SERIES_BUDGET:
-            lam = math.tanh((m + shift) * math.pi * e.tau0)
-            term = e_func(1.0, lam)
-            total += term
-            if term < tol:
-                break
-            m += 1 if direction == 0 else -1
-        else:
-            raise ConvergenceError("ladder series exhausted its term budget")
-    return _mk(total, "LimitSeries", L=None)
+    total = e_func(1.0, 0.0) if sigma == 1 else 0.0
+    for m in range(sigma, _SERIES_BUDGET):
+        term = e_func(1.0, float(_ladder_node(m, sigma, e.tau0)))
+        total += 2.0 * term
+        if term < _SERIES_TOL:
+            return _mk(total, "LimitSeries", L=None)
+    raise ConvergenceError("ladder series exhausted its term budget")
 
 
 # Largest theta index N summed per node.  N grows like tau0^{-1/2}; any
@@ -314,7 +313,7 @@ def vn_entropy_closed(e: EllipticModulus, case: PhaseCase) -> EntropyResult:
     sigma = 0:  (1/12)[ln(16/(k^2 k'^2)) + (k^2 - k'^2) 4 K(k) K(k')/pi]
     """
     k, kp = e.k, e.kprime
-    kk = 4.0 * complete_elliptic_K(k) * complete_elliptic_K(kp) / math.pi
+    kk = math.pi / (_agm(1.0, kp) * _agm(1.0, k))  # 4 K(k) K(k') / pi
     if case.sigma == 1:
         s = (math.log(k * k / (16.0 * kp)) + (1.0 - k * k / 2.0) * kk) / 6.0 + math.log(2.0)
     else:
@@ -325,24 +324,21 @@ def vn_entropy_closed(e: EllipticModulus, case: PhaseCase) -> EntropyResult:
 # -----------------------------------------------------------------------------
 # Renyi limits
 # -----------------------------------------------------------------------------
-def _check_alpha(alpha: float) -> None:
-    if not (alpha > 0.0) or alpha == 1.0:
-        raise DomainError(f"Renyi order must be > 0 and != 1, got {alpha}")
-
-
 def renyi_limit_qproduct(alpha: float, e: EllipticModulus, case: PhaseCase) -> EntropyResult:
     """Renyi limit entropy from the q-products at nome q_alpha = e^{-alpha pi tau0}.
 
-    sigma = 0:  a/(1-a) (pi tau0/12 + (1/6) ln(k k'/4)) + (2/(1-a)) sum_{n>=0} ln(1+q_a^{2n+1})
-    sigma = 1:  a/(1-a) (-pi tau0/6 + (1/6) ln(k'/(4k^2)))
-              + (1/(1-a)) [2 sum_{n>=1} ln(1+q_a^{2n}) + ln 2]
+    sigma = 0:  a/(1-a) ln lambda_0 + (2/(1-a)) sum_{n>=0} ln(1+q_a^{2n+1})
+    sigma = 1:  a/(1-a) ln lambda_0 + (1/(1-a)) [2 sum_{n>=1} ln(1+q_a^{2n}) + ln 2]
+
+    with lambda_0 the top of the density-matrix ladder (see density_spectrum):
+    ln lambda_0 = pi tau0/12 + (1/6) ln(k k'/4) for sigma = 0 and
+    -pi tau0/6 + (1/6) ln(k'/(4k^2)) for sigma = 1.
 
     Powers q_a^m are formed in log space so large alpha cannot flush the
     product to zero prematurely.
     """
     _check_alpha(alpha)
     lnq = -alpha * math.pi * e.tau0
-    k, kp, tau0 = e.k, e.kprime, e.tau0
 
     def logprod(start: int, step: int) -> float:
         total = 0.0
@@ -356,11 +352,10 @@ def renyi_limit_qproduct(alpha: float, e: EllipticModulus, case: PhaseCase) -> E
             m += step
         raise ConvergenceError("q-product exhausted its term budget")
 
+    lead = alpha / (1.0 - alpha) * _ladder_params(e, case.sigma)[0]
     if case.sigma == 0:
-        lead = alpha / (1.0 - alpha) * (math.pi * tau0 / 12.0 + math.log(k * kp / 4.0) / 6.0)
         s = lead + 2.0 / (1.0 - alpha) * logprod(1, 2)
     else:
-        lead = alpha / (1.0 - alpha) * (-math.pi * tau0 / 6.0 + math.log(kp / (4.0 * k * k)) / 6.0)
         s = lead + (2.0 * logprod(2, 2) + math.log(2.0)) / (1.0 - alpha)
     return _mk(s, "RenyiQProduct", L=None, alpha=alpha)
 

@@ -17,10 +17,7 @@ from dataclasses import dataclass
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "ModularPoint",
     "EllipticModulus",
-    "barnes_g",
-    "barnes_g_pair",
     "log_barnes_g",
     "log_barnes_g_pair",
     "complete_elliptic_K",
@@ -39,25 +36,6 @@ _TERM_BUDGET = 10 ** 6
 
 
 @dataclass(frozen=True)
-class ModularPoint:
-    """A point tau in the upper half-plane.
-
-    The nome q = exp(i pi tau) is always derived from tau on access, so the
-    two can never disagree.
-    """
-
-    tau: complex
-
-    def __post_init__(self) -> None:
-        if not (self.tau.imag > 0):
-            raise DomainError(f"modular parameter needs Im(tau) > 0, got {self.tau}")
-
-    @property
-    def q(self) -> complex:
-        return cmath.exp(1j * math.pi * self.tau)
-
-
-@dataclass(frozen=True)
 class EllipticModulus:
     """Modulus pair (k, k') with the module parameter tau0 = K(k')/K(k)."""
 
@@ -72,9 +50,7 @@ class EllipticModulus:
             raise DomainError("k^2 + k'^2 = 1 violated")
 
 
-def _as_tau(tau: ModularPoint | complex) -> complex:
-    if isinstance(tau, ModularPoint):
-        return tau.tau
+def _as_tau(tau: complex) -> complex:
     tau = complex(tau)
     if not (tau.imag > 0):
         raise DomainError(f"modular parameter needs Im(tau) > 0, got {tau}")
@@ -94,18 +70,18 @@ def _as_tau(tau: ModularPoint | complex) -> complex:
 # second to import, so only these two functions load it, on first call.
 
 _N_DIRECT = 32
+# The tail series stops at its first term below this, relative to the sum.
+_BARNES_TOL = 1e-14
 
 
-def log_barnes_g(x: complex, tol: float = 1e-14) -> complex:
+def log_barnes_g(x: complex) -> complex:
     """log G(1+x) for |x| <= 1 via the defining product with an analytic
     tail.
 
     Raises DomainError outside the closed unit disc and ConvergenceError if
-    the tail series fails to reach `tol` (it cannot for |x| <= 1; the guard
-    protects the budget invariant).
+    the tail series fails to reach _BARNES_TOL (it cannot for |x| <= 1; the
+    guard protects the budget invariant).
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
     x = complex(x)
     if abs(x) > 1.0 + 1e-15:
         raise DomainError(f"Barnes G evaluated only on |x| <= 1, got |x| = {abs(x):.6g}")
@@ -131,29 +107,19 @@ def log_barnes_g(x: complex, tol: float = 1e-14) -> complex:
     while j < 400:
         term = (-1.0) ** (j - 1) * xp / j * hurwitz_zeta(j - 1, _N_DIRECT + 1)
         total += term
-        if abs(term) < tol * max(1.0, abs(total)):
+        if abs(term) < _BARNES_TOL * max(1.0, abs(total)):
             return total
         xp *= x
         j += 1
     raise ConvergenceError("Barnes G tail did not converge within budget")
 
 
-def barnes_g(x: complex, tol: float = 1e-14) -> complex:
-    """G(1+x) on the closed disc |x| <= 1 (Weierstrass-type product)."""
-    lg = log_barnes_g(x, tol)
-    if lg.real == float("-inf"):
-        return 0.0 + 0.0j
-    return cmath.exp(lg)
-
-
-def log_barnes_g_pair(beta: complex, tol: float = 1e-14) -> complex:
+def log_barnes_g_pair(beta: complex) -> complex:
     """log[G(1+beta) G(1-beta)] via the even product in beta^2.
 
     Valid for |Re beta| < 1/2, which is exactly the range the spectral
     parameter supplies off the cut.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
     beta = complex(beta)
     if abs(beta.real) >= 0.5:
         raise DomainError(f"pair form needs |Re beta| < 1/2, got Re beta = {beta.real:.6g}")
@@ -169,21 +135,27 @@ def log_barnes_g_pair(beta: complex, tol: float = 1e-14) -> complex:
     while j < 300:
         term = -bp / j * hurwitz_zeta(2 * j - 1, _N_DIRECT + 1)
         total += term
-        if abs(term) < tol * max(1.0, abs(total)):
+        if abs(term) < _BARNES_TOL * max(1.0, abs(total)):
             return total
         bp *= b2
         j += 1
     raise ConvergenceError("Barnes G pair tail did not converge within budget")
 
 
-def barnes_g_pair(beta: complex, tol: float = 1e-14) -> complex:
-    """G(1+beta) G(1-beta) for |Re beta| < 1/2."""
-    return cmath.exp(log_barnes_g_pair(beta, tol))
-
-
 # -----------------------------------------------------------------------------
 # Complete elliptic integral
 # -----------------------------------------------------------------------------
+def _agm(a: float, b: float) -> float:
+    """Arithmetic-geometric mean of a, b > 0; K(k) = pi / (2 AGM(1, k'))."""
+    for _ in range(200):
+        # quadratic convergence stalls at the rounding floor of ~1 ulp,
+        # so the stop threshold must sit a few ulp above it
+        if abs(a - b) <= 4.0 * _EPS * a:
+            return a
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    raise ConvergenceError("AGM iteration did not converge")
+
+
 def complete_elliptic_K(k: float) -> float:
     """K(k) = integral_0^1 dx / sqrt((1-x^2)(1-k^2 x^2)), modulus convention.
 
@@ -193,22 +165,13 @@ def complete_elliptic_K(k: float) -> float:
     if not (0.0 <= k < 1.0):
         raise DomainError(f"complete_elliptic_K needs 0 <= k < 1, got {k}")
     # (1-k)(1+k) avoids cancellation for k near 1
-    a, b = 1.0, math.sqrt((1.0 - k) * (1.0 + k))
-    for _ in range(200):
-        # quadratic convergence stalls at the rounding floor of ~1 ulp,
-        # so the stop threshold must sit a few ulp above it
-        if abs(a - b) <= 4.0 * _EPS * a:
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    else:
-        raise ConvergenceError("AGM iteration did not converge")
-    return math.pi / (2.0 * a)
+    return math.pi / (2.0 * _agm(1.0, math.sqrt((1.0 - k) * (1.0 + k))))
 
 
 # -----------------------------------------------------------------------------
 # Jacobi theta series
 # -----------------------------------------------------------------------------
-def theta(j: int, s: complex, tau: ModularPoint | complex, tol: float = 1e-14) -> complex:
+def theta(j: int, s: complex, tau: complex, tol: float = 1e-14) -> complex:
     """Jacobi theta_j(s | tau) for j in {2, 3, 4}, by direct summation.
 
     theta3: sum over integer n of exp(i pi tau n^2 + 2 pi i s n);
@@ -223,8 +186,6 @@ def theta(j: int, s: complex, tau: ModularPoint | complex, tol: float = 1e-14) -
     if tol <= 0:
         raise DomainError("tol must be positive")
     tau_c = _as_tau(tau)
-    if not (tau_c.imag > 0):
-        raise ConvergenceError("theta series diverges for Im(tau) <= 0")
     s = complex(s)
     ipitau = 1j * math.pi * tau_c
     twopis = 2j * math.pi * s
@@ -257,7 +218,7 @@ def theta(j: int, s: complex, tau: ModularPoint | complex, tol: float = 1e-14) -
     raise ConvergenceError("theta series exhausted its term budget")
 
 
-def modular_lambda(tau: ModularPoint | complex) -> complex:
+def modular_lambda(tau: complex) -> complex:
     """Elliptic modular function lambda(tau) = theta2^4(0|tau) / theta3^4(0|tau).
 
     Purely imaginary tau gives lambda in (0, 1).
@@ -269,13 +230,15 @@ def modular_lambda(tau: ModularPoint | complex) -> complex:
 
 
 def tau0_from_modulus(k: float) -> EllipticModulus:
-    """Build the full (k, k', tau0) triple with tau0 = K(k')/K(k).
+    """Build the full (k, k', tau0) triple with
+    tau0 = K(k')/K(k) = AGM(1, k') / AGM(1, k).
 
+    Each AGM takes its modulus as held, so no complement is rebuilt from a
+    rounded one: k below 1e-8, where k' rounds to 1, keeps its digits.
     The endpoints k = 0, 1 are genuine degenerations (tau0 = infinity / 0)
     and are rejected.
     """
     if not (0.0 < k < 1.0):
         raise DomainError(f"tau0_from_modulus needs 0 < k < 1, got {k}")
     kprime = math.sqrt((1.0 - k) * (1.0 + k))
-    tau0 = complete_elliptic_K(kprime) / complete_elliptic_K(k)
-    return EllipticModulus(k=k, kprime=kprime, tau0=tau0)
+    return EllipticModulus(k=k, kprime=kprime, tau0=_agm(1.0, kprime) / _agm(1.0, k))

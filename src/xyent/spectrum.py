@@ -19,7 +19,6 @@ from .errors import ConvergenceError, DomainError
 from .special import EllipticModulus
 
 __all__ = [
-    "PartitionTable",
     "partition_counts",
     "multiplicities",
     "multiplicity_asymptotic",
@@ -33,23 +32,14 @@ __all__ = [
 # Envelope constant for the multiplicity growth bounds; the exact counts
 # stay below C e^{E(n)} for every computed n (checked in the tests).
 _ENVELOPE_C = 2.0
+# Largest zeta truncation tail accepted, relative to the value.
+_ZETA_TAIL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class PartitionTable:
+def partition_counts(kind: Literal["Distinct", "DistinctOdd"], nmax: int) -> list[int]:
     """Counts of partitions of 0..nmax into distinct positive parts
-    ("Distinct") or distinct odd parts ("DistinctOdd").  Exact integers."""
-
-    kind: Literal["Distinct", "DistinctOdd"]
-    counts: list[int] = field(repr=False)
-
-    @property
-    def nmax(self) -> int:
-        return len(self.counts) - 1
-
-
-def partition_counts(kind: Literal["Distinct", "DistinctOdd"], nmax: int) -> PartitionTable:
-    """Dynamic-programming table of restricted partition counts up to nmax."""
+    ("Distinct") or distinct odd parts ("DistinctOdd"), as exact integers,
+    by dynamic programming."""
     if kind not in ("Distinct", "DistinctOdd"):
         raise DomainError(f"unknown partition kind {kind!r}")
     if nmax < 0:
@@ -62,7 +52,7 @@ def partition_counts(kind: Literal["Distinct", "DistinctOdd"], nmax: int) -> Par
         for s in range(nmax, part - 1, -1):
             counts[s] += counts[s - part]
         part += step
-    return PartitionTable(kind=kind, counts=counts)
+    return counts
 
 
 def multiplicities(case: PhaseCase, nmax: int) -> list[int]:
@@ -76,7 +66,7 @@ def multiplicities(case: PhaseCase, nmax: int) -> list[int]:
     if nmax < 0:
         raise DomainError(f"nmax must be >= 0, got {nmax}")
     kind = "Distinct" if case.sigma == 1 else "DistinctOdd"
-    p = partition_counts(kind, nmax).counts
+    p = partition_counts(kind, nmax)
     conv = [sum(p[l] * p[n - l] for l in range(n + 1)) for n in range(nmax + 1)]
     if case.sigma == 1:
         return [2 * c for c in conv]
@@ -106,12 +96,7 @@ class DensitySpectrum:
     ratio: float
     truncation: int
     sigma: int
-    tau0: float
     modulus: EllipticModulus = field(repr=False)
-
-    @property
-    def nmax(self) -> int:
-        return self.truncation
 
 
 def _ladder_params(e: EllipticModulus, sigma: int) -> tuple[float, float]:
@@ -142,7 +127,6 @@ def density_spectrum(p: ModelParams, nmax: int = 64) -> DensitySpectrum:
         ratio=math.exp(-c),
         truncation=nmax,
         sigma=case.sigma,
-        tau0=e.tau0,
         modulus=e,
     )
 
@@ -170,11 +154,11 @@ def _tail_bound(loglam0: float, c: float, alpha: float, sigma: int, start: int) 
     return _ENVELOPE_C * math.exp(log_t0) / (1.0 - rho)
 
 
-def zeta_function(spec: DensitySpectrum, alpha: float, tail_tol: float = 1e-12) -> float:
+def zeta_function(spec: DensitySpectrum, alpha: float) -> float:
     """zeta(alpha) = sum_n m_n lambda_n^alpha over the limit spectrum.
 
     The truncation tail is bounded analytically from the multiplicity
-    growth envelope; if the bound exceeds tail_tol relative to the sum
+    growth envelope; if the bound exceeds 1e-12 relative to the sum
     (which happens for small alpha, where the series converges slowly),
     the truncation is refused rather than silently wrong.
     """
@@ -185,26 +169,24 @@ def zeta_function(spec: DensitySpectrum, alpha: float, tail_tol: float = 1e-12) 
     )
     loglam0, c = _ladder_params(spec.modulus, spec.sigma)
     bound = _tail_bound(loglam0, c, alpha, spec.sigma, spec.truncation + 1)
-    if not (bound <= tail_tol * max(abs(value), 1e-300)):
+    if not (bound <= _ZETA_TAIL_TOL * max(abs(value), 1e-300)):
         raise ConvergenceError(
-            f"truncation tail bound {bound:.3e} exceeds {tail_tol:.0e} x zeta; "
+            f"truncation tail bound {bound:.3e} exceeds {_ZETA_TAIL_TOL:.0e} x zeta; "
             f"raise nmax (have {spec.truncation}) or alpha (= {alpha})"
         )
     return value
 
 
-def required_nmax(
-    e: EllipticModulus, case: PhaseCase, alpha: float, tail_tol: float = 1e-12
-) -> int:
-    """Smallest ladder truncation whose zeta(alpha) tail bound clears
-    tail_tol relative to the leading term."""
+def required_nmax(e: EllipticModulus, case: PhaseCase, alpha: float) -> int:
+    """Smallest ladder truncation whose zeta(alpha) tail bound clears the
+    zeta_function tolerance relative to the leading term."""
     if not (alpha > 0.0):
         raise DomainError(f"zeta order must be > 0, got {alpha}")
     loglam0, c = _ladder_params(e, case.sigma)
     lead = math.exp(alpha * loglam0)
     for nmax in range(1, 10 ** 6):
         bound = _tail_bound(loglam0, c, alpha, case.sigma, nmax + 1)
-        if bound <= tail_tol * lead:
+        if bound <= _ZETA_TAIL_TOL * lead:
             return nmax
     raise ConvergenceError(f"no feasible truncation found for alpha = {alpha}")
 

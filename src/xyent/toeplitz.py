@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chain import NuSpectrum, PhaseCase, _toeplitz_fill, _xx_coefficients
+from .chain import NuSpectrum, PhaseCase, _ladder_node, _toeplitz_fill
 from .errors import CutError, DomainError, ProximityError, ResolutionError
 from .special import EllipticModulus, log_barnes_g, log_barnes_g_pair, theta
 
@@ -28,7 +28,6 @@ __all__ = [
     "FHSingularity",
     "SmoothSymbolFactorization",
     "fourier_coeffs",
-    "xx_symbol_coeffs",
     "toeplitz_det_exact",
     "toeplitz_matrix",
     "szego_asymptotic",
@@ -40,6 +39,8 @@ __all__ = [
     "xy_block_det_exact",
 ]
 
+# Largest |c_{+-n}| accepted from fourier_coeffs and from the log-symbol of
+# SmoothSymbolFactorization.from_symbol.
 _COEFF_TAIL_TOL = 1e-10
 _LOG_TAIL_TOL = 1e-12
 
@@ -111,53 +112,37 @@ class FHSingularity:
         return cmath.exp(1j * self.theta)
 
 
-def _fft_samples(symbol: Callable[[float], complex], n_grid: int) -> np.ndarray:
-    thetas = 2.0 * math.pi * np.arange(n_grid) / n_grid
+def _symbol_grid(symbol: Callable[[float], complex], n: int) -> np.ndarray:
+    """Samples of symbol at 2 pi j / N, j = 0..N-1, on the least power of two
+    N >= max(256, 4n): enough points for coefficients out to |k| = n."""
+    if n < 1:
+        raise DomainError(f"coefficient order must be >= 1, got {n}")
+    size = 1 << max(8, (4 * n - 1).bit_length())
+    thetas = 2.0 * math.pi * np.arange(size) / size
     return np.array([symbol(float(t)) for t in thetas], dtype=complex)
 
 
-def fourier_coeffs(
-    symbol: Callable[[float], complex],
-    n: int,
-    quad_points: int | None = None,
-    smooth: bool = True,
-) -> np.ndarray:
-    """Fourier coefficients c_k = (1/2 pi) int_0^2pi symbol(t) e^{-ikt} dt for
-    |k| <= n, returned as an array of length 2n+1 with c_k at index n+k.
-
-    quad_points defaults to the smallest power of two >= max(4n, 256); it
-    must be >= 4n.  For a symbol declared smooth, |c_{+-n}| > 1e-10 raises a
-    resolution error since the grid then aliases unresolved structure.
-    """
-    if n < 1:
-        raise DomainError(f"coefficient order must be >= 1, got {n}")
-    if quad_points is None:
-        quad_points = 256
-        while quad_points < 4 * n:
-            quad_points *= 2
-    if quad_points < 4 * n:
-        raise DomainError(f"quad_points = {quad_points} < 4 n = {4 * n}")
-    vals = _fft_samples(symbol, quad_points)
-    c = np.fft.fft(vals) / quad_points  # c[k] = c_k for k >= 0, c[-k] at the top
-    out = c[np.arange(-n, n + 1) % quad_points]
-    if smooth and max(abs(out[0]), abs(out[-1])) > _COEFF_TAIL_TOL:
+def _two_sided(samples: np.ndarray, n: int, tail_tol: float, what: str) -> np.ndarray:
+    """Coefficients c_k, |k| <= n, of equispaced samples by one FFT, with c_k
+    at index n+k.  |c_{+-n}| over tail_tol raises ResolutionError, since the
+    grid then aliases unresolved structure."""
+    c = np.fft.fft(samples) / samples.size  # c[k] = c_k for k >= 0, c[-k] at the top
+    out = c[np.arange(-n, n + 1) % samples.size]
+    tail = max(abs(out[0]), abs(out[-1]))
+    if tail > tail_tol:
         raise ResolutionError(
-            f"coefficients at |k| = {n} still of size "
-            f"{max(abs(out[0]), abs(out[-1])):.3e} > {_COEFF_TAIL_TOL:.0e}; "
-            f"raise n or quad_points"
+            f"{what} coefficients at |k| = {n} still {tail:.3e} > {tail_tol:.0e}; raise n"
         )
     return out
 
 
-def xx_symbol_coeffs(s: SpectralParameter, h: float, n: int) -> np.ndarray:
-    """Fourier coefficients of lambda - g(theta) for the XX chain at field h,
-    where g is the piecewise-constant sign symbol; layout as fourier_coeffs."""
-    if not (abs(h) < 2.0):
-        raise DomainError(f"XX symbol needs |h| < 2, got h = {h}")
-    g = _xx_coefficients(h, n)
-    out = -g[np.abs(np.arange(-n, n + 1))].astype(complex)
-    out[n] += s.lam
-    return out
+def fourier_coeffs(symbol: Callable[[float], complex], n: int) -> np.ndarray:
+    """Fourier coefficients c_k = (1/2 pi) int_0^2pi symbol(t) e^{-ikt} dt for
+    |k| <= n, returned as an array of length 2n+1 with c_k at index n+k.
+
+    The symbol must be smooth: |c_{+-n}| > 1e-10 raises ResolutionError.
+    """
+    return _two_sided(_symbol_grid(symbol, n), n, _COEFF_TAIL_TOL, "symbol")
 
 
 def toeplitz_matrix(coeffs: np.ndarray, L: int) -> np.ndarray:
@@ -213,28 +198,16 @@ class SmoothSymbolFactorization:
 
     @classmethod
     def from_symbol(
-        cls,
-        symbol: Callable[[float], complex],
-        n: int = 64,
-        quad_points: int | None = None,
-        tail_tol: float = _LOG_TAIL_TOL,
+        cls, symbol: Callable[[float], complex], n: int = 64
     ) -> "SmoothSymbolFactorization":
         """Factorize from samples of phi.
 
         The symbol must not vanish on the circle and must have winding
         number zero; a nonzero index is a domain error (no Szego limit),
-        and a log-coefficient tail above tail_tol at |k| = n is a
+        and a log-coefficient tail above 1e-12 at |k| = n is a
         resolution error.
         """
-        if n < 1:
-            raise DomainError(f"order must be >= 1, got {n}")
-        if quad_points is None:
-            quad_points = 256
-            while quad_points < 4 * n:
-                quad_points *= 2
-        if quad_points < 4 * n:
-            raise DomainError(f"quad_points = {quad_points} < 4 n = {4 * n}")
-        vals = _fft_samples(symbol, quad_points)
+        vals = _symbol_grid(symbol, n)
         amin = np.min(np.abs(vals))
         if amin < 1e-13:
             raise DomainError(f"symbol vanishes on the unit circle (min |phi| = {amin:.3e})")
@@ -244,14 +217,7 @@ class SmoothSymbolFactorization:
             raise DomainError(
                 f"symbol has index {winding} != 0; the smooth-limit form does not apply"
             )
-        logs = np.log(np.abs(vals)) + 1j * ph
-        vhat = np.fft.fft(logs) / quad_points
-        vk = vhat[np.arange(-n, n + 1) % quad_points]
-        tail = max(abs(vk[0]), abs(vk[-1]))
-        if tail > tail_tol:
-            raise ResolutionError(
-                f"log-symbol coefficients at |k| = {n} still {tail:.3e} > {tail_tol:.0e}"
-            )
+        vk = _two_sided(np.log(np.abs(vals)) + 1j * ph, n, _LOG_TAIL_TOL, "log-symbol")
         return cls(Vk=vk, V0=complex(vk[n]))
 
     @classmethod
@@ -429,27 +395,33 @@ def xy_block_det_asymptotic(
 
     D_L(lambda) ~ [theta-prefactor](beta(lambda)) * (1 - lambda^2)^L.
 
-    Within proximity_tol of a prefactor zero lambda_m the expansion is
+    Within proximity_tol of a prefactor zero +-lambda_m the expansion is
     unreliable (the true determinant crosses over to the next order), so
-    such lambda are rejected; pass a smaller tolerance deliberately to
-    probe the sign change.
+    such lambda are rejected, and so are lambda within proximity_tol of
+    +-1, where the zeros accumulate; pass a smaller tolerance deliberately
+    to probe the sign change.
     """
     if L < 1:
         raise DomainError(f"matrix size must be >= 1, got {L}")
     lam = complex(s.lam)
-    if proximity_tol > 0.0 and abs(lam.imag) < proximity_tol:
-        shift = (1 - case.sigma) / 2.0
-        m = 0
-        while True:
-            node = math.tanh((m + shift) * math.pi * e.tau0)
-            if abs(lam.real - node) < proximity_tol or abs(lam.real + node) < proximity_tol:
-                raise ProximityError(
-                    f"lambda = {lam} lies within {proximity_tol} of the prefactor "
-                    f"zero at +-{node:.9g}; the leading-order form breaks down there"
-                )
-            if 1.0 - node < proximity_tol or m > 10 ** 4:
-                break
-            m += 1
+    t = proximity_tol
+    x = abs(lam.real)
+    if t > 0.0 and abs(lam.imag) < t:
+        if abs(x - 1.0) < t:
+            raise ProximityError(
+                f"lambda = {lam} lies within {t} of +-1, where the prefactor zeros "
+                f"accumulate; the leading-order form breaks down there"
+            )
+        if x < 1.0:
+            # the zeros rise monotonically, so the nearest two bracket x
+            j = math.atanh(x) / (math.pi * e.tau0) - (1 - case.sigma) / 2.0
+            for m in {max(0, math.floor(j)), max(0, math.ceil(j))}:
+                node = float(_ladder_node(m, case.sigma, e.tau0))
+                if abs(x - node) < t:
+                    raise ProximityError(
+                        f"lambda = {lam} lies within {t} of the prefactor zero at "
+                        f"+-{node:.9g}; the leading-order form breaks down there"
+                    )
     pref = xy_widom_prefactor(s.beta, e, case)
     if pref == 0:
         return ScaledValue(-math.inf, 0.0)

@@ -74,33 +74,32 @@ class TestBranchPoints:
 
     @pytest.mark.parametrize("g,h", [(1.0, 1.0), (0.9, 1.8), (1.0, 3.0), (0.7, 2.5)])
     def test_real_case_labels(self, g, h):
+        # the cut endpoints lambda1, lambda2 and their reciprocals are real;
+        # lambda1 lies inside the unit circle, and lambda2 inside it in
+        # case 2, outside it in case 1a
         bp = branch_points(ModelParams(g, h))
-        labels = [bp.lambda_a, bp.lambda_b, bp.lambda_c, bp.lambda_d]
-        reals = [x.real for x in labels]
-        assert all(abs(x.imag) < 1e-14 for x in labels)
-        assert reals == sorted(reals)
+        l1, l2 = bp.lambda1, bp.lambda2
+        assert abs(l1.imag) < 1e-14 and abs(l2.imag) < 1e-14
+        assert 0.0 <= l1.real < 1.0
+        assert (l2.real < 1.0) == (h > 2.0)
         if g == 1.0:
-            # Ising line: outermost pair degenerates to {0, inf}
-            assert bp.lambda_a == 0.0 and math.isinf(bp.lambda_d.real)
+            assert l1 == 0.0  # Ising line: the pair lambda1, 1/lambda1 is {0, inf}
         else:
-            assert bp.lambda_a.real * bp.lambda_d.real == pytest.approx(1.0, rel=1e-12)
-        assert bp.lambda_b.real * bp.lambda_c.real == pytest.approx(1.0, rel=1e-12)
+            assert l2.real == pytest.approx((1 + g) / (1 - g) * l1.real, rel=1e-12)
 
     def test_complex_case_conjugation(self):
         bp = branch_points(ModelParams(0.5, 1.0))
-        assert bp.lambda_b == pytest.approx(bp.lambda_a.conjugate(), rel=1e-14)
-        assert bp.lambda_d == pytest.approx(bp.lambda_c.conjugate(), rel=1e-14)
-        assert abs(bp.lambda_a) < 1.0 < abs(bp.lambda_c)
-        assert bp.lambda_c == pytest.approx(1.0 / bp.lambda_a, rel=1e-12)
+        l1, l2 = bp.lambda1, bp.lambda2
+        assert abs(l1.imag) > 0.1
+        assert abs(l1) < 1.0 < abs(l2)
+        assert l2 == pytest.approx(1.0 / l1.conjugate(), rel=1e-14)
 
     def test_ising_line_degenerates_cleanly(self):
         # gamma = 1 collapses lambda1 to the origin; the stable second form
-        # keeps lambda2 finite and the reciprocal label goes to infinity
+        # keeps lambda2 finite
         bp = branch_points(ModelParams(1.0, 3.0))
         assert bp.lambda1 == 0.0
         assert bp.lambda2 == pytest.approx(2.0 / 3.0, rel=1e-15)
-        assert math.isinf(bp.lambda_d.real)
-        assert bp.lambda_b.real * bp.lambda_c.real == pytest.approx(1.0, rel=1e-12)
 
 
 class TestModulus:

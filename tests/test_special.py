@@ -9,9 +9,6 @@ from xyent import (
     ConvergenceError,
     DomainError,
     EllipticModulus,
-    ModularPoint,
-    barnes_g,
-    barnes_g_pair,
     complete_elliptic_K,
     log_barnes_g,
     log_barnes_g_pair,
@@ -47,7 +44,7 @@ class TestBarnesG:
     def test_special_points(self):
         assert log_barnes_g(0.0) == 0.0  # G(1) = 1
         assert log_barnes_g(1.0) == pytest.approx(0.0, abs=1e-14)  # G(2) = 1
-        assert barnes_g(-1.0) == pytest.approx(0.0, abs=1e-300)  # G(0) = 0
+        assert log_barnes_g(-1.0).real == -math.inf  # G(0) = 0
 
     @pytest.mark.parametrize("x", [0.5, -0.5, 0.25, 0.9, -0.99])
     def test_real_against_mpmath(self, x):
@@ -84,8 +81,7 @@ class TestBarnesG:
             log_barnes_g_pair(0.5 + 0.1j)
 
     def test_pair_is_real_for_imaginary_beta(self):
-        val = barnes_g_pair(0.25j)
-        assert abs(complex(val).imag) < 1e-14
+        assert abs(log_barnes_g_pair(0.25j).imag) < 1e-14
 
 
 class TestTheta:
@@ -129,11 +125,11 @@ class TestTheta:
         with pytest.raises(DomainError):
             theta(1, 0.0, 1j)
 
-    def test_modular_point_wrapper(self):
-        pt = ModularPoint(0.8j)
-        assert theta(3, 0.1, pt) == theta(3, 0.1, 0.8j)
+    def test_lower_half_plane_rejected(self):
         with pytest.raises(DomainError):
-            ModularPoint(1.0 - 0.2j)
+            theta(3, 0.1, 1.0 - 0.2j)
+        with pytest.raises(DomainError):
+            modular_lambda(1.0)
 
 
 class TestModularLambda:
@@ -162,6 +158,17 @@ class TestModulus:
         assert e.tau0 == pytest.approx(
             complete_elliptic_K(e.kprime) / complete_elliptic_K(e.k), rel=1e-14
         )
+
+    @pytest.mark.parametrize("j", range(1, 25))
+    @pytest.mark.parametrize("side", ["small", "near_one"])
+    def test_tau0_against_mpmath(self, j, side):
+        # k = 10^(-j/2) down to 1e-12, and 1 - 10^(-j/2) up to 1 - 1e-12:
+        # tau0 = K(k')/K(k) must keep its digits at both ends of (0, 1)
+        k = 10.0 ** (-j / 2.0) if side == "small" else 1.0 - 10.0 ** (-j / 2.0)
+        with mpmath.workdps(40):
+            m = mpmath.mpf(k) ** 2
+            want = float(mpmath.ellipk(1 - m) / mpmath.ellipk(m))
+        assert tau0_from_modulus(k).tau0 == pytest.approx(want, rel=1e-13)
 
     def test_validation(self):
         with pytest.raises(DomainError):

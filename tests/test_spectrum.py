@@ -29,18 +29,18 @@ from oracles import brute_density_probs, brute_partition_count
 class TestPartitions:
     @pytest.mark.parametrize("kind", ["Distinct", "DistinctOdd"])
     def test_against_enumeration(self, kind):
-        table = partition_counts(kind, 30)
+        counts = partition_counts(kind, 30)
         for n in range(31):
-            assert table.counts[n] == brute_partition_count(kind, n)
+            assert counts[n] == brute_partition_count(kind, n)
 
     def test_known_values(self):
         # distinct partitions of 6: 6, 5+1, 4+2, 3+2+1
-        assert partition_counts("Distinct", 6).counts[6] == 4
+        assert partition_counts("Distinct", 6)[6] == 4
         # distinct odd partitions of 8: 7+1, 5+3
-        assert partition_counts("DistinctOdd", 8).counts[8] == 2
+        assert partition_counts("DistinctOdd", 8)[8] == 2
 
     def test_exact_integers(self):
-        c = partition_counts("Distinct", 400).counts[400]
+        c = partition_counts("Distinct", 400)[400]
         assert isinstance(c, int)
         assert c == 11962163400706  # exact, no float rounding anywhere
 

@@ -27,7 +27,6 @@ from xyent import (
     toeplitz_matrix,
     xx_char_det_asymptotic,
     xx_char_det_exact,
-    xx_symbol_coeffs,
     xy_block_det_asymptotic,
     xy_block_det_exact,
     xy_widom_prefactor,
@@ -101,11 +100,6 @@ class TestFourierCoeffs:
         rough = lambda t: abs(2.0 * math.sin(t / 2.0)) ** 0.6
         with pytest.raises(ResolutionError):
             fourier_coeffs(rough, 32)
-        fourier_coeffs(rough, 32, smooth=False)  # explicit opt-out works
-
-    def test_quad_points_validation(self):
-        with pytest.raises(DomainError):
-            fourier_coeffs(lambda t: 1.0, 16, quad_points=32)
 
 
 class TestToeplitzDet:
@@ -224,9 +218,10 @@ class TestXXDet:
         s = SpectralParameter(2.0 + 1.0j)
         h = 1.0
         L = 12
-        nus = nu_spectrum(build_xx_matrix(h, L))
-        via_nus = xx_char_det_exact(nus, s)
-        via_det = toeplitz_det_exact(xx_symbol_coeffs(s, h, L), L)
+        c = build_xx_matrix(h, L)
+        via_nus = xx_char_det_exact(nu_spectrum(c), s)
+        sign, logdet = np.linalg.slogdet(s.lam * np.eye(L) - c.entries)
+        via_det = ScaledValue(float(logdet), float(cmath.phase(sign)))
         assert abs(via_det.ratio(via_nus) - 1.0) < 1e-10
 
     def test_field_validation(self):
@@ -265,11 +260,19 @@ class TestXYDet:
         assert math.cos(v.phase) == pytest.approx(-1.0, abs=1e-12)
 
     def test_proximity_guard(self):
-        # real lambda just above 1 sits within 1e-3 of the saturating ladder
-        with pytest.raises(ProximityError):
-            xy_block_det_asymptotic(SpectralParameter(1.0005), self.e, self.case, 20)
-        # ... and can be forced through with a smaller threshold
-        xy_block_det_asymptotic(SpectralParameter(1.0005), self.e, self.case, 20, proximity_tol=1e-9)
+        # real lambda just above 1 sits within 1e-3 of the saturating ladder;
+        # at (0.3, 1.0) thousands of ladder zeros lie that close to it
+        for g, h in ((0.5, 1.0), (0.3, 1.0)):
+            p = ModelParams(g, h)
+            e, case = modulus_k(p), classify_case(p)
+            with pytest.raises(ProximityError):
+                xy_block_det_asymptotic(SpectralParameter(1.0005), e, case, 20)
+            # ... and can be forced through with a smaller threshold
+            xy_block_det_asymptotic(SpectralParameter(1.0005), e, case, 20, proximity_tol=1e-9)
+            # an interior zero lambda_1 = tanh((1 + (1-sigma)/2) pi tau0) is guarded too
+            node = math.tanh((1.0 + (1 - case.sigma) / 2.0) * math.pi * e.tau0)
+            with pytest.raises(ProximityError):
+                xy_block_det_asymptotic(SpectralParameter(complex(node + 5e-4, 1e-9)), e, case, 20)
 
     def test_prefactor_at_symmetric_point(self):
         # prefactor(beta) with beta -> -beta is unchanged (theta3 is even)

@@ -22,7 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BoundaryError, DomainError, ResolutionError, SpectrumRangeError
-from .special import EllipticModulus, tau0_from_modulus
+from .special import EllipticModulus, _elliptic_modulus
 
 __all__ = [
     "ModelParams",
@@ -194,23 +194,45 @@ def branch_points(p: ModelParams) -> BranchPoints:
     return BranchPoints(*_branch_pair(p.gamma, p.h))
 
 
-def modulus_k(p: ModelParams) -> EllipticModulus:
-    """Elliptic modulus of the branch curve, by phase case:
+def _exact_square(x: float) -> tuple[float, float]:
+    """x^2 as an unevaluated sum hi + lo, exactly (Dekker's product: x is
+    split into two halves of 26 bits, whose products round to nothing)."""
+    c = 134217729.0 * x  # 2^27 + 1
+    hi = c - (c - x)
+    lo = x - hi
+    sq = x * x
+    return sq, ((hi * hi - sq) + 2.0 * hi * lo) + lo * lo
 
-        Case 1a: k = sqrt((h/2)^2 + gamma^2 - 1) / gamma
-        Case 1b: k = sqrt((1 - (h/2)^2 - gamma^2) / (1 - (h/2)^2))
-        Case 2:  k = gamma / sqrt((h/2)^2 + gamma^2 - 1)
+
+def modulus_k(p: ModelParams) -> EllipticModulus:
+    """Elliptic modulus of the branch curve and its complement, by phase case,
+    with q = (h/2)^2 - (1 - gamma)(1 + gamma) and r = (1 - h/2)(1 + h/2):
+
+        Case 1a: k = sqrt(q) / gamma,   k' = sqrt(r) / gamma
+        Case 1b: k = sqrt(-q / r),      k' = gamma / sqrt(r)
+        Case 2:  k = gamma / sqrt(q),   k' = sqrt(-r / q)
+
+    Each of k, k' has its own closed form, so neither is rebuilt from the
+    other: k' keeps its digits as gamma -> 0 (k -> 1) and k as h -> 0 on the
+    Ising line.  q, which cancels near the circle h^2 = 4(1 - gamma^2), is
+    summed from the exact squares (h/2)^2 and gamma^2 with every rounding
+    error carried.  A k that still rounds to 1 raises DomainError.
     """
     case = classify_case(p)
-    g, h = p.gamma, p.h
-    q = (h / 2.0) ** 2 + g * g - 1.0
+    g, h2 = p.gamma, p.h / 2.0
+    a, da = _exact_square(h2)
+    b, db = _exact_square(g)
+    s = a + b
+    ds = (a - (s - (s - a))) + (b - (s - a))  # s + ds = a + b exactly
+    q = ((s - 1.0) + ds) + (da + db)
+    r = (1.0 - h2) * (1.0 + h2)
     if case.label == "1a":
-        k = math.sqrt(q) / g
+        k, kprime = math.sqrt(q) / g, math.sqrt(r) / g
     elif case.label == "1b":
-        k = math.sqrt(-q / (1.0 - (h / 2.0) ** 2))
+        k, kprime = math.sqrt(-q / r), g / math.sqrt(r)
     else:
-        k = g / math.sqrt(q)
-    return tau0_from_modulus(k)
+        k, kprime = g / math.sqrt(q), math.sqrt(-r / q)
+    return _elliptic_modulus(k, kprime)
 
 
 def _ladder_node(m, sigma: int, tau0: float):

@@ -27,6 +27,7 @@ from .chain import (
     nu_spectrum,
 )
 from .entropy import (
+    _check_alpha,
     renyi_exact,
     renyi_limit_modular,
     renyi_limit_qproduct,
@@ -209,6 +210,8 @@ def cmd_renyi(cfg: RunConfig) -> tuple[list[str], list[list]]:
         raise DomainError("the renyi command compares against the XY limit forms; gamma > 0 required")
     if not cfg.alphas:
         raise ConfigError("the renyi command needs --alpha")
+    for a in cfg.alphas:
+        _check_alpha(a)
     p = ModelParams(cfg.gamma, cfg.h)
     case = classify_case(p)
     e = modulus_k(p)
@@ -217,12 +220,6 @@ def cmd_renyi(cfg: RunConfig) -> tuple[list[str], list[list]]:
     header = ["alpha", "S_exact", "S_qproduct", "S_modular"]
     rows: list[list] = []
     for a in cfg.alphas:
-        if a == 1.0:
-            raise DomainError(
-                "alpha = 1 is excluded: the Renyi functional 1/(1-alpha) ln tr rho^alpha "
-                "is undefined there (its limit is the von Neumann entropy; use the "
-                "entropy command)"
-            )
         rows.append(
             [
                 a,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +19,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .chain import NuSpectrum, ModelParams, PhaseCase, _ladder_node
 from .errors import ConvergenceError, DomainError, RegimeError
-from .special import EllipticModulus, _agm, modular_lambda
+from .special import EllipticModulus, _agm, _log_lambda_imag
 from .spectrum import _ladder_params
 
 __all__ = [
@@ -100,8 +101,14 @@ def vn_entropy_exact(nus: NuSpectrum) -> EntropyResult:
 
 
 def _check_alpha(alpha: float) -> None:
-    if not (alpha > 0.0) or alpha == 1.0:
-        raise DomainError(f"Renyi order must be > 0 and != 1, got {alpha}")
+    if not (alpha > 0.0):
+        raise DomainError(f"Renyi order must be > 0, got alpha = {alpha}")
+    if alpha == 1.0:
+        raise DomainError(
+            "alpha = 1 is excluded: the Renyi functional 1/(1-alpha) ln tr rho^alpha "
+            "is undefined there (its limit is the von Neumann entropy; use the "
+            "entropy command)"
+        )
 
 
 def renyi_exact(nus: NuSpectrum, alpha: float) -> EntropyResult:
@@ -257,6 +264,12 @@ def _log_theta3_imag(y: np.ndarray, tau0: float) -> np.ndarray:
     the log-sum-exp over |n| <= N needs no rescaling, and the sum of the
     n != 0 terms goes through log1p.  N is the least index with
     pi tau0 N (N+1) >= ln(1e17), which puts every dropped term below 1e-17.
+
+    theta3 is even in y0, so with u = tau0/2 - |y0| in [0, tau0/2] the pair
+    of terms at +-n is F_n P + G_n / P: F_n = e^{-pi tau0 n(n-1)} and
+    G_n = e^{-pi tau0 n(n+1)} per n, and one exponential P = e^{-2 pi u n}
+    per (y, n).  No factor exceeds 1 and P >= e^{-pi tau0 n}, so nothing
+    overflows.
     """
     c = math.log(1e17) / (math.pi * tau0)
     N = max(1, math.ceil((math.sqrt(1.0 + 4.0 * c) - 1.0) / 2.0))
@@ -267,11 +280,25 @@ def _log_theta3_imag(y: np.ndarray, tau0: float) -> np.ndarray:
         )
     a = np.rint(y / tau0)
     y0 = y - a * tau0
-    n = np.arange(1, N + 1, dtype=float)
-    even = -math.pi * tau0 * n * n
-    odd = 2.0 * math.pi * y0[:, None] * n
-    tail = np.sum(np.exp(even - odd) + np.exp(even + odd), axis=1)
-    return 2.0 * math.pi * a * y - math.pi * tau0 * a * a + np.log1p(tail)
+    n = np.arange(1.0, N + 1.0)
+    f = np.exp(-math.pi * tau0 * n * (n - 1.0))
+    g = np.exp(-math.pi * tau0 * n * (n + 1.0))
+    # P reaches 0 only where pi tau0 > 745, and there G_n is 0 as well
+    p = np.exp(np.outer(np.abs(y0) - tau0 / 2.0, 2.0 * math.pi * n))
+    np.maximum(p, sys.float_info.min, out=p)
+    tail = p @ f + (1.0 / p) @ g
+    return math.pi * a * (y + y0) + np.log1p(tail)
+
+
+@functools.lru_cache(maxsize=None)
+def _midpoint_rules(step: float, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes of the midpoint rules on (0, cutoff] at step and step/2,
+    concatenated, with their weights (pi/2) step_i / sinh^2(pi x)."""
+    m = round(cutoff / step)
+    x = np.concatenate(((np.arange(m) + 0.5) * step, (np.arange(2 * m) + 0.5) * (step / 2.0)))
+    w = np.repeat([step, step / 2.0], [m, 2 * m]) * (math.pi / 2.0) / np.sinh(math.pi * x) ** 2
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def vn_entropy_limit_integral(e: EllipticModulus, sigma: int) -> EntropyResult:
@@ -283,21 +310,24 @@ def vn_entropy_limit_integral(e: EllipticModulus, sigma: int) -> EntropyResult:
     x = 0, where the log-numerator and sinh^2 both vanish.  The rule runs at
     step 0.1 and 0.05 in one pass over all nodes, and the finer value is
     returned.  A difference above both 1e-13 and 1e-12 |S| raises
-    ConvergenceError.
+    ConvergenceError.  When sigma = 0 the two shifted arguments are the same
+    points, and ln theta3 is evaluated on them once.
     """
     if sigma not in (0, 1):
         raise DomainError(f"sigma must be 0 or 1, got {sigma}")
     tau0 = e.tau0
-    off = sigma * tau0 / 2.0
     h = _INTEGRAL_STEP
-    m = round(_INTEGRAL_CUTOFF / h)
-    # nodes of the step-h rule, then of the step-h/2 rule
-    x = np.concatenate(((np.arange(m) + 0.5) * h, (np.arange(2 * m) + 0.5) * (h / 2.0)))
-    logs = _log_theta3_imag(np.concatenate((x + off, np.abs(x - off), [off])), tau0)
-    num = logs[: x.size] + logs[x.size: -1] - 2.0 * logs[-1]
-    f = num / np.sinh(math.pi * x) ** 2
-    coarse = math.pi / 2.0 * h * float(np.sum(f[:m]))
-    fine = math.pi / 2.0 * (h / 2.0) * float(np.sum(f[m:]))
+    x, w = _midpoint_rules(h, _INTEGRAL_CUTOFF)
+    if sigma == 1:
+        off = tau0 / 2.0
+        logs = _log_theta3_imag(np.concatenate((x + off, np.abs(x - off), [off])), tau0)
+        num = logs[: x.size] + logs[x.size: -1] - 2.0 * logs[-1]
+    else:
+        logs = _log_theta3_imag(np.append(x, 0.0), tau0)
+        num = 2.0 * (logs[:-1] - logs[-1])
+    m = x.size // 3
+    coarse = float(num[:m] @ w[:m])
+    fine = float(num[m:] @ w[m:])
     diff = abs(fine - coarse)
     if diff > max(1e-13, 1e-12 * abs(fine)):
         raise ConvergenceError(
@@ -365,27 +395,24 @@ def renyi_limit_modular(alpha: float, e: EllipticModulus, case: PhaseCase) -> En
 
     sigma = 0:  (1/6)(a/(1-a)) ln(k k') - (1/12)(1/(1-a)) ln[lam (1-lam)] + (1/3) ln 2
     sigma = 1:  (1/6)(a/(1-a)) ln(k'/k^2) + (1/12)(1/(1-a)) ln[lam^2/(1-lam)] + (1/3) ln 2
-    with lam = lambda(i alpha tau0), real in (0, 1) on the imaginary axis.
+    with lam = lambda(i alpha tau0) in (0, 1).  ln lam and ln(1 - lam) are
+    read from the nome product on whichever side of lambda(i) = 1/2 it
+    converges fastest, so neither is formed by subtraction as alpha tau0 -> 0.
     """
     _check_alpha(alpha)
-    lam = modular_lambda(1j * alpha * e.tau0)
-    if abs(lam.imag) > 1e-12:
-        raise ConvergenceError(f"modular lambda not real on the imaginary axis: {lam}")
-    lamr = lam.real
-    if not (0.0 < lamr < 1.0):
-        raise ConvergenceError(f"modular lambda outside (0, 1): {lamr}")
+    log_lam, log_co = _log_lambda_imag(alpha * e.tau0)
     k, kp = e.k, e.kprime
     third_ln2 = math.log(2.0) / 3.0
     if case.sigma == 0:
         s = (
             alpha / (1.0 - alpha) * math.log(k * kp) / 6.0
-            - math.log(lamr * (1.0 - lamr)) / (12.0 * (1.0 - alpha))
+            - (log_lam + log_co) / (12.0 * (1.0 - alpha))
             + third_ln2
         )
     else:
         s = (
             alpha / (1.0 - alpha) * math.log(kp / (k * k)) / 6.0
-            + math.log(lamr * lamr / (1.0 - lamr)) / (12.0 * (1.0 - alpha))
+            + (2.0 * log_lam - log_co) / (12.0 * (1.0 - alpha))
             + third_ln2
         )
     return _mk(s, "RenyiModular", L=None, alpha=alpha)

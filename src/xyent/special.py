@@ -5,7 +5,8 @@
 #
 # Conventions:
 #   * theta3(s|tau) = sum_n exp(i pi tau n^2 + 2 pi i s n), Im tau > 0.
-#   * lambda(tau) = theta2^4(0|tau) / theta3^4(0|tau).
+#   * lambda(tau) = theta2^4(0|tau) / theta3^4(0|tau)
+#                 = 16 q prod_{n>=1} ((1 + q^{2n}) / (1 + q^{2n-1}))^8,  q = e^{i pi tau}.
 #   * All complex logarithms are principal-branch.
 
 from __future__ import annotations
@@ -218,15 +219,64 @@ def theta(j: int, s: complex, tau: complex, tol: float = 1e-14) -> complex:
     raise ConvergenceError("theta series exhausted its term budget")
 
 
+def _nome_log_sum(q: complex) -> complex:
+    """ln prod_{n>=1} ((1 + q^{2n}) / (1 + q^{2n-1}))^8 = 8 sum_{m>=1} (-1)^m ln(1 + q^m)
+    for |q| < 1, real (through log1p) or complex (principal logs, whose sum
+    differs from the log of the product only by a multiple of 2 pi i).
+
+    The sum stops once the rest of it, at most 8 |q|^{m+1} / (1 - |q|), is
+    below an eighth of the double-precision epsilon.
+    """
+    log1p = math.log1p if isinstance(q, float) else (lambda z: cmath.log(1.0 + z))
+    bound = _EPS * (1.0 - abs(q)) / 64.0
+    total = 0.0
+    qm = q
+    sign = -8.0
+    m = 1
+    while m < _TERM_BUDGET:
+        total += sign * log1p(qm)
+        if abs(qm * q) < bound:
+            return total
+        qm *= q
+        sign = -sign
+        m += 1
+    raise ConvergenceError("nome product exhausted its term budget")
+
+
+def _log_lambda_imag(t: float) -> tuple[float, float]:
+    """(ln lambda(i t), ln(1 - lambda(i t))) for real t > 0.
+
+    The nome product is summed in log space at q = e^{-pi s}, s = max(t, 1/t),
+    so q <= e^{-pi} and lambda(i s) <= 1/2 is the small side; ln(1 - lambda(i s))
+    is log1p(-lambda(i s)).  The far side follows from lambda(i/t) = 1 - lambda(i t),
+    so neither log is formed from a difference near 1.
+    """
+    s = max(t, 1.0 / t)
+    log_small = math.log(16.0) - math.pi * s + _nome_log_sum(math.exp(-math.pi * s))
+    log_large = math.log1p(-math.exp(log_small))
+    return (log_small, log_large) if t >= 1.0 else (log_large, log_small)
+
+
 def modular_lambda(tau: complex) -> complex:
-    """Elliptic modular function lambda(tau) = theta2^4(0|tau) / theta3^4(0|tau).
+    """Elliptic modular function lambda(tau) = theta2^4(0|tau) / theta3^4(0|tau),
+    from the nome product 16 q prod_{n>=1} ((1 + q^{2n}) / (1 + q^{2n-1}))^8.
 
     Purely imaginary tau gives lambda in (0, 1).
     """
-    tau_c = _as_tau(tau)
-    t2 = theta(2, 0.0, tau_c, tol=1e-15)
-    t3 = theta(3, 0.0, tau_c, tol=1e-15)
-    return (t2 / t3) ** 4
+    q = cmath.exp(1j * math.pi * _as_tau(tau))
+    return 16.0 * q * cmath.exp(_nome_log_sum(q))
+
+
+def _elliptic_modulus(k: float, kprime: float) -> EllipticModulus:
+    """The (k, k', tau0) triple from a modulus and its complement, each
+    taken as given: tau0 = K(k')/K(k) = AGM(1, k') / AGM(1, k).
+
+    The endpoints k = 0, 1 are genuine degenerations (tau0 = infinity / 0)
+    and are rejected, also where k got there by rounding.
+    """
+    if not (0.0 < k < 1.0):
+        raise DomainError(f"modulus k must lie in (0, 1), got {k}")
+    return EllipticModulus(k=k, kprime=kprime, tau0=_agm(1.0, kprime) / _agm(1.0, k))
 
 
 def tau0_from_modulus(k: float) -> EllipticModulus:
@@ -235,10 +285,8 @@ def tau0_from_modulus(k: float) -> EllipticModulus:
 
     Each AGM takes its modulus as held, so no complement is rebuilt from a
     rounded one: k below 1e-8, where k' rounds to 1, keeps its digits.
-    The endpoints k = 0, 1 are genuine degenerations (tau0 = infinity / 0)
-    and are rejected.
+    The endpoints k = 0, 1 are rejected.
     """
     if not (0.0 < k < 1.0):
         raise DomainError(f"tau0_from_modulus needs 0 < k < 1, got {k}")
-    kprime = math.sqrt((1.0 - k) * (1.0 + k))
-    return EllipticModulus(k=k, kprime=kprime, tau0=_agm(1.0, kprime) / _agm(1.0, k))
+    return _elliptic_modulus(k, math.sqrt((1.0 - k) * (1.0 + k)))

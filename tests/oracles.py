@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 
@@ -95,7 +97,58 @@ def quad_elliptic_K(k: float) -> float:
     return val
 
 
+def elliptic_modulus_mp(gamma: float, h: float) -> tuple[float, float, float]:
+    """(k, k', tau0) of the point (gamma, h) at 40 digits: k^2 and k'^2 by
+    phase case from q = (h/2)^2 + gamma^2 - 1 and r = 1 - (h/2)^2, formed
+    exactly from the double inputs, and tau0 = K(k')/K(k)."""
+    with mpmath.workdps(40):
+        g, h2 = mpmath.mpf(gamma), mpmath.mpf(h) / 2
+        q, r = h2 ** 2 + g ** 2 - 1, 1 - h2 ** 2
+        if r < 0:
+            k2, kp2 = g ** 2 / q, -r / q
+        elif q > 0:
+            k2, kp2 = q / g ** 2, r / g ** 2
+        else:
+            k2, kp2 = -q / r, g ** 2 / r
+        return (float(mpmath.sqrt(k2)), float(mpmath.sqrt(kp2)),
+                float(mpmath.ellipk(kp2) / mpmath.ellipk(k2)))
+
+
 # Universal constant in the XX entropy asymptote, derived independently of
 # the integral representation (via the digamma-function series for the
 # same quantity) and frozen here to full double precision.
 UPSILON1_REFERENCE = 0.495017908135137050
+
+
+def _log_approach(lo: float, hi: float):
+    """Distances 10^-u with u uniform in [lo, hi]."""
+    return st.floats(lo, hi).map(lambda u: 10.0 ** -u)
+
+
+def plane(h2_depth: float, gamma_depth: float):
+    """Hypothesis strategy of (gamma, h) points for the sweeps over the plane.
+
+    The whole plane gamma in [0.02, 2], h in [0, 4] (less the band
+    |h - 2| <= 10^-h2_depth), plus log-spaced approach to each boundary:
+    h -> 2 from both sides (10^-1..10^-h2_depth), gamma -> 0 at h = 1
+    (10^-1..10^-gamma_depth), the circle h^2 = 4(1 - gamma^2) from both
+    sides (10^-1..10^-7), the Ising line gamma = 1 from both sides
+    (10^-1..10^-7) and h -> 0 on it (10^-1..10^-3).
+    """
+    return st.one_of(
+        st.tuples(
+            st.floats(0.02, 2.0),
+            st.floats(0.0, 4.0).filter(lambda h: abs(h - 2.0) > 10.0 ** -h2_depth),
+        ),
+        st.tuples(st.floats(0.05, 1.5), st.sampled_from((-1.0, 1.0)), _log_approach(1, h2_depth)).map(
+            lambda t: (t[0], 2.0 + t[1] * t[2])
+        ),
+        st.tuples(_log_approach(1, gamma_depth), st.just(1.0)),
+        st.tuples(st.floats(0.1, 0.95), st.sampled_from((-1.0, 1.0)), _log_approach(1, 7)).map(
+            lambda t: (t[0], 2.0 * math.sqrt(1.0 - t[0] ** 2) + t[1] * t[2])
+        ),
+        st.tuples(st.sampled_from((-1.0, 1.0)), _log_approach(1, 7), st.floats(0.0, 1.9)).map(
+            lambda t: (1.0 + t[0] * t[1], t[2])
+        ),
+        st.tuples(st.just(1.0), _log_approach(1, 3)),
+    )

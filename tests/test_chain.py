@@ -22,7 +22,13 @@ from xyent import (
     toeplitz_matrix,
 )
 from xyent.chain import _xx_coefficients
-from oracles import majorana_matrix, quad_fourier_coeff, xy_coefficients
+from oracles import (
+    elliptic_modulus_mp,
+    majorana_matrix,
+    plane,
+    quad_fourier_coeff,
+    xy_coefficients,
+)
 
 
 class TestModelParams:
@@ -121,6 +127,27 @@ class TestModulus:
         e = modulus_k(ModelParams(0.7, 2.5))
         want = complete_elliptic_K(e.kprime) / complete_elliptic_K(e.k)
         assert e.tau0 == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "g,h",
+        [(10.0 ** (-j / 2.0), 1.0) for j in range(1, 15)]
+        + [(1.0, 10.0 ** (-j / 2.0)) for j in range(1, 24)]
+        + [(0.6, 1.6 + s * 10.0 ** (-j / 2.0)) for j in range(2, 15) for s in (-1.0, 1.0)],
+    )
+    def test_against_mpmath_on_approaches(self, g, h):
+        # gamma -> 0 at h = 1 (k -> 1), h -> 0 on the Ising line (k -> 0)
+        # and the circle h^2 = 4(1 - gamma^2) from both sides (q -> 0):
+        # k, k' and tau0 keep their digits all the way
+        e = modulus_k(ModelParams(g, h))
+        k, kprime, tau0 = elliptic_modulus_mp(g, h)
+        assert e.k == pytest.approx(k, rel=1e-13)
+        assert e.kprime == pytest.approx(kprime, rel=1e-13)
+        assert e.tau0 == pytest.approx(tau0, rel=1e-13)
+
+    def test_k_rounding_to_one_refused(self):
+        # k = 1 - 6.7e-19 rounds to 1: a typed error, never a value
+        with pytest.raises(DomainError, match="modulus k"):
+            modulus_k(ModelParams(1e-9, 1.0))
 
 
 class TestCorrelationMatrix:
@@ -240,31 +267,9 @@ class TestToeplitzFill:
         assert np.array_equal(got, want)
 
 
-def _log_approach(lo: float, hi: float):
-    """Distances 10^-u with u uniform in [lo, hi]."""
-    return st.floats(lo, hi).map(lambda u: 10.0 ** -u)
-
-
-# The whole plane away from h = 2, plus log-spaced approach to h = 2 from
-# both sides (10^-1..10^-3), gamma -> 0 at h = 1 (10^-1..10^-3), the circle
-# h^2 = 4(1 - gamma^2) from both sides (10^-1..10^-7) and the Ising line
-# gamma = 1 from both sides (10^-1..10^-7) and at h -> 0 (10^-1..10^-3).
 # At these depths K stays under 1.5e5, so on the 2^18-point oracle grid
 # every alias of an entry the block uses lies more than K steps out.
-_PLANE = st.one_of(
-    st.tuples(st.floats(0.02, 2.0), st.floats(0.0, 4.0).filter(lambda h: abs(h - 2.0) > 1e-3)),
-    st.tuples(st.floats(0.05, 1.5), st.sampled_from((-1.0, 1.0)), _log_approach(1, 3)).map(
-        lambda t: (t[0], 2.0 + t[1] * t[2])
-    ),
-    st.tuples(_log_approach(1, 3), st.just(1.0)),
-    st.tuples(st.floats(0.1, 0.95), st.sampled_from((-1.0, 1.0)), _log_approach(1, 7)).map(
-        lambda t: (t[0], 2.0 * math.sqrt(1.0 - t[0] ** 2) + t[1] * t[2])
-    ),
-    st.tuples(st.sampled_from((-1.0, 1.0)), _log_approach(1, 7), st.floats(0.0, 1.9)).map(
-        lambda t: (1.0 + t[0] * t[1], t[2])
-    ),
-    st.tuples(st.just(1.0), _log_approach(1, 3)),
-)
+_PLANE = plane(h2_depth=3, gamma_depth=3)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import xyent.entropy as entropy_mod
 from xyent import (
@@ -33,7 +32,7 @@ from xyent import (
     xx_entropy_asymptotic,
     XyentError,
 )
-from oracles import UPSILON1_REFERENCE, brute_renyi_entropy, brute_vn_entropy
+from oracles import UPSILON1_REFERENCE, brute_renyi_entropy, brute_vn_entropy, plane
 
 
 class TestEFunc:
@@ -166,41 +165,24 @@ class TestLimitForms:
         assert diffs[2] < 1e-8
 
 
-def _log_approach(lo: float, hi: float):
-    """Distances 10^-u with u uniform in [lo, hi]."""
-    return st.floats(lo, hi).map(lambda u: 10.0 ** -u)
-
-
-# The whole plane, plus log-spaced approach to each boundary at the depths
-# of the benchmark's limit ladders: h -> 2 from both sides (10^-1..10^-3),
-# gamma -> 0 at h = 1 (10^-1..10^-1.5), the circle h^2 = 4(1 - gamma^2) from
-# both sides (10^-1..10^-7) and the Ising line gamma = 1 at h = 10^-1..10^-3.
-_PLANE = st.one_of(
-    st.tuples(st.floats(0.02, 2.0), st.floats(0.0, 4.0)),
-    st.tuples(st.floats(0.05, 1.5), st.sampled_from((-1.0, 1.0)), _log_approach(1, 3)).map(
-        lambda t: (t[0], 2.0 + t[1] * t[2])
-    ),
-    st.tuples(_log_approach(1, 1.5), st.just(1.0)),
-    st.tuples(st.floats(0.1, 0.95), st.sampled_from((-1.0, 1.0)), _log_approach(1, 7)).map(
-        lambda t: (t[0], 2.0 * math.sqrt(1.0 - t[0] ** 2) + t[1] * t[2])
-    ),
-    st.tuples(st.just(1.0), _log_approach(1, 3)),
-)
-
-
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(_PLANE)
-def test_integral_matches_series_over_plane(point):
-    # either the two limit forms agree, or a typed error says why not
-    g, h = point
+@given(plane(h2_depth=9, gamma_depth=7))
+def test_limit_forms_agree_over_plane(point):
+    # only the model, its phase case and its modulus may refuse a point,
+    # with a typed error; past them the integral matches the series and the
+    # modular Renyi form the q-product form, at every order
     try:
-        p = ModelParams(g, h)
+        p = ModelParams(*point)
         c = classify_case(p)
         e = modulus_k(p)
     except XyentError:
         return
     s_int = vn_entropy_limit_integral(e, c.sigma).value
     assert s_int == pytest.approx(vn_entropy_limit_series(e, c.sigma).value, abs=1e-11)
+    for alpha in (0.5, 2.0, 3.0, 10.0):
+        qp = renyi_limit_qproduct(alpha, e, c).value
+        md = renyi_limit_modular(alpha, e, c).value
+        assert abs(md - qp) <= 1e-10 * max(1.0, abs(qp))
 
 
 class TestRenyiLimits:

@@ -150,6 +150,28 @@ class TestModularLambda:
         assert modular_lambda(tau) == pytest.approx(want, rel=1e-12)
 
 
+    @pytest.mark.parametrize("j", range(-16, 17))
+    def test_logs_against_mpmath(self, j):
+        # (ln lambda(it), ln(1 - lambda(it))) at t = 10^(j/4), both sides of
+        # t = 1; the reference reads lambda = (theta2/theta3)^4 and
+        # 1 - lambda = (theta4/theta3)^4 at q = e^{-pi t} (Jacobi's quartic
+        # identity), each log taken from the small one, with the digits that
+        # theta4 ~ e^{-pi/(4t)} loses to cancellation added to the 40
+        t = 10.0 ** (j / 4.0)
+        with mpmath.workdps(40 + math.ceil(math.pi / (4.0 * t * math.log(10.0)))):
+            q = mpmath.exp(-mpmath.pi * mpmath.mpf(t))
+            t3 = mpmath.jtheta(3, 0, q)
+            lam = (mpmath.jtheta(2, 0, q) / t3) ** 4
+            co = (mpmath.jtheta(4, 0, q) / t3) ** 4
+            want = (
+                float(mpmath.log(lam) if lam < 0.5 else mpmath.log1p(-co)),
+                float(mpmath.log(co) if co < 0.5 else mpmath.log1p(-lam)),
+            )
+        got = special._log_lambda_imag(t)
+        assert got[0] == pytest.approx(want[0], rel=1e-13)
+        assert got[1] == pytest.approx(want[1], rel=1e-13)
+
+
 class TestModulus:
     def test_round_trip(self):
         e = tau0_from_modulus(0.6)

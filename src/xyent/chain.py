@@ -7,8 +7,12 @@
 #     g_l the Fourier coefficients of the unimodular symbol
 #     phi(theta) = w(theta)/|w(theta)|, w = cos(theta) - i gamma sin(theta) - h/2.
 #     The 2L x 2L Majorana matrix B_L interleaves G and -G^T, so
-#     spec(i B_L) = +-svd(G) and nu is read off as the singular values of G
-#     (Peschel, J. Phys. A 36 L205 (2003); Vidal et al., PRL 90 227902 (2003)).
+#     spec(i B_L) = +-svd(G) (Peschel, J. Phys. A 36 L205 (2003); Vidal et
+#     al., PRL 90 227902 (2003)).  A Toeplitz G is persymmetric, J G J = G^T
+#     with J the exchange matrix, so the Hankel matrix G J is symmetric and
+#     nu = svd(G) = |eig(G J)|: one symmetric eigensolve, about half the
+#     flops of the SVD.  Its trivial modes, those within 4 sqrt(L) eps of
+#     |nu| = 1, are set to exactly 1 (see _SNAP_EPS).
 #   * XX (gamma = 0): real symmetric Toeplitz L x L matrix with closed-form
 #     entries; its signed eigenvalues are kept (entropies are even in nu and
 #     the signed values feed the characteristic-determinant oracle).
@@ -53,6 +57,18 @@ MAX_QUAD_POINTS = 2 ** 20
 # beyond the block, and certified by the computed ones there (_TAIL_TOL).
 _DECAY_LOG = 16.0 * math.log(10.0)
 _TAIL_TOL = 1e-12
+
+# An XY nu >= 1 - _SNAP_EPS sqrt(L) is a trivial mode and is set to 1.0.
+# Rounding in the eigensolve of G J spreads the trivial cluster |nu| ~ 1 by
+# up to 16 eps at L = 100, 51 eps at L = 800 and 88 eps at L = 2400, about
+# 1.8 sqrt(L) eps, and a mode left at nu = 1 - d adds
+# e(1, nu) ~ (d/2)(1 + ln(2/d)) to S, 3.9e-14 at d = 10 eps.  4 sqrt(L) eps
+# covers the spread twice over; 6 sqrt(L) eps already snaps a genuine mode
+# at 1 - 230 eps ((0.6, 2.5), L = 1600: S off by -1.7e-12).  A genuine nu
+# inside the band is lost, costing up to t (1 + ln(2/t)), t = 4 sqrt(L) eps,
+# per +-pair of ladder modes: -6.9e-13 at (0.5, 1.0), L >= 800, whose pair
+# sits at 1 - 92 eps.
+_SNAP_EPS = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -101,7 +117,8 @@ class CorrelationMatrix:
 
     symmetric is True for the XX block (from build_xx_matrix), whose signed
     eigenvalues are its nu-spectrum; otherwise entries is the XY block G,
-    whose singular values are.
+    whose singular values are, read as nu = |eig(G J)| with J the exchange
+    matrix (G J is a symmetric Hankel matrix).
     """
 
     entries: np.ndarray = field(repr=False)
@@ -329,17 +346,23 @@ def nu_spectrum(c: CorrelationMatrix) -> NuSpectrum:
     """Extract the nu-spectrum, sorted descending.
 
     XY: the L singular values of G, which are the nonnegative eigenvalues of
-    i B_L; clamped to [0, 1].
+    i B_L, taken as |eig(G J)| from one symmetric eigensolve of the Hankel
+    matrix G J; clamped to [0, 1], and every nu >= 1 - 4 sqrt(L) eps set to
+    exactly 1.0 (the trivial modes, whose rounding spreads by up to about
+    1.8 sqrt(L) eps: 51 eps at L = 800).
     XX: the signed eigenvalues of the symmetric matrix, clamped to [-1, 1].
-    Values beyond +-1 by more than 1e-8 indicate a failed solve.
+    Values beyond +-1 by more than 1e-8 indicate a failed solve; they are
+    refused before any value is clamped or snapped.
     """
     if c.symmetric:
         nus = np.linalg.eigvalsh(c.entries)[::-1].copy()
     else:
-        nus = np.linalg.svd(c.entries, compute_uv=False)
+        nus = np.sort(np.abs(np.linalg.eigvalsh(c.entries[:, ::-1])))[::-1].copy()
     if np.any(np.abs(nus) > 1.0 + 1e-8):
         raise SpectrumRangeError(
             f"|nu| > 1 beyond tolerance: range [{nus.min():.3e}, {nus.max():.3e}]"
         )
     np.clip(nus, -1.0, 1.0, out=nus)
+    if not c.symmetric:
+        nus[nus >= 1.0 - _SNAP_EPS * math.sqrt(c.L)] = 1.0
     return NuSpectrum(nus=nus)

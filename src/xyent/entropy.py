@@ -42,6 +42,9 @@ __all__ = [
 _SERIES_BUDGET = 10 ** 5
 # The ladder series stops at its first term below this.
 _SERIES_TOL = 1e-16
+# tanh(x) rounds to 1.0 from x = 19.1 on, so ladder nodes past this argument
+# are 1.0 and their terms 0.
+_TANH_ONE = 20.0
 
 
 @dataclass(frozen=True)
@@ -85,8 +88,8 @@ def e_func(x: float, nu: float) -> float:
     with the convention 0 ln 0 = 0.  Requires x >= |nu|."""
     if x < abs(nu) - 1e-12:
         raise DomainError(f"e(x, nu) needs x >= |nu|, got x = {x}, nu = {nu}")
-    p = max((x + nu) / 2.0, 0.0)
-    q = max((x - nu) / 2.0, 0.0)
+    p = (x + nu) / 2.0
+    q = (x - nu) / 2.0
     return -((p * math.log(p) if p > 0.0 else 0.0)
              + (q * math.log(q) if q > 0.0 else 0.0))
 
@@ -228,13 +231,16 @@ def vn_entropy_limit_series(e: EllipticModulus, sigma: int) -> EntropyResult:
     The ladder is symmetric about 0 and e(1, nu) is even in nu, so the sum
     runs over m >= sigma with weight 2, plus e(1, 0) once when sigma = 1.
     Terms fall off like m e^{-2 pi tau0 m}; summation stops once a term
-    drops below 1e-16.
+    drops below 1e-16.  Every node past tanh argument 20 is 1.0, with term
+    0, so the nodes are taken in one array call on m < 20/(pi tau0) + 1,
+    at most the budget of 10^5 terms.
     """
     if sigma not in (0, 1):
         raise DomainError(f"sigma must be 0 or 1, got {sigma}")
+    stop = min(_SERIES_BUDGET, math.ceil(_TANH_ONE / (math.pi * e.tau0)) + 1)
     total = e_func(1.0, 0.0) if sigma == 1 else 0.0
-    for m in range(sigma, _SERIES_BUDGET):
-        term = e_func(1.0, float(_ladder_node(m, sigma, e.tau0)))
+    for node in _ladder_node(np.arange(sigma, stop), sigma, e.tau0).tolist():
+        term = e_func(1.0, node)
         total += 2.0 * term
         if term < _SERIES_TOL:
             return _mk(total, "LimitSeries", L=None)
@@ -369,24 +375,17 @@ def renyi_limit_qproduct(alpha: float, e: EllipticModulus, case: PhaseCase) -> E
     """
     _check_alpha(alpha)
     lnq = -alpha * math.pi * e.tau0
-
-    def logprod(start: int, step: int) -> float:
-        total = 0.0
-        m = start
-        while m < _SERIES_BUDGET:
-            qm = math.exp(m * lnq)
-            term = math.log1p(qm)
-            total += term
-            if term < 1e-15 * max(1.0, abs(total)):
-                return total
-            m += step
-        raise ConvergenceError("q-product exhausted its term budget")
-
-    lead = alpha / (1.0 - alpha) * _ladder_params(e, case.sigma)[0]
-    if case.sigma == 0:
-        s = lead + 2.0 / (1.0 - alpha) * logprod(1, 2)
+    # the odd powers q_a^1, q_a^3, ... for sigma = 0, the even q_a^2, ... for 1
+    logprod = 0.0
+    for m in range(1 + case.sigma, _SERIES_BUDGET, 2):
+        term = math.log1p(math.exp(m * lnq))
+        logprod += term
+        if term < 1e-15 * max(1.0, logprod):
+            break
     else:
-        s = lead + (2.0 * logprod(2, 2) + math.log(2.0)) / (1.0 - alpha)
+        raise ConvergenceError("q-product exhausted its term budget")
+    lead = alpha / (1.0 - alpha) * _ladder_params(e, case.sigma)[0]
+    s = lead + (2.0 * logprod + case.sigma * math.log(2.0)) / (1.0 - alpha)
     return _mk(s, "RenyiQProduct", L=None, alpha=alpha)
 
 

@@ -12,6 +12,7 @@ from xyent import (
     ModelParams,
     ResolutionError,
     SpectrumRangeError,
+    XyentError,
     branch_points,
     build_correlation_matrix,
     build_xx_matrix,
@@ -20,6 +21,8 @@ from xyent import (
     modulus_k,
     nu_spectrum,
     toeplitz_matrix,
+    vn_entropy_exact,
+    vn_entropy_limit_series,
 )
 from xyent.chain import _xx_coefficients
 from oracles import (
@@ -341,3 +344,33 @@ class TestNuSpectrum:
         nus = nu_spectrum(build_correlation_matrix(ModelParams(g, h), L))
         want = np.linalg.eigvalsh(1j * majorana_matrix(g, h, L))[L:][::-1]
         assert np.max(np.abs(nus.nus - want)) < 1e-13
+
+    @pytest.mark.parametrize("L", [400, 800])
+    @pytest.mark.parametrize("g,h", [(0.5, 1.5), (0.6, 2.5)])
+    def test_converged_block_meets_limit(self, g, h, L):
+        # converged blocks (rho^(2L) far below 1e-16): with the trivial modes
+        # at exactly 1 the entropy carries no L * eps bias; the SVD of G was
+        # off by 4.6e-13 to 2.0e-12 here
+        p = ModelParams(g, h)
+        lim = vn_entropy_limit_series(modulus_k(p), classify_case(p).sigma).value
+        s = vn_entropy_exact(nu_spectrum(build_correlation_matrix(p, L))).value
+        assert abs(s - lim) <= 5e-13
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_PLANE, st.sampled_from((1, 2, 3, 17, 64, 200)))
+def test_xy_nus_match_svd_over_plane(point, L):
+    # |eig(G J)| against the singular values of G: the snap to 1.0 moves a
+    # mode by at most tau = 4 sqrt(L) eps, and the two solves' rounding may
+    # add as much again (at (0.01, 1.0), L = 64, the SVD is 38.5 eps from a
+    # 40-digit eigensolve of G J, |eig(G J)| 6.5 eps)
+    try:
+        c = build_correlation_matrix(ModelParams(*point), L)
+    except XyentError:
+        return
+    nus = nu_spectrum(c).nus
+    tau = 4.0 * math.sqrt(L) * np.finfo(float).eps
+    assert nus.shape == (L,)
+    assert np.all(np.diff(nus) <= 0.0)
+    assert np.max(np.abs(nus - np.linalg.svd(c.entries, compute_uv=False))) <= 2.0 * tau
+    assert np.all(nus[nus >= 1.0 - tau] == 1.0)

@@ -32,7 +32,13 @@ from xyent import (
     xx_entropy_asymptotic,
     XyentError,
 )
-from oracles import UPSILON1_REFERENCE, brute_renyi_entropy, brute_vn_entropy, plane
+from oracles import (
+    UPSILON1_REFERENCE,
+    brute_renyi_entropy,
+    brute_vn_entropy,
+    elliptic_modulus_mp,
+    plane,
+)
 
 
 class TestEFunc:
@@ -169,16 +175,20 @@ class TestLimitForms:
 @given(plane(h2_depth=9, gamma_depth=7))
 def test_limit_forms_agree_over_plane(point):
     # only the model, its phase case and its modulus may refuse a point,
-    # with a typed error; past them the integral matches the series and the
-    # modular Renyi form the q-product form, at every order
+    # with a typed error; past them tau0 matches 40-digit K(k')/K(k), the
+    # integral and closed forms match the series, and the modular Renyi
+    # form the q-product form, at every order
     try:
         p = ModelParams(*point)
         c = classify_case(p)
         e = modulus_k(p)
     except XyentError:
         return
-    s_int = vn_entropy_limit_integral(e, c.sigma).value
-    assert s_int == pytest.approx(vn_entropy_limit_series(e, c.sigma).value, abs=1e-11)
+    tau0 = elliptic_modulus_mp(*point)[2]
+    assert abs(e.tau0 - tau0) <= 1e-13 * tau0
+    s_ser = vn_entropy_limit_series(e, c.sigma).value
+    assert vn_entropy_limit_integral(e, c.sigma).value == pytest.approx(s_ser, abs=1e-11)
+    assert vn_entropy_closed(e, c).value == pytest.approx(s_ser, abs=1e-11)
     for alpha in (0.5, 2.0, 3.0, 10.0):
         qp = renyi_limit_qproduct(alpha, e, c).value
         md = renyi_limit_modular(alpha, e, c).value

@@ -244,7 +244,10 @@ def vn_entropy_limit_series(e: EllipticModulus, sigma: int) -> EntropyResult:
         total += 2.0 * term
         if term < _SERIES_TOL:
             return _mk(total, "LimitSeries", L=None)
-    raise ConvergenceError("ladder series exhausted its term budget")
+    raise ConvergenceError(
+        f"ladder series at tau0 = {e.tau0:.3e} still above {_SERIES_TOL:.0e} after its "
+        f"budget of _SERIES_BUDGET = {_SERIES_BUDGET} terms"
+    )
 
 
 # Largest theta index N summed per node.  N grows like tau0^{-1/2}; any
@@ -383,7 +386,10 @@ def renyi_limit_qproduct(alpha: float, e: EllipticModulus, case: PhaseCase) -> E
         if term < 1e-15 * max(1.0, logprod):
             break
     else:
-        raise ConvergenceError("q-product exhausted its term budget")
+        raise ConvergenceError(
+            f"q-product at alpha * tau0 = {alpha * e.tau0:.3e} exhausted its budget of "
+            f"_SERIES_BUDGET = {_SERIES_BUDGET} terms"
+        )
     lead = alpha / (1.0 - alpha) * _ladder_params(e, case.sigma)[0]
     s = lead + (2.0 * logprod + case.sigma * math.log(2.0)) / (1.0 - alpha)
     return _mk(s, "RenyiQProduct", L=None, alpha=alpha)

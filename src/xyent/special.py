@@ -1,5 +1,5 @@
 # special.py
-# Special functions used throughout: Barnes G on the closed unit disc,
+# Special functions used throughout: Barnes G on the disc |x| <= 5.62,
 # complete elliptic integral K, Jacobi theta series theta_{2,3,4}, and the
 # elliptic modular lambda function.
 #
@@ -20,7 +20,6 @@ from .errors import ConvergenceError, DomainError
 __all__ = [
     "EllipticModulus",
     "log_barnes_g",
-    "log_barnes_g_pair",
     "complete_elliptic_K",
     "theta",
     "modular_lambda",
@@ -62,34 +61,43 @@ def _as_tau(tau: complex) -> complex:
 # Barnes G
 # -----------------------------------------------------------------------------
 #
-# G(1+x) is needed only for |x| <= 1 (arguments 1 + alpha_j +- beta_j stay
-# near 1).  The defining product converges too slowly to reach 1e-14
-# directly, so the first _N_DIRECT factors are multiplied out and the rest
-# of the log-sum is resummed analytically: expanding n*log(1+x/n) - x
-# + x^2/(2n) in powers of x/n and summing over n > _N_DIRECT gives Hurwitz
-# zeta values.  scipy.special, which supplies them, costs about a third of a
-# second to import, so only these two functions load it, on first call.
+# G(1+x) is needed at the Fisher-Hartwig arguments 1 + alpha_j +- beta_j.
+# The defining product converges too slowly to reach 1e-14 directly, so the
+# first _N_DIRECT factors are multiplied out and the rest of the log-sum is
+# resummed analytically: expanding n*log(1+x/n) - x + x^2/(2n) in powers of
+# x/n and summing over n > _N_DIRECT gives Hurwitz zeta values, a series in
+# x/(_N_DIRECT + 1).  scipy.special, which supplies them, costs about a
+# third of a second to import, so log_barnes_g loads it on first call.
 
 _N_DIRECT = 32
 # The tail series stops at its first term below this, relative to the sum.
 _BARNES_TOL = 1e-14
+# Largest |x| accepted: it covers every +-beta of a SpectralParameter.  Its
+# cut guard keeps lambda at least 1e-15 from +-1, so |Im beta| is at most
+# ln(2e15) / (2 pi) = 5.607, and |beta| peaks at 5.613 near
+# lambda = +-1 + 1e-15 i.  At 5.62 the tail falls by 5.62/33 = 0.17 a term.
+_BARNES_MAX_ABS = 5.62
 
 
 def log_barnes_g(x: complex) -> complex:
-    """log G(1+x) for |x| <= 1 via the defining product with an analytic
-    tail.
+    """log G(1+x) for |x| <= _BARNES_MAX_ABS via the defining product with
+    an analytic tail: a sum of principal logs, so a log of G(1+x) up to a
+    multiple of 2 pi i.  At x = -1, -2, ..., where G(1+x) = 0, it is -inf.
 
-    Raises DomainError outside the closed unit disc and ConvergenceError if
-    the tail series fails to reach _BARNES_TOL (it cannot for |x| <= 1; the
+    Raises DomainError beyond _BARNES_MAX_ABS and ConvergenceError if the
+    tail series fails to reach _BARNES_TOL (it cannot inside the bound; the
     guard protects the budget invariant).
     """
     x = complex(x)
-    if abs(x) > 1.0 + 1e-15:
-        raise DomainError(f"Barnes G evaluated only on |x| <= 1, got |x| = {abs(x):.6g}")
+    if abs(x) > _BARNES_MAX_ABS:
+        raise DomainError(
+            f"Barnes G evaluated only on |x| <= _BARNES_MAX_ABS = {_BARNES_MAX_ABS}, "
+            f"got |x| = {abs(x):.6g}"
+        )
     if x == 0:
         return 0.0 + 0.0j
-    if x == -1:
-        # G(0) = 0: the n=1 factor (1 + x/n)^n vanishes.
+    if x.imag == 0 and x.real <= -1 and x.real.is_integer():
+        # G(0) = G(-1) = ... = 0: the factor (1 + x/n)^n at n = -x vanishes.
         return complex("-inf")
     from scipy.special import zeta as hurwitz_zeta
 
@@ -104,43 +112,13 @@ def log_barnes_g(x: complex) -> complex:
     # Tail: sum_{n>N} [n log(1+x/n) - x + x^2/(2n)]
     #     = sum_{j>=3} (-1)^{j-1} x^j / j * zeta(j-1, N+1)
     xp = x * x * x
-    j = 3
-    while j < 400:
+    for j in range(3, 400):
         term = (-1.0) ** (j - 1) * xp / j * hurwitz_zeta(j - 1, _N_DIRECT + 1)
         total += term
         if abs(term) < _BARNES_TOL * max(1.0, abs(total)):
             return total
         xp *= x
-        j += 1
-    raise ConvergenceError("Barnes G tail did not converge within budget")
-
-
-def log_barnes_g_pair(beta: complex) -> complex:
-    """log[G(1+beta) G(1-beta)] via the even product in beta^2.
-
-    Valid for |Re beta| < 1/2, which is exactly the range the spectral
-    parameter supplies off the cut.
-    """
-    beta = complex(beta)
-    if abs(beta.real) >= 0.5:
-        raise DomainError(f"pair form needs |Re beta| < 1/2, got Re beta = {beta.real:.6g}")
-    from scipy.special import zeta as hurwitz_zeta
-    b2 = beta * beta
-    total = -(1.0 + EULER_GAMMA) * b2
-    for n in range(1, _N_DIRECT + 1):
-        total += n * cmath.log(1.0 - b2 / (n * n)) + b2 / n
-
-    # Tail: -sum_{j>=2} beta^{2j} / j * zeta(2j-1, N+1)
-    bp = b2 * b2
-    j = 2
-    while j < 300:
-        term = -bp / j * hurwitz_zeta(2 * j - 1, _N_DIRECT + 1)
-        total += term
-        if abs(term) < _BARNES_TOL * max(1.0, abs(total)):
-            return total
-        bp *= b2
-        j += 1
-    raise ConvergenceError("Barnes G pair tail did not converge within budget")
+    raise ConvergenceError(f"Barnes G tail at |x| = {abs(x):.6g} did not converge within 400 terms")
 
 
 # -----------------------------------------------------------------------------
@@ -216,7 +194,10 @@ def theta(j: int, s: complex, tau: complex, tol: float = 1e-14) -> complex:
             if n > n_peak + 2 and abs(t1) + abs(t2) < tol * max(1.0, abs(total)):
                 return total
             n += 1
-    raise ConvergenceError("theta series exhausted its term budget")
+    raise ConvergenceError(
+        f"theta series at Im tau = {tau_c.imag:.3e} exhausted its budget of "
+        f"_TERM_BUDGET = {_TERM_BUDGET} terms"
+    )
 
 
 def _nome_log_sum(q: complex) -> complex:
@@ -240,7 +221,10 @@ def _nome_log_sum(q: complex) -> complex:
         qm *= q
         sign = -sign
         m += 1
-    raise ConvergenceError("nome product exhausted its term budget")
+    raise ConvergenceError(
+        f"nome product at |q| = {abs(q):.15g} exhausted its budget of "
+        f"_TERM_BUDGET = {_TERM_BUDGET} terms"
+    )
 
 
 def _log_lambda_imag(t: float) -> tuple[float, float]:

@@ -188,7 +188,10 @@ def required_nmax(e: EllipticModulus, case: PhaseCase, alpha: float) -> int:
         bound = _tail_bound(loglam0, c, alpha, case.sigma, nmax + 1)
         if bound <= _ZETA_TAIL_TOL * lead:
             return nmax
-    raise ConvergenceError(f"no feasible truncation found for alpha = {alpha}")
+    raise ConvergenceError(
+        f"no truncation nmax below its budget of 10^6 brings the zeta tail bound "
+        f"under {_ZETA_TAIL_TOL:.0e} at alpha = {alpha}"
+    )
 
 
 def finite_l_eigenvalues(nus, count: int) -> np.ndarray:

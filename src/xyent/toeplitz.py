@@ -1,9 +1,9 @@
 # toeplitz.py
-# Toeplitz determinants: exact dense evaluation, the strong Szego limit for
-# smooth symbols, the Fisher-Hartwig expansion for symbols with jumps and
-# roots, and the two determinant asymptotics used by the spin chains (the
-# scalar XX characteristic determinant and the 2x2 block form whose
-# prefactor is a ratio of theta functions).
+# Toeplitz determinants: exact dense evaluation, the Fisher-Hartwig
+# expansion for symbols with jumps and roots (the strong Szego limit is its
+# singularity-free case, the scalar XX characteristic determinant its
+# two-jump case), and the XY block form whose prefactor is a ratio of theta
+# functions.
 #
 # Determinants grow like e^{c L}, so every asymptotic routine returns a
 # ScaledValue (log magnitude, phase) instead of a bare complex.
@@ -20,7 +20,7 @@ import numpy as np
 
 from .chain import NuSpectrum, PhaseCase, _ladder_node, _toeplitz_fill
 from .errors import CutError, DomainError, ProximityError, ResolutionError
-from .special import EllipticModulus, log_barnes_g, log_barnes_g_pair, theta
+from .special import EllipticModulus, log_barnes_g, theta
 
 __all__ = [
     "ScaledValue",
@@ -256,11 +256,9 @@ class SmoothSymbolFactorization:
 
 
 def szego_asymptotic(f: SmoothSymbolFactorization, L: int) -> ScaledValue:
-    """Strong Szego limit: det T_L(phi) ~ exp(L V_0 + sum_{k>=1} k V_k V_{-k})."""
-    if L < 1:
-        raise DomainError(f"matrix size must be >= 1, got {L}")
-    logd = L * f.V0 + f.szego_sum()
-    return ScaledValue(float(logd.real), float(logd.imag))
+    """Strong Szego limit: det T_L(phi) ~ exp(L V_0 + sum_{k>=1} k V_k V_{-k}),
+    the singularity-free case of fisher_hartwig_asymptotic."""
+    return fisher_hartwig_asymptotic(f, [], L)
 
 
 # -----------------------------------------------------------------------------
@@ -311,7 +309,8 @@ def fisher_hartwig_asymptotic(
         * prod_j G(1+alpha_j+beta_j) G(1+alpha_j-beta_j) / G(1+2 alpha_j),
 
     with singularities ordered by angle.  An empty singularity list reduces
-    to the smooth limit.
+    to the smooth limit.  Every alpha_j +- beta_j and 2 alpha_j must lie in
+    the domain |x| <= 5.62 of log_barnes_g.
     """
     if L < 1:
         raise DomainError(f"matrix size must be >= 1, got {L}")
@@ -340,7 +339,9 @@ def fisher_hartwig_asymptotic(
 # XX characteristic determinant
 # -----------------------------------------------------------------------------
 def xx_char_det_asymptotic(s: SpectralParameter, h: float, L: int) -> ScaledValue:
-    """Large-L characteristic determinant of the XX block correlation matrix:
+    """Large-L characteristic determinant of the XX block correlation matrix,
+    the two-jump case of fisher_hartwig_asymptotic (symbol e^{V_0} with jump
+    exponents -beta at kF and beta at 2 pi - kF, kF = arccos(|h|/2)):
 
     D_L(lambda) ~ (2 - 2 cos 2kF)^{-beta^2} [G(1+beta) G(1-beta)]^2
                   e^{L V_0} L^{-2 beta^2},
@@ -352,15 +353,9 @@ def xx_char_det_asymptotic(s: SpectralParameter, h: float, L: int) -> ScaledValu
         raise DomainError(f"matrix size must be >= 1, got {L}")
     lam = complex(s.lam)
     kf = math.acos(abs(h) / 2.0)
-    beta = s.beta
     v0 = cmath.log(lam + 1.0) - (kf / math.pi) * cmath.log((lam + 1.0) / (lam - 1.0))
-    logd = (
-        -beta * beta * math.log(2.0 - 2.0 * math.cos(2.0 * kf))
-        + 2.0 * log_barnes_g_pair(beta)
-        + L * v0
-        - 2.0 * beta * beta * math.log(L)
-    )
-    return ScaledValue(float(logd.real), float(logd.imag))
+    jumps = [FHSingularity(kf, 0.0, -s.beta), FHSingularity(2.0 * math.pi - kf, 0.0, s.beta)]
+    return fisher_hartwig_asymptotic(SmoothSymbolFactorization.constant(v0), jumps, L)
 
 
 def xx_char_det_exact(nus: NuSpectrum, s: SpectralParameter) -> ScaledValue:

@@ -114,6 +114,36 @@ def elliptic_modulus_mp(gamma: float, h: float) -> tuple[float, float, float]:
                 float(mpmath.ellipk(kp2) / mpmath.ellipk(k2)))
 
 
+def log_gap(got: complex, want) -> float:
+    """|got - want| between two logs of one complex number, the imaginary
+    parts (phases) compared modulo 2 pi."""
+    d = complex(got) - complex(want)
+    return abs(complex(d.real, (d.imag + math.pi) % (2.0 * math.pi) - math.pi))
+
+
+def xx_char_det_log_mp(lam: complex, h: float, L: int) -> complex:
+    """log of the large-L XX characteristic determinant at 40 digits,
+
+    (2 - 2 cos 2kF)^{-beta^2} [G(1+beta) G(1-beta)]^2 e^{L V0} L^{-2 beta^2},
+
+    kF = arccos(|h|/2), beta = Log((lambda+1)/(lambda-1)) / (2 pi i) and
+    V0 = Log(lambda+1) - 2 i kF beta, from the double inputs taken exactly.
+    The imaginary part is a phase, defined up to a multiple of 2 pi."""
+    with mpmath.workdps(40):
+        lam = mpmath.mpc(lam)
+        kf = mpmath.acos(abs(mpmath.mpf(h)) / 2)
+        beta = mpmath.log((lam + 1) / (lam - 1)) / (2j * mpmath.pi)
+        v0 = mpmath.log(lam + 1) - 2j * kf * beta
+        logd = (
+            -beta ** 2 * mpmath.log(2 - 2 * mpmath.cos(2 * kf))
+            + 2 * mpmath.log(mpmath.barnesg(1 + beta))
+            + 2 * mpmath.log(mpmath.barnesg(1 - beta))
+            + L * v0
+            - 2 * beta ** 2 * mpmath.log(L)
+        )
+        return complex(logd)
+
+
 # Universal constant in the XX entropy asymptote, derived independently of
 # the integral representation (via the digamma-function series for the
 # same quantity) and frozen here to full double precision.

@@ -152,6 +152,14 @@ class TestLimitForms:
         with pytest.raises(ConvergenceError, match="budget"):
             vn_entropy_limit_integral(e, 1)
 
+    def test_series_term_budget(self):
+        # tau0 = 1e-7 puts about 6e7 ladder nodes below tanh argument 20;
+        # the refusal names the modulus and the budget it ran out of
+        e = EllipticModulus(k=0.6, kprime=0.8, tau0=1e-7)
+        with pytest.raises(ConvergenceError, match="tau0 = 1.000e-07") as err:
+            vn_entropy_limit_series(e, 1)
+        assert "_SERIES_BUDGET = 100000" in str(err.value)
+
     def test_methods(self):
         e = modulus_k(ModelParams(0.5, 1.0))
         assert vn_entropy_limit_series(e, 1).method == "LimitSeries"
@@ -217,6 +225,14 @@ class TestRenyiLimits:
 
         lam0 = density_spectrum(p, 4).lambdas[0]
         assert v == pytest.approx(-math.log(lam0) * 200.0 / 199.0, rel=1e-6)
+
+    def test_qproduct_term_budget(self):
+        # alpha tau0 = 8.5e-10 leaves every factor ln(1 + q_a^m) near ln 2
+        p = ModelParams(0.5, 1.0)
+        e = modulus_k(p)
+        with pytest.raises(ConvergenceError, match=r"alpha \* tau0 = 8\.546e-10") as err:
+            renyi_limit_qproduct(1e-9, e, classify_case(p))
+        assert "_SERIES_BUDGET = 100000" in str(err.value)
 
     def test_order_validation(self):
         e = modulus_k(ModelParams(0.5, 1.0))

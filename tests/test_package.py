@@ -12,7 +12,7 @@ PUBLIC = {
     "CorrelationMatrix", "critical_entropy_approx", "CutError", "density_spectrum",
     "DensitySpectrum", "DomainError", "e_func", "EllipticModulus", "EntropyResult",
     "FHSingularity", "finite_l_eigenvalues", "fisher_hartwig_asymptotic",
-    "fourier_coeffs", "log_barnes_g", "log_barnes_g_pair", "ModelParams",
+    "fourier_coeffs", "log_barnes_g", "ModelParams",
     "modular_lambda", "modulus_k", "multiplicities", "multiplicity_asymptotic",
     "nu_spectrum", "NuSpectrum", "partition_counts", "PhaseCase", "ProximityError",
     "RegimeError", "renyi_exact", "renyi_limit_modular", "renyi_limit_qproduct",

@@ -11,13 +11,12 @@ from xyent import (
     EllipticModulus,
     complete_elliptic_K,
     log_barnes_g,
-    log_barnes_g_pair,
     modular_lambda,
     tau0_from_modulus,
     theta,
 )
 from xyent import special
-from oracles import quad_elliptic_K
+from oracles import log_gap, quad_elliptic_K
 
 mpmath.mp.dps = 30
 
@@ -45,6 +44,7 @@ class TestBarnesG:
         assert log_barnes_g(0.0) == 0.0  # G(1) = 1
         assert log_barnes_g(1.0) == pytest.approx(0.0, abs=1e-14)  # G(2) = 1
         assert log_barnes_g(-1.0).real == -math.inf  # G(0) = 0
+        assert log_barnes_g(-3.0).real == -math.inf  # G(-2) = 0
 
     @pytest.mark.parametrize("x", [0.5, -0.5, 0.25, 0.9, -0.99])
     def test_real_against_mpmath(self, x):
@@ -58,30 +58,46 @@ class TestBarnesG:
         want = complex(mpmath.barnesg(1 + x))
         assert got == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("x", [
+        1.2j, -0.3 - 2.1j, 0.49 + 3.7j, -0.45 - 5.2j, 0.25 + 5.6j, -0.25 - 5.6j,
+        5.62, -5.62, 3.3, -2.5, -4.5 + 1e-3j, 2.0 + 2.0j, -3.0 - 3.0j, 5.62j,
+    ])
+    def test_widened_against_mpmath(self, x):
+        # the whole disc |x| <= 5.62, the strip |Re x| < 1/2 that spectral
+        # parameters fill included, against 40-digit mpmath
+        with mpmath.workdps(40):
+            want = mpmath.log(mpmath.barnesg(1 + mpmath.mpc(x)))
+        assert log_gap(log_barnes_g(x), want) < 1e-13 * max(1.0, abs(complex(want)))
+
     def test_domain_limit(self):
-        with pytest.raises(DomainError):
-            log_barnes_g(1.5)
+        log_barnes_g(5.62)
+        with pytest.raises(DomainError, match="_BARNES_MAX_ABS"):
+            log_barnes_g(5.63)
+        with pytest.raises(DomainError, match="_BARNES_MAX_ABS"):
+            log_barnes_g(0.1 - 6.0j)
 
     @pytest.mark.parametrize("beta", [0.1, 0.3j, 0.2 + 0.3j, -0.4 + 1.1j])
     def test_pair_identity(self, beta):
-        lhs = log_barnes_g_pair(beta)
-        # |beta| can exceed 1 where the singleton form is unavailable, so
-        # compare against mpmath directly
+        lhs = log_barnes_g(beta) + log_barnes_g(-beta)
         want = complex(mpmath.barnesg(1 + beta) * mpmath.barnesg(1 - beta))
         assert cmath.exp(lhs) == pytest.approx(want, rel=1e-12)
 
     def test_pair_matches_singletons_inside_disc(self):
+        # the pair as a sum of logs, against mpmath's logs of the singletons
         beta = 0.2 - 0.35j
-        lhs = log_barnes_g_pair(beta)
-        rhs = log_barnes_g(beta) + log_barnes_g(-beta)
+        lhs = log_barnes_g(beta) + log_barnes_g(-beta)
+        rhs = complex(mpmath.log(mpmath.barnesg(1 + beta)) + mpmath.log(mpmath.barnesg(1 - beta)))
         assert lhs == pytest.approx(rhs, abs=1e-13)
 
-    def test_pair_requires_re_beta_below_half(self):
-        with pytest.raises(DomainError):
-            log_barnes_g_pair(0.5 + 0.1j)
+    def test_pair_beyond_re_beta_half(self):
+        # the pair at Re beta = 1/2, which only the widened singleton serves
+        beta = 0.5 + 0.1j
+        lhs = log_barnes_g(beta) + log_barnes_g(-beta)
+        want = mpmath.log(mpmath.barnesg(1 + beta) * mpmath.barnesg(1 - beta))
+        assert log_gap(lhs, want) < 1e-13
 
     def test_pair_is_real_for_imaginary_beta(self):
-        assert abs(log_barnes_g_pair(0.25j).imag) < 1e-14
+        assert abs((log_barnes_g(0.25j) + log_barnes_g(-0.25j)).imag) < 1e-14
 
 
 class TestTheta:
@@ -118,8 +134,9 @@ class TestTheta:
         # Im tau = 1e-12 needs millions of terms; a small injected budget
         # runs out on the same path in a few hundred
         monkeypatch.setattr(special, "_TERM_BUDGET", 200)
-        with pytest.raises(ConvergenceError, match="budget"):
+        with pytest.raises(ConvergenceError, match="Im tau = 1.000e-12") as err:
             theta(3, 0.0, 1e-12j)
+        assert "_TERM_BUDGET = 200" in str(err.value)
 
     def test_bad_index(self):
         with pytest.raises(DomainError):
@@ -133,6 +150,13 @@ class TestTheta:
 
 
 class TestModularLambda:
+    def test_budget_exhaustion(self, monkeypatch):
+        # |q| = e^{-pi/100} needs about 1400 terms; the injected budget is 200
+        monkeypatch.setattr(special, "_TERM_BUDGET", 200)
+        with pytest.raises(ConvergenceError, match=r"\|q\| = 0\.969072") as err:
+            modular_lambda(0.01j)
+        assert "_TERM_BUDGET = 200" in str(err.value)
+
     def test_fixed_point(self):
         assert modular_lambda(1j).real == pytest.approx(0.5, abs=1e-12)
 

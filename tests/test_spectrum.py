@@ -130,6 +130,13 @@ class TestZeta:
         with pytest.raises(ConvergenceError):
             zeta_function(spec, 0.05)
 
+    def test_required_nmax_budget(self):
+        # alpha = 5e-4 needs nmax near 2e6, past the search budget
+        p = ModelParams(1.0, 3.0)
+        with pytest.raises(ConvergenceError, match=r"budget of 10\^6") as err:
+            required_nmax(modulus_k(p), classify_case(p), 5e-4)
+        assert "alpha = 0.0005" in str(err.value)
+
     def test_required_nmax_clears_guard(self):
         p = ModelParams(1.0, 3.0)
         c = classify_case(p)

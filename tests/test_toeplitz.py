@@ -31,7 +31,7 @@ from xyent import (
     xy_block_det_exact,
     xy_widom_prefactor,
 )
-from oracles import majorana_matrix, quad_fourier_coeff
+from oracles import log_gap, majorana_matrix, quad_fourier_coeff, xx_char_det_log_mp
 
 
 def pure_root_coeffs(a: float, n: int) -> np.ndarray:
@@ -45,6 +45,11 @@ def pure_root_coeffs(a: float, n: int) -> np.ndarray:
             / (math.gamma(1 + a + k) * math.gamma(1 + a - k))
         )
     return out
+
+
+def _scaled_gap(got: ScaledValue, want: complex) -> float:
+    """log_gap of a ScaledValue from the log want, relative to max(1, |want|)."""
+    return log_gap(complex(got.log_abs, got.phase), want) / max(1.0, abs(want))
 
 
 class TestScaledValue:
@@ -186,6 +191,17 @@ class TestFisherHartwig:
         padded = fisher_hartwig_asymptotic(f, [FHSingularity(0.0, 0.0, 0.0)], 9)
         assert padded.log_abs == pytest.approx(plain.log_abs, abs=1e-14)
 
+    def test_two_jumps_beyond_unit_beta(self):
+        # lambda = 1.001 gives |beta| = 1.21: both Barnes arguments leave the
+        # unit disc, and the expansion must still meet the mpmath form
+        s, kf, L = SpectralParameter(1.001), math.acos(0.35), 64
+        assert abs(s.beta) > 1.2
+        lam = complex(s.lam)
+        v0 = cmath.log(lam + 1.0) - (kf / math.pi) * cmath.log((lam + 1.0) / (lam - 1.0))
+        jumps = [FHSingularity(kf, 0.0, -s.beta), FHSingularity(2.0 * math.pi - kf, 0.0, s.beta)]
+        fh = fisher_hartwig_asymptotic(SmoothSymbolFactorization.constant(v0), jumps, L)
+        assert _scaled_gap(fh, xx_char_det_log_mp(lam, 0.7, L)) < 1e-12
+
     def test_condition_validation(self):
         f = SmoothSymbolFactorization.constant(0.0)
         with pytest.raises(DomainError):
@@ -227,6 +243,16 @@ class TestXXDet:
     def test_field_validation(self):
         with pytest.raises(DomainError):
             xx_char_det_asymptotic(SpectralParameter(3.0), 2.5, 10)
+
+    @pytest.mark.parametrize("h", [0.0, 0.7, 1.6])
+    @pytest.mark.parametrize("lam", [
+        2.0, 0.5 + 0.6j, -1.5, -0.4 + 0.8j, 1.001, 1.0 + 1e-6, -1.0 - 1e-8, 0.3 + 1e-4j,
+    ])
+    def test_asymptotic_against_mpmath(self, lam, h):
+        s = SpectralParameter(lam)
+        for L in (1, 100, 2048):
+            got = xx_char_det_asymptotic(s, h, L)
+            assert _scaled_gap(got, xx_char_det_log_mp(lam, h, L)) < 1e-12
 
 
 class TestXYDet:

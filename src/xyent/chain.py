@@ -8,11 +8,13 @@
 #     phi(theta) = w(theta)/|w(theta)|, w = cos(theta) - i gamma sin(theta) - h/2.
 #     The 2L x 2L Majorana matrix B_L interleaves G and -G^T, so
 #     spec(i B_L) = +-svd(G) (Peschel, J. Phys. A 36 L205 (2003); Vidal et
-#     al., PRL 90 227902 (2003)).  A Toeplitz G is persymmetric, J G J = G^T
-#     with J the exchange matrix, so the Hankel matrix G J is symmetric and
-#     nu = svd(G) = |eig(G J)|: one symmetric eigensolve, about half the
-#     flops of the SVD.  Its trivial modes, those within 4 sqrt(L) eps of
-#     |nu| = 1, are set to exactly 1 (see _SNAP_EPS).
+#     al., PRL 90 227902 (2003)).  Up to L = _DENSE_MAX_L, nu = |eig(G J)|:
+#     a Toeplitz G is persymmetric, J G J = G^T with J the exchange matrix, so
+#     the Hankel matrix G J is symmetric, and one symmetric eigensolve gives
+#     svd(G); its trivial modes, those within 4 sqrt(L) eps of |nu| = 1, are
+#     set to exactly 1 (see _SNAP_EPS).  Longer blocks take delta = 1 - nu^2
+#     from the coefficient tails beyond the block's two edges (_edge_nus),
+#     and never form G.
 #   * XX (gamma = 0): real symmetric Toeplitz L x L matrix with closed-form
 #     entries; its signed eigenvalues are kept (entropies are even in nu and
 #     the signed values feed the characteristic-determinant oracle).
@@ -58,6 +60,30 @@ MAX_QUAD_POINTS = 2 ** 20
 _DECAY_LOG = 16.0 * math.log(10.0)
 _TAIL_TOL = 1e-12
 
+# XY blocks up to this length take the dense eigensolve of G J; longer ones
+# the edge route (_edge_nus).  Paired timings of nu_spectrum on both routes
+# (one BLAS thread, best of 10 calls, 24 points drawn as bench/workloads.py
+# draws exact_xy's, three draws): the edge route's time over the dense fill
+# plus eigensolve was, in the median over the points, 1.07-1.22 at L = 110,
+# 0.88-1.00 at L = 120, 0.83-0.84 at L = 128 (two draws) and 0.64-0.75 at
+# L = 150.
+_DENSE_MAX_L = 128
+
+# The edge route stops once no residual diagonal of I - G G^T exceeds
+# _EDGE_TOL, and refuses a factor of more than _EDGE_RANK_BUDGET columns
+# (the most seen is 58, at (1e-4, 1.0), L = 3000, on a 2^20-point grid).
+# Its FFT columns carry rounding of about 1e-17: stopping at 1e-17 or 1e-18
+# instead adds pivots on that noise and moves S by up to 3e-14, while
+# stopping at 1e-15 drops genuine edge modes worth up to -1.1e-13 of S
+# ((0.5, 1.9) and (0.05, 1.5), L = 800-1600, against the limit).
+_EDGE_TOL = 1e-16
+_EDGE_RANK_BUDGET = 128
+# The edge identity I - G G^T = B B^T holds only for a unimodular symbol; a
+# coefficient vector whose circulant symbol is off |phi| = 1 by more than
+# this is refused (the builder's grids are off by at most 1.8e-15, on
+# 2^9- to 2^20-point grids).
+_UNIMODULAR_TOL = 1e-13
+
 # An XY nu >= 1 - _SNAP_EPS sqrt(L) is a trivial mode and is set to 1.0.
 # Rounding in the eigensolve of G J spreads the trivial cluster |nu| ~ 1 by
 # up to 16 eps at L = 100, 51 eps at L = 800 and 88 eps at L = 2400, about
@@ -66,8 +92,8 @@ _TAIL_TOL = 1e-12
 # covers the spread twice over; 6 sqrt(L) eps already snaps a genuine mode
 # at 1 - 230 eps ((0.6, 2.5), L = 1600: S off by -1.7e-12).  A genuine nu
 # inside the band is lost, costing up to t (1 + ln(2/t)), t = 4 sqrt(L) eps,
-# per +-pair of ladder modes: -6.9e-13 at (0.5, 1.0), L >= 800, whose pair
-# sits at 1 - 92 eps.
+# per +-pair of ladder modes; up to _DENSE_MAX_L the band is at most 45 eps
+# wide (the pair of (0.5, 1.0), at 1 - 92 eps, would enter it at L = 529).
 _SNAP_EPS = 4.0 * np.finfo(float).eps
 
 
@@ -113,25 +139,33 @@ class BranchPoints:
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    """Finite-block correlation matrix: the real L x L Toeplitz block.
+    """Finite-block correlation matrix: the real L x L Toeplitz block
+    T_ij = c_{i-j}, held as its coefficients, c_l at index l mod n of a
+    vector of n >= 2L - 1 of them.  The block itself is filled only on
+    demand, as entries.
 
     symmetric is True for the XX block (from build_xx_matrix), whose signed
-    eigenvalues are its nu-spectrum; otherwise entries is the XY block G,
-    whose singular values are, read as nu = |eig(G J)| with J the exchange
-    matrix (G J is a symmetric Hankel matrix).
+    eigenvalues are its nu-spectrum; otherwise the block is the XY G, whose
+    singular values are (see nu_spectrum).
     """
 
-    entries: np.ndarray = field(repr=False)
+    coefficients: np.ndarray = field(repr=False)
+    L: int
     symmetric: bool = False
 
     def __post_init__(self) -> None:
-        n = self.entries.shape[0]
-        if self.entries.shape != (n, n):
-            raise DomainError(f"expected square entries, got shape {self.entries.shape}")
+        c = self.coefficients
+        if self.L < 1 or c.ndim != 1 or c.size < 2 * self.L - 1:
+            raise DomainError(
+                f"a block of length L = {self.L} needs a vector of at least 2L - 1 "
+                f"coefficients, got shape {c.shape}"
+            )
 
     @property
-    def L(self) -> int:
-        return self.entries.shape[0]
+    def entries(self) -> np.ndarray:
+        """The L x L block, filled anew from the coefficients on each call."""
+        c, L = self.coefficients, self.L
+        return _toeplitz_fill(np.concatenate((c[c.size - L + 1:], c[:L])))
 
 
 @dataclass(frozen=True)
@@ -328,7 +362,7 @@ def build_correlation_matrix(p: ModelParams, L: int) -> CorrelationMatrix:
             f"symbol coefficients {tail:.3e} at L + K <= |l| <= n/2 exceed {_TAIL_TOL} on "
             f"the {n}-point grid sized from rho = {rho!r}: (gamma, h) = ({p.gamma}, {p.h})"
         )
-    return CorrelationMatrix(entries=_toeplitz_fill(np.concatenate((g[n - L + 1:], g[:L])).real))
+    return CorrelationMatrix(coefficients=g.real.copy(), L=L)
 
 
 def build_xx_matrix(h: float, L: int) -> CorrelationMatrix:
@@ -339,21 +373,105 @@ def build_xx_matrix(h: float, L: int) -> CorrelationMatrix:
     if L < 1:
         raise DomainError(f"block length must be >= 1, got {L}")
     c = _xx_coefficients(h, L - 1)
-    return CorrelationMatrix(entries=_toeplitz_fill(np.concatenate((c[:0:-1], c))), symmetric=True)
+    return CorrelationMatrix(coefficients=np.concatenate((c, c[:0:-1])), L=L, symmetric=True)
+
+
+def _edge_nus(c: CorrelationMatrix) -> np.ndarray:
+    """nu-spectrum of an XY block, descending, from its two edges; no L x L
+    array is formed.
+
+    The n coefficients are the first column of an n x n circulant C, whose
+    symbol is chat = fft(coefficients); G is its leading L x L block and
+    B = C[:L, L:] the rest of those rows.  With |chat| = 1, C is orthogonal
+    and I - G G^T = B B^T: Widom's finite-section identity
+    T(ab) = T(a) T(b) + H(a) H(b~) (Boettcher and Silbermann, 1999) on the
+    circulant.  Row i of B holds the coefficients beyond either edge of the
+    block, c_m for m = i+1 .. n-L+i, so B B^T is the sum of the Gram
+    matrices of the two Hankel tails, and its numerical rank r counts the
+    nontrivial edge modes (Its, Jin and Korepin, J. Phys. A 38, 2975
+    (2005)).  Its eigenvalues are delta = 1 - nu^2.
+
+    A Cholesky factor B B^T ~ F^T F (F of r x L) with diagonal pivoting
+    (Harbrecht, Peters and Schneider, Appl. Numer. Math. 62, 428 (2012))
+    needs the diagonal, window sums of c_m^2 added from the middle of the
+    grid, where the terms are least, and r columns B (B^T e_p), one FFT
+    correlation each.  It stops once no residual diagonal exceeds
+    _EDGE_TOL.  delta are the squared singular values of F.  Where
+    delta <= 1/2, nu = sqrt(1 - delta); the rest, the zero mode among them,
+    take nu from the singular values of G^T U, U their eigenvectors of
+    F^T F and G^T U a circulant product, since sqrt(1 - delta) keeps only
+    half the digits of a small nu.  The L - r trivial modes are exactly 1.0.
+    """
+    coef, L = c.coefficients, c.L
+    n = coef.size
+    chat = np.fft.rfft(coef)
+    off = float(np.max(np.abs(np.abs(chat) - 1.0)))
+    if not off <= _UNIMODULAR_TOL:
+        raise SpectrumRangeError(
+            f"XY symbol off the unit circle by {off:.3e}, over {_UNIMODULAR_TOL}: the "
+            f"edge identity I - G G^T = B B^T fails for L = {L}"
+        )
+    # d_i = |B_i|^2: the window of c_m^2 above i + 1 up to the middle h, plus
+    # the one from h + 1 up to n - L + i
+    sq = coef * coef
+    h = n // 2
+    below = np.append(np.cumsum(sq[h:0:-1])[::-1], 0.0)  # sum over m = j+1 .. h
+    above = np.insert(np.cumsum(sq[h + 1:]), 0, 0.0)  # sum over m = h+1 .. h+j
+    d = below[:L] + above[n - L - h: n - h]
+    F = np.empty((16, L))  # rows: the factor's columns; doubled as needed
+    w = np.zeros(n)
+    r = 0
+    while True:
+        p = int(np.argmax(d))
+        if d[p] <= _EDGE_TOL:
+            break
+        if r == _EDGE_RANK_BUDGET:
+            raise ResolutionError(
+                f"edge factor of I - G G^T reached r = {r} columns, its budget "
+                f"_EDGE_RANK_BUDGET = {_EDGE_RANK_BUDGET}, with a residual diagonal "
+                f"{d[p]:.3e} over {_EDGE_TOL}: L = {L}, grid n = {n}"
+            )
+        if r == F.shape[0]:
+            F = np.concatenate((F, np.empty_like(F)))
+        w[L:] = coef[n + p - L: p: -1]  # row p of B: c_{(p - k) mod n}, k = L .. n-1
+        col = np.fft.irfft(chat * np.fft.rfft(w), n)[:L]  # (C w)[:L] = B B^T e_p
+        col -= F[:r, p] @ F[:r]
+        F[r] = col / math.sqrt(d[p])
+        d -= F[r] * F[r]
+        d[p] = 0.0
+        r += 1
+    nus = np.ones(L)
+    if r:
+        _, s, u = np.linalg.svd(F[:r], full_matrices=False)
+        delta = s * s  # never below 0, so only its top can leave [-1e-8, 1 + 1e-8]
+        if not delta[0] <= 1.0 + 1e-8:
+            raise SpectrumRangeError(f"delta = 1 - nu^2 = {delta[0]:.3e} beyond 1 + 1e-8 at L = {L}")
+        small = int(np.count_nonzero(delta > 0.5))
+        nus[small:r] = np.sqrt(1.0 - delta[small:])
+        if small:
+            v = np.zeros((small, n))
+            v[:, :L] = u[:small]
+            gtu = np.fft.irfft(np.conj(chat) * np.fft.rfft(v), n)[:, :L]  # (C^T v)[:L] = G^T u
+            nus[:small] = np.linalg.svd(gtu, compute_uv=False)
+    return np.sort(nus)[::-1]
 
 
 def nu_spectrum(c: CorrelationMatrix) -> NuSpectrum:
     """Extract the nu-spectrum, sorted descending.
 
     XY: the L singular values of G, which are the nonnegative eigenvalues of
-    i B_L, taken as |eig(G J)| from one symmetric eigensolve of the Hankel
-    matrix G J; clamped to [0, 1], and every nu >= 1 - 4 sqrt(L) eps set to
-    exactly 1.0 (the trivial modes, whose rounding spreads by up to about
-    1.8 sqrt(L) eps: 51 eps at L = 800).
+    i B_L.  Up to L = _DENSE_MAX_L they are |eig(G J)|, from one symmetric
+    eigensolve of the Hankel matrix G J, clamped to [0, 1], with every
+    nu >= 1 - 4 sqrt(L) eps set to exactly 1.0 (the trivial modes, whose
+    rounding spreads by up to about 1.8 sqrt(L) eps).  Longer blocks take
+    them from the block's edges (_edge_nus), which needs a unimodular
+    symbol, as build_correlation_matrix's always is.
     XX: the signed eigenvalues of the symmetric matrix, clamped to [-1, 1].
     Values beyond +-1 by more than 1e-8 indicate a failed solve; they are
     refused before any value is clamped or snapped.
     """
+    if not c.symmetric and c.L > _DENSE_MAX_L:
+        return NuSpectrum(nus=_edge_nus(c))
     if c.symmetric:
         nus = np.linalg.eigvalsh(c.entries)[::-1].copy()
     else:

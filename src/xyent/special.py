@@ -206,21 +206,24 @@ def _nome_log_sum(q: complex) -> complex:
     differs from the log of the product only by a multiple of 2 pi i).
 
     The sum stops once the rest of it, at most 8 |q|^{m+1} / (1 - |q|), is
-    below an eighth of the double-precision epsilon.
+    below an eighth of the double-precision epsilon: at the first m past
+    ln(bound) / ln|q|.  A q whose count is over _TERM_BUDGET is refused
+    before any term is summed.
     """
     log1p = math.log1p if isinstance(q, float) else (lambda z: cmath.log(1.0 + z))
     bound = _EPS * (1.0 - abs(q)) / 64.0
-    total = 0.0
-    qm = q
-    sign = -8.0
-    m = 1
-    while m < _TERM_BUDGET:
-        total += sign * log1p(qm)
-        if abs(qm * q) < bound:
-            return total
-        qm *= q
-        sign = -sign
-        m += 1
+    if q == 0 or (bound > 0.0 and math.log(bound) / math.log(abs(q)) < _TERM_BUDGET + 2):
+        total = 0.0
+        qm = q
+        sign = -8.0
+        m = 1
+        while m < _TERM_BUDGET:
+            total += sign * log1p(qm)
+            if abs(qm * q) < bound:
+                return total
+            qm *= q
+            sign = -sign
+            m += 1
     raise ConvergenceError(
         f"nome product at |q| = {abs(q):.15g} exhausted its budget of "
         f"_TERM_BUDGET = {_TERM_BUDGET} terms"

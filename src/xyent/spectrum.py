@@ -34,6 +34,8 @@ __all__ = [
 _ENVELOPE_C = 2.0
 # Largest zeta truncation tail accepted, relative to the value.
 _ZETA_TAIL_TOL = 1e-12
+# required_nmax searches nmax below this.
+_NMAX_BUDGET = 10 ** 6
 
 
 def partition_counts(kind: Literal["Distinct", "DistinctOdd"], nmax: int) -> list[int]:
@@ -179,19 +181,38 @@ def zeta_function(spec: DensitySpectrum, alpha: float) -> float:
 
 def required_nmax(e: EllipticModulus, case: PhaseCase, alpha: float) -> int:
     """Smallest ladder truncation whose zeta(alpha) tail bound clears the
-    zeta_function tolerance relative to the leading term."""
+    zeta_function tolerance relative to the leading term.
+
+    The bound is +inf until the ladder's decay overtakes the envelope's
+    growth, and falls from there on (both the first term and the ratio of
+    the geometric majorant fall), so whether nmax clears it is monotone in
+    nmax: doubling finds a truncation that clears, and bisection the least
+    one, in O(log nmax) bound evaluations.
+    """
     if not (alpha > 0.0):
         raise DomainError(f"zeta order must be > 0, got {alpha}")
     loglam0, c = _ladder_params(e, case.sigma)
     lead = math.exp(alpha * loglam0)
-    for nmax in range(1, 10 ** 6):
-        bound = _tail_bound(loglam0, c, alpha, case.sigma, nmax + 1)
-        if bound <= _ZETA_TAIL_TOL * lead:
-            return nmax
-    raise ConvergenceError(
-        f"no truncation nmax below its budget of 10^6 brings the zeta tail bound "
-        f"under {_ZETA_TAIL_TOL:.0e} at alpha = {alpha}"
-    )
+
+    def clears(nmax: int) -> bool:
+        return _tail_bound(loglam0, c, alpha, case.sigma, nmax + 1) <= _ZETA_TAIL_TOL * lead
+
+    hi = 1
+    while not clears(hi):
+        if hi == _NMAX_BUDGET - 1:
+            raise ConvergenceError(
+                f"no truncation nmax below its budget of 10^6 brings the zeta tail bound "
+                f"under {_ZETA_TAIL_TOL:.0e} at alpha = {alpha}"
+            )
+        hi = min(2 * hi, _NMAX_BUDGET - 1)
+    lo = hi // 2  # does not clear (0: nothing below 1 to try)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if clears(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def finite_l_eigenvalues(nus, count: int) -> np.ndarray:

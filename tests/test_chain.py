@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from xyent import (
     CorrelationMatrix,
     DomainError,
     ModelParams,
+    NuSpectrum,
     ResolutionError,
     SpectrumRangeError,
     XyentError,
@@ -24,6 +26,7 @@ from xyent import (
     vn_entropy_exact,
     vn_entropy_limit_series,
 )
+from xyent import chain
 from xyent.chain import _xx_coefficients
 from oracles import (
     elliptic_modulus_mp,
@@ -176,7 +179,7 @@ class TestCorrelationMatrix:
         assert not c.symmetric
         assert np.array_equal(c.entries[1:, 1:], c.entries[:-1, :-1])
         with pytest.raises(DomainError):
-            CorrelationMatrix(entries=np.zeros((2, 3)))
+            CorrelationMatrix(coefficients=np.zeros(4), L=3)  # needs 2L - 1 = 5
 
     def test_boundary_rejected(self):
         with pytest.raises(BoundaryError):
@@ -321,11 +324,25 @@ class TestNuSpectrum:
         assert nus.nus.min() < 0 < nus.nus.max()
 
     def test_out_of_range_flagged(self):
-        bad = CorrelationMatrix(entries=np.array([[2.0]]), symmetric=True)
+        bad = CorrelationMatrix(coefficients=np.array([2.0]), L=1, symmetric=True)
         with pytest.raises(SpectrumRangeError):
             nu_spectrum(bad)
         with pytest.raises(SpectrumRangeError):
-            nu_spectrum(CorrelationMatrix(entries=np.array([[2.0]])))
+            nu_spectrum(CorrelationMatrix(coefficients=np.array([2.0]), L=1))
+        # the edge route: a symbol off the unit circle, whose block is not
+        # an XY block, is refused rather than read as 1 - nu^2
+        good = build_correlation_matrix(ModelParams(0.5, 1.0), 400)
+        for scale in (2.0, 0.5):
+            scaled = CorrelationMatrix(coefficients=scale * good.coefficients, L=400)
+            with pytest.raises(SpectrumRangeError, match="off the unit circle"):
+                nu_spectrum(scaled)
+
+    def test_edge_rank_budget(self, monkeypatch):
+        # a factor that needs more columns than the budget is refused, and
+        # the message names the rank reached
+        monkeypatch.setattr(chain, "_EDGE_RANK_BUDGET", 4)
+        with pytest.raises(ResolutionError, match="r = 4 columns"):
+            nu_spectrum(build_correlation_matrix(ModelParams(0.5, 1.0), 400))
 
     @pytest.mark.parametrize(
         "g,h,L",
@@ -345,25 +362,66 @@ class TestNuSpectrum:
         want = np.linalg.eigvalsh(1j * majorana_matrix(g, h, L))[L:][::-1]
         assert np.max(np.abs(nus.nus - want)) < 1e-13
 
-    @pytest.mark.parametrize("L", [400, 800])
-    @pytest.mark.parametrize("g,h", [(0.5, 1.5), (0.6, 2.5)])
+    @pytest.mark.parametrize(
+        "g,h,L",
+        [(0.5, 1.5, 400), (0.5, 1.5, 800), (0.6, 2.5, 400), (0.6, 2.5, 800), (0.5, 1.0, 800),
+         (0.5, 1.9, 800)],
+    )
     def test_converged_block_meets_limit(self, g, h, L):
-        # converged blocks (rho^(2L) far below 1e-16): with the trivial modes
-        # at exactly 1 the entropy carries no L * eps bias; the SVD of G was
-        # off by 4.6e-13 to 2.0e-12 here
+        # converged blocks (rho^(2L) far below 1e-16): the edge route leaves
+        # the trivial modes at exactly 1 and keeps the genuine ones, among
+        # them (0.5, 1.0)'s ladder pair at 1 - 92 eps, which the dense
+        # route's snap set to 1 (-6.9e-13); the SVD of G was off by 4.6e-13
+        # to 2.0e-12 here.  At (0.5, 1.9) an edge factor stopped at 1e-15
+        # instead of 1e-16 drops modes worth -1.1e-13
         p = ModelParams(g, h)
         lim = vn_entropy_limit_series(modulus_k(p), classify_case(p).sigma).value
         s = vn_entropy_exact(nu_spectrum(build_correlation_matrix(p, L))).value
-        assert abs(s - lim) <= 5e-13
+        assert abs(s - lim) <= 1e-13
+
+    @pytest.mark.parametrize("L", [400, 800])
+    @pytest.mark.parametrize("g,h", [(0.5, 1.0), (0.9, 1.8)])
+    def test_zero_mode_matches_svd(self, g, h, L):
+        # the smallest nu, near 0, comes from G^T U, not from
+        # sqrt(1 - delta), which would keep only half its digits
+        c = build_correlation_matrix(ModelParams(g, h), L)
+        nus = nu_spectrum(c).nus
+        assert abs(nus[-1] - np.linalg.svd(c.entries, compute_uv=False)[-1]) <= 10 * np.finfo(float).eps
+
+    def test_near_critical_block_scales(self):
+        # (0.5, 1.999), L = 12800: K = 36805 and a 2^17-point grid; the edge
+        # route never forms the 1.3 GB block
+        p = ModelParams(0.5, 1.999)
+        L = 12800
+        tracemalloc.start()
+        try:
+            nus = nu_spectrum(build_correlation_matrix(p, L))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * L * L / 20
+        lim = vn_entropy_limit_series(modulus_k(p), classify_case(p).sigma).value
+        assert abs(vn_entropy_exact(nus).value - lim) <= 2e-12
+
+    @pytest.mark.parametrize("L", [chain._DENSE_MAX_L, chain._DENSE_MAX_L + 1])
+    @pytest.mark.parametrize("g,h", [(0.5, 1.0), (1.0, 3.0), (0.2, 1.95)])
+    def test_routes_meet_at_crossover(self, g, h, L):
+        # the last dense block and the first edge block both agree with the
+        # SVD of G
+        c = build_correlation_matrix(ModelParams(g, h), L)
+        svd = NuSpectrum(np.linalg.svd(c.entries, compute_uv=False))
+        assert abs(vn_entropy_exact(nu_spectrum(c)).value - vn_entropy_exact(svd).value) <= 1e-12
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(_PLANE, st.sampled_from((1, 2, 3, 17, 64, 200)))
+@given(_PLANE, st.sampled_from((1, 2, 3, 17, 64, 200, 400)))
 def test_xy_nus_match_svd_over_plane(point, L):
-    # |eig(G J)| against the singular values of G: the snap to 1.0 moves a
-    # mode by at most tau = 4 sqrt(L) eps, and the two solves' rounding may
-    # add as much again (at (0.01, 1.0), L = 64, the SVD is 38.5 eps from a
-    # 40-digit eigensolve of G J, |eig(G J)| 6.5 eps)
+    # both routes against the singular values of G.  Dense |eig(G J)|: the
+    # snap to 1.0 moves a mode by at most tau = 4 sqrt(L) eps, and the two
+    # solves' rounding may add as much again (at (0.01, 1.0), L = 64, the
+    # SVD is 38.5 eps from a 40-digit eigensolve of G J, |eig(G J)| 6.5 eps).
+    # The edge route (L = 200, 400) snaps nothing; it was within
+    # 3.2 sqrt(L) eps of the SVD over 150 draws at L = 129-800
     try:
         c = build_correlation_matrix(ModelParams(*point), L)
     except XyentError:
@@ -373,4 +431,5 @@ def test_xy_nus_match_svd_over_plane(point, L):
     assert nus.shape == (L,)
     assert np.all(np.diff(nus) <= 0.0)
     assert np.max(np.abs(nus - np.linalg.svd(c.entries, compute_uv=False))) <= 2.0 * tau
-    assert np.all(nus[nus >= 1.0 - tau] == 1.0)
+    if L <= chain._DENSE_MAX_L:
+        assert np.all(nus[nus >= 1.0 - tau] == 1.0)

@@ -193,7 +193,8 @@ class TestExitCodes:
 
 def test_import_leaves_scipy_unloaded():
     # scipy costs most of a cold start; only the Barnes G tail loads it, so
-    # neither the import nor an XY nu-spectrum may
+    # neither the import nor an XY nu-spectrum may, on the dense route
+    # (L = 40) or on the edge route (L = 400)
     src = os.path.dirname(os.path.dirname(os.path.abspath(xyent.__file__)))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
@@ -201,6 +202,7 @@ def test_import_leaves_scipy_unloaded():
         "import sys, xyent.cli\n"
         "from xyent import ModelParams, build_correlation_matrix, nu_spectrum\n"
         "nu_spectrum(build_correlation_matrix(ModelParams(0.5, 1.0), 40))\n"
+        "nu_spectrum(build_correlation_matrix(ModelParams(0.5, 1.0), 400))\n"
         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,

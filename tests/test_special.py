@@ -149,6 +149,21 @@ class TestTheta:
             modular_lambda(1.0)
 
 
+def _nome_log_sum_loop(q):
+    """The nome sum as summed before its term count was sized up front:
+    the same loop, run until its stop test or its budget."""
+    log1p = math.log1p if isinstance(q, float) else (lambda z: cmath.log(1.0 + z))
+    bound = special._EPS * (1.0 - abs(q)) / 64.0
+    total, qm, sign = 0.0, q, -8.0
+    for _ in range(1, special._TERM_BUDGET):
+        total += sign * log1p(qm)
+        if abs(qm * q) < bound:
+            return total
+        qm *= q
+        sign = -sign
+    return None
+
+
 class TestModularLambda:
     def test_budget_exhaustion(self, monkeypatch):
         # |q| = e^{-pi/100} needs about 1400 terms; the injected budget is 200
@@ -156,6 +171,39 @@ class TestModularLambda:
         with pytest.raises(ConvergenceError, match=r"\|q\| = 0\.969072") as err:
             modular_lambda(0.01j)
         assert "_TERM_BUDGET = 200" in str(err.value)
+
+    def test_refused_before_any_term(self, monkeypatch):
+        # |q| = e^{-pi 1e-7} needs about 1.2e9 terms: refused from the count,
+        # not after 10^6 complex logs
+        calls = []
+        log = cmath.log
+        monkeypatch.setattr(cmath, "log", lambda z: calls.append(z) or log(z))
+        with pytest.raises(ConvergenceError, match="_TERM_BUDGET = 1000000"):
+            modular_lambda(1e-7j)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "q",
+        [0.0, math.exp(-math.pi), 0.5, 0.969072, 0.999, cmath.exp(1j * math.pi * (0.3 + 1.1j)),
+         cmath.exp(1j * math.pi * (-0.45 + 0.02j)), 0.99 * cmath.exp(2.0j)],
+    )
+    def test_sum_unchanged_by_the_count(self, q):
+        # every q the count accepts gives bitwise the sum of the plain loop
+        assert special._nome_log_sum(q) == _nome_log_sum_loop(q)
+
+    @pytest.mark.parametrize("budget", [200, 1390, 1391, 1392])
+    def test_count_refuses_only_what_the_loop_cannot_finish(self, monkeypatch, budget):
+        # |q| = e^{-pi/100} stops at m = 1390 of the plain loop (the count
+        # reads 1390.3), so it needs a budget of 1391: the count refuses no q
+        # the loop would finish
+        monkeypatch.setattr(special, "_TERM_BUDGET", budget)
+        q = math.exp(-math.pi / 100.0)
+        want = _nome_log_sum_loop(q)
+        if want is None:
+            with pytest.raises(ConvergenceError):
+                special._nome_log_sum(q)
+        else:
+            assert special._nome_log_sum(q) == want
 
     def test_fixed_point(self):
         assert modular_lambda(1j).real == pytest.approx(0.5, abs=1e-12)

@@ -23,6 +23,7 @@ from xyent import (
     vn_entropy_limit_series,
     zeta_function,
 )
+from xyent import spectrum
 from oracles import brute_density_probs, brute_partition_count
 
 
@@ -136,6 +137,28 @@ class TestZeta:
         with pytest.raises(ConvergenceError, match=r"budget of 10\^6") as err:
             required_nmax(modulus_k(p), classify_case(p), 5e-4)
         assert "alpha = 0.0005" in str(err.value)
+
+    def test_required_nmax_refuses_in_few_bounds(self, monkeypatch):
+        # the search needs O(log nmax) tail bounds, not one per nmax
+        calls = []
+        bound = spectrum._tail_bound
+        monkeypatch.setattr(spectrum, "_tail_bound", lambda *a: calls.append(a) or bound(*a))
+        p = ModelParams(1.0, 3.0)
+        with pytest.raises(ConvergenceError, match=r"budget of 10\^6"):
+            required_nmax(modulus_k(p), classify_case(p), 5e-4)
+        assert len(calls) <= 25
+
+    @pytest.mark.parametrize("j", range(9))
+    @pytest.mark.parametrize("g,h", [(1.0, 3.0), (0.5, 1.0), (0.9, 1.8), (0.2, 0.3), (1.5, 2.2)])
+    def test_required_nmax_equals_linear_scan(self, g, h, j):
+        # alpha = 10^(-j/4): the least nmax the scan over 1, 2, ... finds
+        p = ModelParams(g, h)
+        e, case, alpha = modulus_k(p), classify_case(p), 10.0 ** (-j / 4.0)
+        loglam0, c = spectrum._ladder_params(e, case.sigma)
+        tol = spectrum._ZETA_TAIL_TOL * math.exp(alpha * loglam0)
+        want = next(n for n in range(1, 10 ** 6)
+                    if spectrum._tail_bound(loglam0, c, alpha, case.sigma, n + 1) <= tol)
+        assert required_nmax(e, case, alpha) == want
 
     def test_required_nmax_clears_guard(self):
         p = ModelParams(1.0, 3.0)

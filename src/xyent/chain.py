@@ -14,7 +14,9 @@
 #     svd(G); its trivial modes, those within 4 sqrt(L) eps of |nu| = 1, are
 #     set to exactly 1 (see _SNAP_EPS).  Longer blocks take delta = 1 - nu^2
 #     from the coefficient tails beyond the block's two edges (_edge_nus),
-#     and never form G.
+#     and never form G.  The g_l come from one inverse real FFT of phi on
+#     the half grid 0 <= theta <= pi, whose length n is the least even
+#     2^a 3^b 5^c the aliasing margin allows (_smooth_size).
 #   * XX (gamma = 0): real symmetric Toeplitz L x L matrix with closed-form
 #     entries; its signed eigenvalues are kept (entropies are even in nu and
 #     the signed values feed the characteristic-determinant oracle).
@@ -62,16 +64,15 @@ _TAIL_TOL = 1e-12
 
 # XY blocks up to this length take the dense eigensolve of G J; longer ones
 # the edge route (_edge_nus).  Paired timings of nu_spectrum on both routes
-# (one BLAS thread, best of 10 calls, 24 points drawn as bench/workloads.py
-# draws exact_xy's, three draws): the edge route's time over the dense fill
-# plus eigensolve was, in the median over the points, 1.07-1.22 at L = 110,
-# 0.88-1.00 at L = 120, 0.83-0.84 at L = 128 (two draws) and 0.64-0.75 at
-# L = 150.
+# (one BLAS thread, best of 10 calls, the 54 points bench/workloads.py draws
+# for exact_xy at seeds 1-3): the edge route's time over the dense fill plus
+# eigensolve was, in the median over the points, 1.30 at L = 100, 1.06 at
+# L = 110, 1.05 at L = 120, 0.96 at L = 128 and 0.63 at L = 160.
 _DENSE_MAX_L = 128
 
 # The edge route stops once no residual diagonal of I - G G^T exceeds
 # _EDGE_TOL, and refuses a factor of more than _EDGE_RANK_BUDGET columns
-# (the most seen is 58, at (1e-4, 1.0), L = 3000, on a 2^20-point grid).
+# (the most seen is 58, at (1e-4, 1.0), L = 3000, on a 746,496-point grid).
 # Its FFT columns carry rounding of about 1e-17: stopping at 1e-17 or 1e-18
 # instead adds pivots on that noise and moves S by up to 3e-14, while
 # stopping at 1e-15 drops genuine edge modes worth up to -1.1e-13 of S
@@ -80,8 +81,8 @@ _EDGE_TOL = 1e-16
 _EDGE_RANK_BUDGET = 128
 # The edge identity I - G G^T = B B^T holds only for a unimodular symbol; a
 # coefficient vector whose circulant symbol is off |phi| = 1 by more than
-# this is refused (the builder's grids are off by at most 1.8e-15, on
-# 2^9- to 2^20-point grids).
+# this is refused (the builder's grids are off by at most 2.7e-15, on
+# grids of 64 to 746,496 points).
 _UNIMODULAR_TOL = 1e-13
 
 # An XY nu >= 1 - _SNAP_EPS sqrt(L) is a trivial mode and is set to 1.0.
@@ -322,18 +323,35 @@ def _toeplitz_fill(c: np.ndarray) -> np.ndarray:
     return rows[::-1].copy()
 
 
+def _smooth_size(m: int) -> int:
+    """Least even n = 2^a 3^b 5^c >= m: a grid length the FFT splits into
+    radix-2, -3 and -5 passes, never longer than the least power of two."""
+    best = 1 << max(1, (m - 1).bit_length())
+    odd = 1
+    while 2 * odd < best:  # part = 3^b 5^c, each taken once while it can win
+        part = odd
+        while 2 * part < best:
+            best = min(best, 2 * part << (-(-m // (2 * part)) - 1).bit_length())
+            part *= 5
+        odd *= 3
+    return best
+
+
 def build_correlation_matrix(p: ModelParams, L: int) -> CorrelationMatrix:
     """Real Toeplitz block G_ij = g_{i-j} of an XY block of length L.
 
     The coefficients g_l come from one FFT of the smooth symbol.  They decay
     like rho^|l|, rho the largest modulus of a branch point inside the unit
     circle, so within K = ceil(16 ln 10 / ln(1/rho)) steps they lose 16
-    digits.  The grid has the least power of two n >= max(64, 2(L + K))
-    points, which puts every alias of an entry with |l| < L at least
-    L + 2K steps out.  Certificate: the computed |g_l| on L + K <= |l| <= n/2
-    must be at most 1e-12, or ResolutionError is raised; so is a grid over
-    MAX_QUAD_POINTS, before any FFT.  The XX line gamma = 0 has a piecewise
-    constant symbol; its block comes from build_xx_matrix.
+    digits.  The grid has n points, the least even n = 2^a 3^b 5^c with
+    n >= max(64, 2(L + K)), which puts every alias of an entry with |l| < L
+    at least L + 2K steps out.  The g_l are real and
+    phi(-theta) = conj(phi(theta)), so phi is sampled at the n/2 + 1 points
+    0 <= theta <= pi and the g_l are the inverse real FFT of conj(phi).
+    Certificate: the computed |g_l| on L + K <= |l| <= n/2 must be at most
+    1e-12, or ResolutionError is raised; so is a grid over MAX_QUAD_POINTS,
+    before any FFT.  The XX line gamma = 0 has a piecewise constant symbol;
+    its block comes from build_xx_matrix.
     """
     if L < 1:
         raise DomainError(f"block length must be >= 1, got {L}")
@@ -352,17 +370,17 @@ def build_correlation_matrix(p: ModelParams, L: int) -> CorrelationMatrix:
             f"{2 * (L + K)} points, over MAX_QUAD_POINTS = {MAX_QUAD_POINTS}; (gamma, h) = "
             f"({p.gamma}, {p.h}) is too close to criticality"
         )
-    n = 1 << (max(64, 2 * (L + K)) - 1).bit_length()
-    thetas = 2.0 * math.pi * np.arange(n) / n
+    n = _smooth_size(max(64, 2 * (L + K)))
+    thetas = 2.0 * math.pi * np.arange(n // 2 + 1) / n
     w = np.cos(thetas) - 1j * p.gamma * np.sin(thetas) - p.h / 2.0
-    g = np.fft.fft(w / np.abs(w)) / n  # g[l % n] = (1/2pi) int e^{-il theta} phi
+    g = np.fft.irfft(np.conj(w / np.abs(w)), n)  # g[l % n] = (1/2pi) int e^{-il theta} phi
     tail = np.max(np.abs(g[L + K: n - L - K + 1]))
     if tail > _TAIL_TOL:
         raise ResolutionError(
             f"symbol coefficients {tail:.3e} at L + K <= |l| <= n/2 exceed {_TAIL_TOL} on "
             f"the {n}-point grid sized from rho = {rho!r}: (gamma, h) = ({p.gamma}, {p.h})"
         )
-    return CorrelationMatrix(coefficients=g.real.copy(), L=L)
+    return CorrelationMatrix(coefficients=g, L=L)
 
 
 def build_xx_matrix(h: float, L: int) -> CorrelationMatrix:
@@ -396,11 +414,14 @@ def _edge_nus(c: CorrelationMatrix) -> np.ndarray:
     needs the diagonal, window sums of c_m^2 added from the middle of the
     grid, where the terms are least, and r columns B (B^T e_p), one FFT
     correlation each.  It stops once no residual diagonal exceeds
-    _EDGE_TOL.  delta are the squared singular values of F.  Where
-    delta <= 1/2, nu = sqrt(1 - delta); the rest, the zero mode among them,
-    take nu from the singular values of G^T U, U their eigenvectors of
-    F^T F and G^T U a circulant product, since sqrt(1 - delta) keeps only
-    half the digits of a small nu.  The L - r trivial modes are exactly 1.0.
+    _EDGE_TOL.  delta are the squared singular values of F, read from the
+    r x r triangle R of a QR of F^T (F F^T = R^T R), so no r x L SVD is
+    taken.  Where delta <= 1/2, nu = sqrt(1 - delta); the rest, the zero
+    mode among them, take nu from the singular values of G^T U, U their
+    eigenvectors of F^T F (F^T y / s, y a left singular vector of R^T,
+    s > 0.7) and G^T U a circulant product, since sqrt(1 - delta) keeps
+    only half the digits of a small nu.  The L - r trivial modes are
+    exactly 1.0.
     """
     coef, L = c.coefficients, c.L
     n = coef.size
@@ -442,7 +463,7 @@ def _edge_nus(c: CorrelationMatrix) -> np.ndarray:
         r += 1
     nus = np.ones(L)
     if r:
-        _, s, u = np.linalg.svd(F[:r], full_matrices=False)
+        y, s, _ = np.linalg.svd(np.linalg.qr(F[:r].T, mode="r").T)
         delta = s * s  # never below 0, so only its top can leave [-1e-8, 1 + 1e-8]
         if not delta[0] <= 1.0 + 1e-8:
             raise SpectrumRangeError(f"delta = 1 - nu^2 = {delta[0]:.3e} beyond 1 + 1e-8 at L = {L}")
@@ -450,7 +471,7 @@ def _edge_nus(c: CorrelationMatrix) -> np.ndarray:
         nus[small:r] = np.sqrt(1.0 - delta[small:])
         if small:
             v = np.zeros((small, n))
-            v[:, :L] = u[:small]
+            v[:, :L] = (y[:, :small].T @ F[:r]) / s[:small, None]  # s > 0.7 here
             gtu = np.fft.irfft(np.conj(chat) * np.fft.rfft(v), n)[:, :L]  # (C^T v)[:L] = G^T u
             nus[:small] = np.linalg.svd(gtu, compute_uv=False)
     return np.sort(nus)[::-1]

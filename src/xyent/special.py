@@ -248,9 +248,15 @@ def modular_lambda(tau: complex) -> complex:
     """Elliptic modular function lambda(tau) = theta2^4(0|tau) / theta3^4(0|tau),
     from the nome product 16 q prod_{n>=1} ((1 + q^{2n}) / (1 + q^{2n-1}))^8.
 
-    Purely imaginary tau gives lambda in (0, 1).
+    Purely imaginary tau = i t takes lambda from _log_lambda_imag(t), at the
+    smaller of the nomes of i t and i/t, so lambda(i/t) = 1 - lambda(i t)
+    holds and lambda stays in [0, 1]: 0.0 only where 16 e^{-pi t}
+    underflows, 1.0 only where 1 - lambda rounds away.
     """
-    q = cmath.exp(1j * math.pi * _as_tau(tau))
+    tau = _as_tau(tau)
+    if tau.real == 0.0:
+        return complex(math.exp(_log_lambda_imag(tau.imag)[0]))
+    q = cmath.exp(1j * math.pi * tau)
     return 16.0 * q * cmath.exp(_nome_log_sum(q))
 
 

@@ -221,18 +221,18 @@ def finite_l_eigenvalues(nus, count: int) -> np.ndarray:
 
     Each eigenvalue is a product over modes of (1 +- nu_m)/2; the largest
     takes the bigger factor from every mode and the rest follow by flipping
-    modes in order of least cost.  Enumerated lazily with a max-heap, so
-    only O(count log count) subset products are formed.
+    modes in order of least cost.  A mode with |nu| = 1 has factors 1 and
+    0, so it neither moves the top nor opens a flip, and only the modes
+    with |nu| < 1 are read.  Enumerated lazily with a max-heap, so only
+    O(count log count) subset products are formed.
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
     arr = np.abs(np.asarray(nus.nus, dtype=float))
+    arr = arr[arr < 1.0]
     big = np.log1p(arr) - math.log(2.0)
-    small_arg = 1.0 - arr
     logtop = float(np.sum(big))
-    with np.errstate(divide="ignore"):
-        cost = np.where(small_arg > 0.0, np.log(small_arg) - math.log(2.0) - big, -np.inf)
-    cost = np.sort(cost[np.isfinite(cost)])[::-1]  # least negative first
+    cost = np.sort(np.log(1.0 - arr) - math.log(2.0) - big)[::-1]  # least negative first
     out = [logtop]
     if cost.size:
         heap = [(-(logtop + cost[0]), 0)]

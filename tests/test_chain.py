@@ -197,41 +197,64 @@ class TestCorrelationMatrix:
             build_correlation_matrix(ModelParams(0.0, 0.5), 6)
 
 
-def _counting_fft(monkeypatch):
-    """Route np.fft.fft through a spy; returns the list of its outputs."""
+def _counting_irfft(monkeypatch):
+    """Route np.fft.irfft through a spy; returns the list of its outputs."""
     outputs = []
-    fft = np.fft.fft
+    irfft = np.fft.irfft
 
     def spy(a, *args, **kwargs):
-        outputs.append(fft(a, *args, **kwargs))
+        outputs.append(irfft(a, *args, **kwargs))
         return outputs[-1]
 
-    monkeypatch.setattr(np.fft, "fft", spy)
+    monkeypatch.setattr(np.fft, "irfft", spy)
     return outputs
+
+
+def _even_smooth_sizes(top):
+    """Every even 2^a 3^b 5^c up to top, ascending."""
+    sizes = [2]
+    for f in (2, 3, 5):
+        for s in list(sizes):
+            s *= f
+            while s <= top:
+                sizes.append(s)
+                s *= f
+    return np.array(sorted(sizes))
 
 
 class TestGridRule:
     @pytest.mark.parametrize(
         "g,h,L,n",
         [
-            (1.0, 3.0, 12, 256),
-            (0.5, 1.0, 100, 512),
-            (0.02, 0.6, 800, 8192),
-            (0.5, 1.99, 50, 8192),
+            (1.0, 3.0, 12, 216),
+            (0.5, 1.0, 100, 360),
+            (0.02, 0.6, 800, 5400),
+            (0.5, 1.99, 50, 7500),
             # on the circle h^2 = 4(1 - gamma^2): a valid block
-            (0.6, 1.6, 40, 256),
+            (0.6, 1.6, 40, 192),
             # gamma = 1, h = 0: phi = e^{-i theta}, no branch point in reach
             (1.0, 0.0, 10, 64),
         ],
     )
     def test_one_fft_sized_from_rho(self, monkeypatch, g, h, L, n):
-        outputs = _counting_fft(monkeypatch)
+        outputs = _counting_irfft(monkeypatch)
         build_correlation_matrix(ModelParams(g, h), L)
         assert [len(o) for o in outputs] == [n]
 
+    def test_smooth_size_is_least_even_5_smooth(self):
+        # every m up to 2^16 and around MAX_QUAD_POINTS: the least even
+        # 2^a 3^b 5^c >= m, never more than the least power of two >= m
+        top = chain.MAX_QUAD_POINTS
+        ms = list(range(1, 2 ** 16 + 1)) + list(range(top - 64, top + 65))
+        sizes = _even_smooth_sizes(4 * top)
+        want = sizes[np.searchsorted(sizes, ms)]
+        got = np.array([chain._smooth_size(m) for m in ms])
+        assert np.array_equal(got, want)
+        assert np.all(got <= [1 << max(1, (m - 1).bit_length()) for m in ms])
+
     def test_refused_before_any_fft(self, monkeypatch):
         # rho = 1 - 1e-7 asks for a grid of about 7e8 points
-        outputs = _counting_fft(monkeypatch)
+        outputs = _counting_irfft(monkeypatch)
         with pytest.raises(ResolutionError, match="MAX_QUAD_POINTS") as err:
             build_correlation_matrix(ModelParams(1e-7, 1.0), 4)
         assert "rho = 0.99999" in str(err.value)
@@ -240,8 +263,8 @@ class TestGridRule:
     def test_certificate_refuses_unresolved_tail(self, monkeypatch):
         # a grid the rule cannot certify: the coefficients are scrambled,
         # so the tail band is far above 1e-12 and the block is refused
-        fft = np.fft.fft
-        monkeypatch.setattr(np.fft, "fft", lambda a: fft(a)[::-1] + 1e-9)
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda a, n: irfft(a, n)[::-1] + 1e-9)
         with pytest.raises(ResolutionError, match="exceed 1e-12"):
             build_correlation_matrix(ModelParams(0.5, 1.0), 10)
 
@@ -255,12 +278,11 @@ class TestToeplitzFill:
 
     @pytest.mark.parametrize("L", [1, 2, 7, 300])
     def test_xy_equals_index_gather(self, monkeypatch, L):
-        outputs = _counting_fft(monkeypatch)
+        outputs = _counting_irfft(monkeypatch)
         got = build_correlation_matrix(ModelParams(0.9, 1.8), L).entries
-        n = len(outputs[0])
-        g = outputs[0] / n
+        g = outputs[0]
         idx = np.arange(L)
-        assert np.array_equal(got, g[(idx[:, None] - idx[None, :]) % n].real)
+        assert np.array_equal(got, g[(idx[:, None] - idx[None, :]) % g.size])
 
     @pytest.mark.parametrize("L,n", [(1, 0), (1, 3), (5, 4), (6, 9)])
     def test_toeplitz_matrix_equals_index_gather(self, L, n):
@@ -352,7 +374,7 @@ class TestNuSpectrum:
             (0.5, 1.0, 40),
             (0.7, 2.5, 40),
             (0.02, 0.6, 200),
-            # slow decay near h = 2: rho = 0.990, an 8192-point grid
+            # slow decay near h = 2: rho = 0.990, a 7500-point grid
             (0.5, 1.99, 50),
         ],
     )
@@ -389,8 +411,8 @@ class TestNuSpectrum:
         assert abs(nus[-1] - np.linalg.svd(c.entries, compute_uv=False)[-1]) <= 10 * np.finfo(float).eps
 
     def test_near_critical_block_scales(self):
-        # (0.5, 1.999), L = 12800: K = 36805 and a 2^17-point grid; the edge
-        # route never forms the 1.3 GB block
+        # (0.5, 1.999), L = 12800: K = 36805 and a 100,000-point grid; the
+        # edge route never forms the 1.3 GB block
         p = ModelParams(0.5, 1.999)
         L = 12800
         tracemalloc.start()
@@ -414,14 +436,17 @@ class TestNuSpectrum:
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(_PLANE, st.sampled_from((1, 2, 3, 17, 64, 200, 400)))
+@given(_PLANE, st.sampled_from((1, 2, 3, 17, 64, 129, 200, 400, 800)))
 def test_xy_nus_match_svd_over_plane(point, L):
-    # both routes against the singular values of G.  Dense |eig(G J)|: the
-    # snap to 1.0 moves a mode by at most tau = 4 sqrt(L) eps, and the two
-    # solves' rounding may add as much again (at (0.01, 1.0), L = 64, the
-    # SVD is 38.5 eps from a 40-digit eigensolve of G J, |eig(G J)| 6.5 eps).
-    # The edge route (L = 200, 400) snaps nothing; it was within
-    # 3.2 sqrt(L) eps of the SVD over 150 draws at L = 129-800
+    # both routes against the singular values of G, taken as the upper half
+    # of the eigenvalues of the symmetric [[0, G], [G^T, 0]]: within
+    # 2.4 sqrt(L) eps of a 34-digit SVD over 40 blocks at L = 3-64, where
+    # LAPACK's SVD was up to 10.6 sqrt(L) eps off (at (1.0, 1.0), L = 17,
+    # it put a trivial mode at 1 - 44 eps).  Dense |eig(G J)|: the snap to
+    # 1.0 moves a mode by at most tau = 4 sqrt(L) eps, and the two solves'
+    # rounding may add as much again.  The edge route (L = 129-800: its
+    # first block and exact_xy's largest) snaps nothing; it was within
+    # 2.9 sqrt(L) eps of this reference over 150 draws at L = 129-800
     try:
         c = build_correlation_matrix(ModelParams(*point), L)
     except XyentError:
@@ -430,6 +455,10 @@ def test_xy_nus_match_svd_over_plane(point, L):
     tau = 4.0 * math.sqrt(L) * np.finfo(float).eps
     assert nus.shape == (L,)
     assert np.all(np.diff(nus) <= 0.0)
-    assert np.max(np.abs(nus - np.linalg.svd(c.entries, compute_uv=False))) <= 2.0 * tau
+    dilation = np.zeros((2 * L, 2 * L))
+    dilation[:L, L:] = c.entries
+    dilation[L:, :L] = c.entries.T
+    want = np.linalg.eigvalsh(dilation)[L:][::-1]
+    assert np.max(np.abs(nus - want)) <= 2.0 * tau
     if L <= chain._DENSE_MAX_L:
         assert np.all(nus[nus >= 1.0 - tau] == 1.0)

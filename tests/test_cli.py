@@ -72,7 +72,7 @@ class TestEntropyCommand:
         assert out1 == out2
 
     def test_near_critical_grid(self, capsys):
-        # h = 1.99: slow coefficient decay, an 8192-point Fourier grid at L = 50
+        # h = 1.99: slow coefficient decay, a 7500-point Fourier grid at L = 50
         code, out, err = run_cli(capsys, "entropy", "--gamma", "0.5", "--h", "1.99", "--L", "50")
         assert code == 0
         assert math.isfinite(float(out.strip().split("\n")[1].split(",")[1]))

@@ -166,10 +166,11 @@ def _nome_log_sum_loop(q):
 
 class TestModularLambda:
     def test_budget_exhaustion(self, monkeypatch):
-        # |q| = e^{-pi/100} needs about 1400 terms; the injected budget is 200
+        # |q| = e^{-pi/100} needs about 1400 terms; the injected budget is 200.
+        # Off the imaginary axis, where no smaller nome is taken
         monkeypatch.setattr(special, "_TERM_BUDGET", 200)
         with pytest.raises(ConvergenceError, match=r"\|q\| = 0\.969072") as err:
-            modular_lambda(0.01j)
+            modular_lambda(0.5 + 0.01j)
         assert "_TERM_BUDGET = 200" in str(err.value)
 
     def test_refused_before_any_term(self, monkeypatch):
@@ -179,8 +180,17 @@ class TestModularLambda:
         log = cmath.log
         monkeypatch.setattr(cmath, "log", lambda z: calls.append(z) or log(z))
         with pytest.raises(ConvergenceError, match="_TERM_BUDGET = 1000000"):
-            modular_lambda(1e-7j)
+            modular_lambda(0.5 + 1e-7j)
         assert calls == []
+
+    @pytest.mark.parametrize("t", [0.002, 0.02, 0.05, 1.0, 50.0])
+    def test_imaginary_axis_in_unit_interval(self, t):
+        # lambda(i t) from the smaller nome: never above 1 near t = 0 (the
+        # nome product at |q| = e^{-pi t} gave 1 + 32 eps at t = 0.05), and
+        # lambda(i t) + lambda(i/t) = 1
+        lam, inv = modular_lambda(1j * t), modular_lambda(1j / t)
+        assert lam.imag == 0.0 and 0.0 < lam.real <= 1.0
+        assert abs(lam.real + inv.real - 1.0) <= 2.0 * special._EPS
 
     @pytest.mark.parametrize(
         "q",

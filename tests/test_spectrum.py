@@ -9,6 +9,7 @@ from xyent import (
     ConvergenceError,
     DomainError,
     ModelParams,
+    NuSpectrum,
     build_correlation_matrix,
     classify_case,
     density_spectrum,
@@ -185,6 +186,14 @@ class TestFiniteLEigenvalues:
         nus = nu_spectrum(build_correlation_matrix(ModelParams(1.0, 3.0), 12))
         got = finite_l_eigenvalues(nus, 20)
         assert np.all(np.diff(got) <= 1e-18)
+
+    def test_exact_one_modes_change_nothing(self):
+        # a mode with |nu| = 1 has factors 1 and 0: appending such modes
+        # leaves the top of the spectrum where it was
+        nus = nu_spectrum(build_correlation_matrix(ModelParams(0.9, 1.8), 40))
+        padded = NuSpectrum(np.concatenate((np.ones(300), nus.nus, -np.ones(5))))
+        got = finite_l_eigenvalues(padded, 16)
+        assert np.allclose(got, finite_l_eigenvalues(nus, 16), rtol=4e-15, atol=0.0)
 
     def test_count_exceeding_subsets_pads(self):
         nus = nu_spectrum(build_correlation_matrix(ModelParams(0.5, 1.0), 3))

@@ -3,7 +3,9 @@
 # the nu-spectrum, the XX large-L asymptote, the XY block-limit entropy in
 # its three equivalent forms (ladder series, theta-kernel integral, closed
 # elliptic form), Renyi limits via q-products and the modular lambda
-# function, and the two near-critical approximations.
+# function, and the two near-critical approximations.  The integral form
+# reads the log-space theta3 of special, as the XY determinant asymptote
+# does, and the q-products special's sum of ln(1 + q^m).
 #
 # All values are in nats.
 
@@ -11,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +20,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .chain import NuSpectrum, ModelParams, PhaseCase, _ladder_node
 from .errors import ConvergenceError, DomainError, RegimeError
-from .special import EllipticModulus, _agm, _log_lambda_imag
+from .special import EllipticModulus, _agm, _log1p_series, _log_lambda_imag, _log_theta_prefactor
 from .spectrum import _ladder_params
 
 __all__ = [
@@ -250,11 +251,6 @@ def vn_entropy_limit_series(e: EllipticModulus, sigma: int) -> EntropyResult:
     )
 
 
-# Largest theta index N summed per node.  N grows like tau0^{-1/2}; any
-# modulus built by tau0_from_modulus has tau0 > 0.08 and N <= 13, so the
-# budget only stops hand-built moduli with tau0 below about 1e-5, whose
-# (nodes x 2N) term array would otherwise grow without bound.
-_THETA_TERM_BUDGET = 1000
 # Cut-off and the two steps of the midpoint rule.  The integrand is even and
 # analytic in |Im x| < 1/2 (ln theta3 has its nearest log singularities
 # there), so the rule's error falls like e^{-pi/step}: about 2e-14 at 0.1
@@ -263,51 +259,17 @@ _INTEGRAL_CUTOFF = 10.0
 _INTEGRAL_STEP = 0.1
 
 
-def _log_theta3_imag(y: np.ndarray, tau0: float) -> np.ndarray:
-    """ln theta3(i y | i tau0) for an array of real y, reduced by
-    quasi-periodicity.
-
-    theta3(s + a tau) picks up exp(-i pi a^2 tau - 2 pi i a s); shifting by
-    a = round(y/tau0) leaves y0 = y - a tau0 in [-tau0/2, tau0/2], where the
-    terms exp(-pi tau0 n^2 - 2 pi y0 n) are largest at n = 0 (value 1).  So
-    the log-sum-exp over |n| <= N needs no rescaling, and the sum of the
-    n != 0 terms goes through log1p.  N is the least index with
-    pi tau0 N (N+1) >= ln(1e17), which puts every dropped term below 1e-17.
-
-    theta3 is even in y0, so with u = tau0/2 - |y0| in [0, tau0/2] the pair
-    of terms at +-n is F_n P + G_n / P: F_n = e^{-pi tau0 n(n-1)} and
-    G_n = e^{-pi tau0 n(n+1)} per n, and one exponential P = e^{-2 pi u n}
-    per (y, n).  No factor exceeds 1 and P >= e^{-pi tau0 n}, so nothing
-    overflows.
-    """
-    c = math.log(1e17) / (math.pi * tau0)
-    N = max(1, math.ceil((math.sqrt(1.0 + 4.0 * c) - 1.0) / 2.0))
-    if N > _THETA_TERM_BUDGET:
-        raise ConvergenceError(
-            f"theta series at tau0 = {tau0:.3e} needs {N} terms, "
-            f"over the budget of {_THETA_TERM_BUDGET}"
-        )
-    a = np.rint(y / tau0)
-    y0 = y - a * tau0
-    n = np.arange(1.0, N + 1.0)
-    f = np.exp(-math.pi * tau0 * n * (n - 1.0))
-    g = np.exp(-math.pi * tau0 * n * (n + 1.0))
-    # P reaches 0 only where pi tau0 > 745, and there G_n is 0 as well
-    p = np.exp(np.outer(np.abs(y0) - tau0 / 2.0, 2.0 * math.pi * n))
-    np.maximum(p, sys.float_info.min, out=p)
-    tail = p @ f + (1.0 / p) @ g
-    return math.pi * a * (y + y0) + np.log1p(tail)
-
-
 @functools.lru_cache(maxsize=None)
 def _midpoint_rules(step: float, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes of the midpoint rules on (0, cutoff] at step and step/2,
-    concatenated, with their weights (pi/2) step_i / sinh^2(pi x)."""
+    """Nodes x of the midpoint rules on (0, cutoff] at step and step/2,
+    concatenated and held as the prefactor arguments i x, with their
+    weights (pi/2) step_i / sinh^2(pi x)."""
     m = round(cutoff / step)
     x = np.concatenate(((np.arange(m) + 0.5) * step, (np.arange(2 * m) + 0.5) * (step / 2.0)))
     w = np.repeat([step, step / 2.0], [m, 2 * m]) * (math.pi / 2.0) / np.sinh(math.pi * x) ** 2
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+    ix = 1j * x
+    ix.flags.writeable = w.flags.writeable = False
+    return ix, w
 
 
 def vn_entropy_limit_integral(e: EllipticModulus, sigma: int) -> EntropyResult:
@@ -319,22 +281,15 @@ def vn_entropy_limit_integral(e: EllipticModulus, sigma: int) -> EntropyResult:
     x = 0, where the log-numerator and sinh^2 both vanish.  The rule runs at
     step 0.1 and 0.05 in one pass over all nodes, and the finer value is
     returned.  A difference above both 1e-13 and 1e-12 |S| raises
-    ConvergenceError.  When sigma = 0 the two shifted arguments are the same
-    points, and ln theta3 is evaluated on them once.
+    ConvergenceError.  The integrand is ln P(i x) of _log_theta_prefactor,
+    the prefactor of xy_block_det_asymptotic.
     """
     if sigma not in (0, 1):
         raise DomainError(f"sigma must be 0 or 1, got {sigma}")
-    tau0 = e.tau0
     h = _INTEGRAL_STEP
-    x, w = _midpoint_rules(h, _INTEGRAL_CUTOFF)
-    if sigma == 1:
-        off = tau0 / 2.0
-        logs = _log_theta3_imag(np.concatenate((x + off, np.abs(x - off), [off])), tau0)
-        num = logs[: x.size] + logs[x.size: -1] - 2.0 * logs[-1]
-    else:
-        logs = _log_theta3_imag(np.append(x, 0.0), tau0)
-        num = 2.0 * (logs[:-1] - logs[-1])
-    m = x.size // 3
+    ix, w = _midpoint_rules(h, _INTEGRAL_CUTOFF)
+    num = _log_theta_prefactor(ix, e.tau0, sigma)
+    m = ix.size // 3
     coarse = float(num[:m] @ w[:m])
     fine = float(num[m:] @ w[m:])
     diff = abs(fine - coarse)
@@ -373,23 +328,14 @@ def renyi_limit_qproduct(alpha: float, e: EllipticModulus, case: PhaseCase) -> E
     ln lambda_0 = pi tau0/12 + (1/6) ln(k k'/4) for sigma = 0 and
     -pi tau0/6 + (1/6) ln(k'/(4k^2)) for sigma = 1.
 
-    Powers q_a^m are formed in log space so large alpha cannot flush the
-    product to zero prematurely.
+    Both sums are _log1p_series over the powers q_a^{1+sigma} q_a^{2j}.
     """
     _check_alpha(alpha)
     lnq = -alpha * math.pi * e.tau0
-    # the odd powers q_a^1, q_a^3, ... for sigma = 0, the even q_a^2, ... for 1
-    logprod = 0.0
-    for m in range(1 + case.sigma, _SERIES_BUDGET, 2):
-        term = math.log1p(math.exp(m * lnq))
-        logprod += term
-        if term < 1e-15 * max(1.0, logprod):
-            break
-    else:
-        raise ConvergenceError(
-            f"q-product at alpha * tau0 = {alpha * e.tau0:.3e} exhausted its budget of "
-            f"_SERIES_BUDGET = {_SERIES_BUDGET} terms"
-        )
+    logprod = _log1p_series(
+        math.exp((1 + case.sigma) * lnq), math.exp(2.0 * lnq), 1.0,
+        lambda: f"q-product at alpha * tau0 = {alpha * e.tau0:.3e}",
+    )
     lead = alpha / (1.0 - alpha) * _ladder_params(e, case.sigma)[0]
     s = lead + (2.0 * logprod + case.sigma * math.log(2.0)) / (1.0 - alpha)
     return _mk(s, "RenyiQProduct", L=None, alpha=alpha)

@@ -1,7 +1,9 @@
 # special.py
 # Special functions used throughout: Barnes G on the disc |x| <= 5.62,
 # complete elliptic integral K, Jacobi theta series theta_{2,3,4}, and the
-# elliptic modular lambda function.
+# elliptic modular lambda function.  theta3 is summed in one place, in log
+# space (_log_theta3): theta, the XY determinant prefactor and the
+# limit-entropy integral all read it.
 #
 # Conventions:
 #   * theta3(s|tau) = sum_n exp(i pi tau n^2 + 2 pi i s n), Im tau > 0.
@@ -13,7 +15,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
@@ -150,84 +156,131 @@ def complete_elliptic_K(k: float) -> float:
 # -----------------------------------------------------------------------------
 # Jacobi theta series
 # -----------------------------------------------------------------------------
-def theta(j: int, s: complex, tau: complex, tol: float = 1e-14) -> complex:
-    """Jacobi theta_j(s | tau) for j in {2, 3, 4}, by direct summation.
+def _log_theta3(s: np.ndarray, tau: complex) -> np.ndarray:
+    """ln theta3(s | tau) for an array of complex s and Im tau > 0, reduced by
+    quasi-periodicity; real where Re s = Re tau = 0.
 
-    theta3: sum over integer n of exp(i pi tau n^2 + 2 pi i s n);
-    theta4: same with (-1)^n; theta2: half-integer indices n + 1/2.
+    theta3(s + a tau) picks up exp(-i pi a^2 tau - 2 pi i a s); shifting by
+    a = round(Im s / t), t = Im tau, leaves s0 = s - a tau with |Im s0| <= t/2,
+    where the terms exp(i pi tau n^2 + 2 pi i s0 n) are largest in modulus at
+    n = 0 (value 1).  So the log-sum-exp over |n| <= N needs no rescaling,
+    and the sum of the n != 0 terms goes through log1p.  N is the least index
+    with pi t N (N+1) >= ln(1e17), which puts every dropped term below 1e-17;
+    more than _TERM_BUDGET points x terms are refused before any is summed.
 
-    Terms are added in symmetric +-n pairs.  For complex s the summand
-    peaks near n ~ |Im s| / Im tau, so truncation only triggers past that
-    ridge; stopping earlier would drop the dominant terms.
+    With u = t/2 - |Im s0| in [0, t/2], the moduli of the terms at +-n are
+    F_n P and G_n / P: F_n = e^{-pi t n(n-1)} and G_n = e^{-pi t n(n+1)} per
+    n, and one exponential P = e^{-2 pi u n} per (point, n).  No factor
+    exceeds 1 and P >= e^{-pi t n}, so nothing overflows.  Off the imaginary
+    axis, one phase factor e^{+-2 pi i n Re s0} per (point, n) and
+    e^{i pi Re(tau) n^2} per n turn the moduli into the terms.
+    """
+    t = tau.imag
+    c = math.log(1e17) / (math.pi * t)
+    n_least = (math.sqrt(1.0 + 4.0 * c) - 1.0) / 2.0
+    # the cap keeps the count finite where a subnormal t makes c infinite
+    N = max(1, math.ceil(min(n_least, _TERM_BUDGET + 1)))
+    if s.size * N > _TERM_BUDGET:
+        raise ConvergenceError(
+            f"theta series at Im tau = {t:.3e} needs {n_least:.4g} terms at each of "
+            f"{s.size} points, over the budget of _TERM_BUDGET = {_TERM_BUDGET} terms"
+        )
+    y = s.imag
+    a = np.rint(y / t)
+    y0 = y - a * t
+    n = np.arange(1.0, N + 1.0)
+    f = np.exp(-math.pi * t * n * (n - 1.0))
+    g = np.exp(-math.pi * t * n * (n + 1.0))
+    # P reaches 0 only where pi t > 745, and there G_n is 0 as well
+    p = np.exp(np.outer(np.abs(y0) - t / 2.0, 2.0 * math.pi * n))
+    np.maximum(p, sys.float_info.min, out=p)
+    shift = math.pi * a * (y + y0)
+    if tau.real == 0.0 and not np.count_nonzero(s.real):
+        return shift + np.log1p(p @ f + (1.0 / p) @ g)
+    x0 = s.real - a * tau.real
+    # the larger term of each pair turns the other way from Im s0
+    phase = np.exp(np.outer(np.where(y0 < 0.0, x0, -x0), 2j * math.pi * n))
+    cn = np.exp(1j * math.pi * tau.real * n * n)
+    tail = (p * phase) @ (cn * f) + (phase.conj() / p) @ (cn * g)
+    # an exact zero of theta3 is ln 0 = -inf
+    with np.errstate(divide="ignore"):
+        return shift - 1j * math.pi * a * (s.real + x0) + np.log1p(tail)
+
+
+def theta(j: int, s: complex, tau: complex) -> complex:
+    """Jacobi theta_j(s | tau) for j in {2, 3, 4}, the exponential of
+    _log_theta3: theta4(s) = theta3(s + 1/2) and
+    theta2(s) = e^{i pi tau/4 + i pi s} theta3(s + tau/2).
+
+    A value beyond double range raises DomainError, and an Im tau below
+    about 1e-11 ConvergenceError (the series' budget).
     """
     if j not in (2, 3, 4):
         raise DomainError(f"theta index must be 2, 3 or 4, got {j}")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    tau_c = _as_tau(tau)
+    tau = _as_tau(tau)
     s = complex(s)
-    ipitau = 1j * math.pi * tau_c
-    twopis = 2j * math.pi * s
-    n_peak = abs(s.imag) / tau_c.imag
-
+    shift = {2: tau / 2.0, 3: 0.0, 4: 0.5}[j]
+    with np.errstate(over="ignore", invalid="ignore"):
+        log = complex(_log_theta3(np.array([s + shift]), tau)[0])
     if j == 2:
-        total = 0.0 + 0.0j
-        n = 0
-        while n < _TERM_BUDGET:
-            a = n + 0.5
-            t1 = cmath.exp(ipitau * a * a + twopis * a)
-            t2 = cmath.exp(ipitau * a * a - twopis * a)
-            total += t1 + t2
-            if a > n_peak + 2 and abs(t1) + abs(t2) < tol * max(1.0, abs(total)):
+        log += 1j * math.pi * (tau / 4.0 + s)
+    if not log.real < math.log(sys.float_info.max):
+        raise DomainError(
+            f"theta_{j}({s} | {tau}) lies beyond double range: ln|theta| = {log.real:.6g}"
+        )
+    return cmath.exp(log)
+
+
+def _log_theta_prefactor(beta: np.ndarray, tau0: float, sigma: int) -> np.ndarray:
+    """ln P(beta) for an array of complex beta, where
+    P = theta3(beta + sigma tau/2) theta3(beta - sigma tau/2) / theta3(sigma tau/2)^2
+    at tau = i tau0 is the prefactor of the XY block determinant; at
+    beta = i x it is the kernel of the limit-entropy integral.  When
+    sigma = 0 the two shifted arguments are the same points, and theta3 is
+    evaluated on them once.
+    """
+    tau = 1j * tau0
+    if sigma == 1:
+        off = tau / 2.0
+        logs = _log_theta3(np.concatenate((beta + off, beta - off, [off])), tau)
+        return logs[: beta.size] + logs[beta.size: -1] - 2.0 * logs[-1]
+    logs = _log_theta3(np.append(beta, 0.0), tau)
+    return 2.0 * (logs[:-1] - logs[-1])
+
+
+def _log1p_series(z: complex, r: complex, sign: float, what: Callable[[], str]) -> complex:
+    """sum_{j>=0} sign^j ln(1 + z r^j) for |r| < 1 and sign = +-1: real
+    (through log1p) for real z and r, else a sum of principal logs, which
+    differs from the log of the product only by a multiple of 2 pi i.
+
+    The powers come by repeated multiplication, and the sum stops once the
+    rest of it, at most |z r^{j+1}| / (1 - |r|) to first order, is below
+    eps/64: at the first j past ln(bound/|z|) / ln|r|.  A count over
+    _TERM_BUDGET is refused before any term is summed; what() names the
+    series in that refusal.
+    """
+    log1p = math.log1p if isinstance(z, float) else (lambda w: cmath.log(1.0 + w))
+    bound = _EPS * (1.0 - abs(r)) / 64.0
+    if abs(z * r) < bound or (
+        bound > 0.0 and math.log(bound / abs(z)) / math.log(abs(r)) < _TERM_BUDGET + 1
+    ):
+        total = 0.0
+        w = 1.0
+        for _ in range(1, _TERM_BUDGET):
+            total += w * log1p(z)
+            if abs(z * r) < bound:
                 return total
-            n += 1
-    else:
-        total = 1.0 + 0.0j
-        sign = 1.0
-        n = 1
-        while n < _TERM_BUDGET:
-            if j == 4:
-                sign = -1.0 if n % 2 else 1.0
-            t1 = cmath.exp(ipitau * n * n + twopis * n)
-            t2 = cmath.exp(ipitau * n * n - twopis * n)
-            total += sign * (t1 + t2)
-            if n > n_peak + 2 and abs(t1) + abs(t2) < tol * max(1.0, abs(total)):
-                return total
-            n += 1
-    raise ConvergenceError(
-        f"theta series at Im tau = {tau_c.imag:.3e} exhausted its budget of "
-        f"_TERM_BUDGET = {_TERM_BUDGET} terms"
-    )
+            z *= r
+            w *= sign
+    raise ConvergenceError(f"{what()} exhausted its budget of _TERM_BUDGET = {_TERM_BUDGET} terms")
 
 
 def _nome_log_sum(q: complex) -> complex:
     """ln prod_{n>=1} ((1 + q^{2n}) / (1 + q^{2n-1}))^8 = 8 sum_{m>=1} (-1)^m ln(1 + q^m)
-    for |q| < 1, real (through log1p) or complex (principal logs, whose sum
-    differs from the log of the product only by a multiple of 2 pi i).
-
-    The sum stops once the rest of it, at most 8 |q|^{m+1} / (1 - |q|), is
-    below an eighth of the double-precision epsilon: at the first m past
-    ln(bound) / ln|q|.  A q whose count is over _TERM_BUDGET is refused
-    before any term is summed.
+    for |q| < 1, real or complex, by _log1p_series.  Its rest is then below
+    an eighth of the double-precision epsilon.
     """
-    log1p = math.log1p if isinstance(q, float) else (lambda z: cmath.log(1.0 + z))
-    bound = _EPS * (1.0 - abs(q)) / 64.0
-    if q == 0 or (bound > 0.0 and math.log(bound) / math.log(abs(q)) < _TERM_BUDGET + 2):
-        total = 0.0
-        qm = q
-        sign = -8.0
-        m = 1
-        while m < _TERM_BUDGET:
-            total += sign * log1p(qm)
-            if abs(qm * q) < bound:
-                return total
-            qm *= q
-            sign = -sign
-            m += 1
-    raise ConvergenceError(
-        f"nome product at |q| = {abs(q):.15g} exhausted its budget of "
-        f"_TERM_BUDGET = {_TERM_BUDGET} terms"
-    )
+    return -8.0 * _log1p_series(q, q, -1.0, lambda: f"nome product at |q| = {abs(q):.15g}")
 
 
 def _log_lambda_imag(t: float) -> tuple[float, float]:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .chain import NuSpectrum, PhaseCase, _ladder_node, _toeplitz_fill
 from .errors import CutError, DomainError, ProximityError, ResolutionError
-from .special import EllipticModulus, log_barnes_g, theta
+from .special import EllipticModulus, _log_theta_prefactor, log_barnes_g
 
 __all__ = [
     "ScaledValue",
@@ -34,7 +34,6 @@ __all__ = [
     "fisher_hartwig_asymptotic",
     "xx_char_det_asymptotic",
     "xx_char_det_exact",
-    "xy_widom_prefactor",
     "xy_block_det_asymptotic",
     "xy_block_det_exact",
 ]
@@ -64,8 +63,15 @@ class ScaledValue:
         return cmath.rect(math.exp(self.log_abs), self.phase)
 
     def ratio(self, other: "ScaledValue") -> complex:
-        """self / other as an ordinary complex; intended for ratios near 1."""
-        return cmath.exp(complex(self.log_abs - other.log_abs, self.phase - other.phase))
+        """self / other as an ordinary complex; intended for ratios near 1.
+        A ratio beyond double range raises DomainError."""
+        log_ratio = complex(self.log_abs - other.log_abs, self.phase - other.phase)
+        try:
+            return cmath.exp(log_ratio)
+        except OverflowError:
+            raise DomainError(
+                f"ratio e^{log_ratio.real:.6g} lies beyond double range"
+            ) from None
 
 
 @dataclass(frozen=True)
@@ -368,17 +374,6 @@ def xx_char_det_exact(nus: NuSpectrum, s: SpectralParameter) -> ScaledValue:
 # -----------------------------------------------------------------------------
 # XY block determinant
 # -----------------------------------------------------------------------------
-def xy_widom_prefactor(beta: complex, e: EllipticModulus, case: PhaseCase) -> complex:
-    """Theta-function prefactor
-    theta3(beta + sigma tau/2) theta3(beta - sigma tau/2) / theta3(sigma tau/2)^2
-    at tau = i tau0.  Vanishes exactly at the ladder points, flipping sign."""
-    tau = 1j * e.tau0
-    off = case.sigma * tau / 2.0
-    num = theta(3, beta + off, tau) * theta(3, beta - off, tau)
-    den = theta(3, off, tau) ** 2
-    return num / den
-
-
 def xy_block_det_asymptotic(
     s: SpectralParameter,
     e: EllipticModulus,
@@ -388,7 +383,11 @@ def xy_block_det_asymptotic(
 ) -> ScaledValue:
     """Large-L form of the XY block determinant of xy_block_det_exact:
 
-    D_L(lambda) ~ [theta-prefactor](beta(lambda)) * (1 - lambda^2)^L.
+    D_L(lambda) ~ P(beta(lambda)) * (1 - lambda^2)^L,
+    P(beta) = theta3(beta + sigma tau/2) theta3(beta - sigma tau/2) / theta3(sigma tau/2)^2
+    at tau = i tau0, which vanishes at the ladder points, flipping sign.
+    ln P comes from _log_theta_prefactor, the kernel of the limit-entropy
+    integral, and 1 - lambda^2 is formed as (1 - lambda)(1 + lambda).
 
     Within proximity_tol of a prefactor zero +-lambda_m the expansion is
     unreliable (the true determinant crosses over to the next order), so
@@ -417,10 +416,8 @@ def xy_block_det_asymptotic(
                         f"lambda = {lam} lies within {t} of the prefactor zero at "
                         f"+-{node:.9g}; the leading-order form breaks down there"
                     )
-    pref = xy_widom_prefactor(s.beta, e, case)
-    if pref == 0:
-        return ScaledValue(-math.inf, 0.0)
-    logd = cmath.log(pref) + L * cmath.log(1.0 - lam * lam)
+    logp = complex(_log_theta_prefactor(np.array([s.beta]), e.tau0, case.sigma)[0])
+    logd = logp + L * cmath.log((1.0 - lam) * (1.0 + lam))
     return ScaledValue(float(logd.real), float(logd.imag))
 
 

@@ -144,6 +144,31 @@ def xx_char_det_log_mp(lam: complex, h: float, L: int) -> complex:
         return complex(logd)
 
 
+def xy_block_det_log_mp(lam: complex, tau0: float, sigma: int, L: int) -> complex:
+    """log of the large-L XY block determinant at 40 digits,
+
+    theta3(beta + sigma tau/2) theta3(beta - sigma tau/2) / theta3(sigma tau/2)^2
+    (1 - lambda^2)^L,
+
+    tau = i tau0, beta = Log((lambda+1)/(lambda-1)) / (2 pi i), from the
+    double inputs taken exactly.  The imaginary part is a phase, defined up
+    to a multiple of 2 pi."""
+    with mpmath.workdps(40):
+        lam = mpmath.mpc(lam)
+        q = mpmath.exp(-mpmath.pi * mpmath.mpf(tau0))
+        beta = mpmath.log((lam + 1) / (lam - 1)) / (2j * mpmath.pi)
+        off = sigma * 1j * mpmath.mpf(tau0) / 2
+
+        def log_theta3(s):
+            return mpmath.log(mpmath.jtheta(3, mpmath.pi * s, q))
+
+        logd = (
+            log_theta3(beta + off) + log_theta3(beta - off) - 2 * log_theta3(off)
+            + L * mpmath.log(1 - lam ** 2)
+        )
+        return complex(logd)
+
+
 # Universal constant in the XX entropy asymptote, derived independently of
 # the integral representation (via the digamma-function series for the
 # same quantity) and frozen here to full double precision.

@@ -180,6 +180,34 @@ class TestDetcheckCommand:
         code, out, err = run_cli(capsys, "detcheck", "--h", "0", "--L", "10")
         assert code == 2
 
+    @pytest.mark.parametrize("lam", ["1.00000000000001", "1.00000000000001,1e-14"])
+    def test_theta_factors_beyond_double_range(self, capsys, lam):
+        # at (1e-3, 1.0) each theta3 factor of the prefactor at lambda ~ 1
+        # overflows a double; the asymptote stays finite and the JSON strict
+        def refuse(token):
+            raise ValueError(f"non-finite JSON token {token}")
+
+        base = ["detcheck", "--gamma", "1e-3", "--h", "1.0", "--L", "40", "--lambda", lam,
+                "--tol", "1e-20"]
+        code, out, err = run_cli(capsys, *base)
+        assert code == 0
+        assert math.isfinite(float(out.strip().split("\n")[1].split(",")[2]))
+        code, out, err = run_cli(capsys, *base, "--format", "json")
+        assert code == 0
+        row = json.loads(out, parse_constant=refuse)["rows"][0]
+        assert all(math.isfinite(v) for v in row)
+
+    def test_ratio_beyond_double_range_exits_2(self, capsys):
+        # at (1e-4, 1.0), L = 12 the asymptote at lambda = 1 + 2e-15 is
+        # e^693 over the exact determinant: a typed refusal, not an
+        # OverflowError
+        code, out, err = run_cli(
+            capsys, "detcheck", "--gamma", "1e-4", "--h", "1.0", "--L", "12",
+            "--lambda", "1.000000000000002", "--tol", "1e-20",
+        )
+        assert code == 2
+        assert "beyond double range" in err
+
 
 class TestExitCodes:
     def test_boundary_is_2(self, capsys):

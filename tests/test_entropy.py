@@ -232,7 +232,7 @@ class TestRenyiLimits:
         e = modulus_k(p)
         with pytest.raises(ConvergenceError, match=r"alpha \* tau0 = 8\.546e-10") as err:
             renyi_limit_qproduct(1e-9, e, classify_case(p))
-        assert "_SERIES_BUDGET = 100000" in str(err.value)
+        assert "_TERM_BUDGET = 1000000" in str(err.value)
 
     def test_order_validation(self):
         e = modulus_k(ModelParams(0.5, 1.0))

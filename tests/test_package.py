@@ -22,7 +22,7 @@ PUBLIC = {
     "toeplitz_matrix", "upsilon1", "vn_entropy_closed", "vn_entropy_exact",
     "vn_entropy_limit_integral", "vn_entropy_limit_series", "xx_char_det_asymptotic",
     "xx_char_det_exact", "xx_entropy_asymptotic", "xy_block_det_asymptotic",
-    "xy_block_det_exact", "xy_widom_prefactor", "XyentError", "zeta_function",
+    "xy_block_det_exact", "XyentError", "zeta_function",
 }
 
 # The defaulted parameters ("knobs") of every public function and public
@@ -32,7 +32,6 @@ PUBLIC = {
 KNOBS = {
     "SmoothSymbolFactorization.from_symbol": ("n",),
     "density_spectrum": ("nmax",),
-    "theta": ("tol",),
     "xy_block_det_asymptotic": ("proximity_tol",),
 }
 

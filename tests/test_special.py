@@ -4,6 +4,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xyent import (
     ConvergenceError,
@@ -129,6 +131,55 @@ class TestTheta:
         lhs = theta(3, s, tau)
         want = complex(mpmath.jtheta(3, math.pi * complex(s), cmath.exp(1j * math.pi * tau)))
         assert lhs == pytest.approx(want, rel=1e-11)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from((2, 3, 4)),
+        st.floats(-1.0, 1.0),
+        st.floats(-6.0, 6.0),
+        st.floats(-1.0, 1.0, exclude_min=True),
+        st.floats(math.log(0.05), math.log(10.0)),
+    )
+    def test_logs_against_mpmath(self, j, x, y, tau_re, log_tau_im):
+        # off the imaginary axis in both s and tau; Re tau in (-1, 1] keeps
+        # mpmath's principal q^(1/4) in theta2 equal to e^{i pi tau/4}.  ln
+        # theta reaches about 2300 here, so a value beyond double range must
+        # be refused and every other one match in its log.  Near a zero the
+        # log is only as good as M / |theta| allows, M the sum of the terms'
+        # moduli (theta_j at Re s = Re tau = 0)
+        s, tau = complex(x, y), complex(tau_re, math.exp(log_tau_im))
+        with mpmath.workdps(40):
+            q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+            want = complex(mpmath.log(mpmath.jtheta(j, mpmath.pi * mpmath.mpc(s), q)))
+            log_m = float(mpmath.re(mpmath.log(mpmath.jtheta(
+                2 if j == 2 else 3, 1j * mpmath.pi * y, mpmath.exp(-mpmath.pi * tau.imag)))))
+        if want.real > 710.0:
+            with pytest.raises(DomainError, match="beyond double range"):
+                theta(j, s, tau)
+        elif want.real < 709.0:
+            tol = 1e-13 * max(1.0, abs(want)) + 1e-14 * math.exp(log_m - want.real)
+            assert log_gap(cmath.log(theta(j, s, tau)), want) < tol
+
+    @pytest.mark.parametrize("s", [6j, -6j + 0.3, 1e200j, complex("inf"), complex("nan")])
+    def test_beyond_double_range_refused(self, s):
+        # ln theta3(6i | 0.05i) is about 2260: DomainError, never an
+        # OverflowError, an inf or a nan
+        with pytest.raises(DomainError):
+            theta(3, s, 0.05j)
+
+    def test_kernel_real_on_imaginary_axis(self):
+        # Re s = Re tau = 0 keeps the sum real, as the limit integral reads it
+        logs = special._log_theta3(np.array([0.3j, -2.0j, 0.0]), 0.4j)
+        assert logs.dtype == np.float64
+        for got, y in zip(logs, (0.3, -2.0, 0.0)):
+            want = mpmath.log(mpmath.jtheta(3, 1j * mpmath.pi * y, mpmath.exp(-0.4 * mpmath.pi)))
+            assert abs(got - float(want.real)) < 1e-13 * max(1.0, abs(got))
+
+    def test_subnormal_im_tau_refused(self):
+        # ln(1e17) / (pi Im tau) is infinite: refused by the budget, not by
+        # an OverflowError from the term count
+        with pytest.raises(ConvergenceError, match="_TERM_BUDGET"):
+            theta(3, 0.0, 5e-324j)
 
     def test_budget_exhaustion(self, monkeypatch):
         # Im tau = 1e-12 needs millions of terms; a small injected budget

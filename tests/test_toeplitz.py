@@ -29,9 +29,14 @@ from xyent import (
     xx_char_det_exact,
     xy_block_det_asymptotic,
     xy_block_det_exact,
-    xy_widom_prefactor,
 )
-from oracles import log_gap, majorana_matrix, quad_fourier_coeff, xx_char_det_log_mp
+from oracles import (
+    log_gap,
+    majorana_matrix,
+    quad_fourier_coeff,
+    xx_char_det_log_mp,
+    xy_block_det_log_mp,
+)
 
 
 def pure_root_coeffs(a: float, n: int) -> np.ndarray:
@@ -65,6 +70,8 @@ class TestScaledValue:
         a = ScaledValue(500.0, 0.2)
         b = ScaledValue(500.0, 0.1)
         assert a.ratio(b) == pytest.approx(cmath.exp(0.1j), rel=1e-14)
+        with pytest.raises(DomainError, match="beyond double range"):
+            ScaledValue(800.0, 0.0).ratio(ScaledValue(0.0, 0.0))
 
 
 class TestSpectralParameter:
@@ -300,9 +307,21 @@ class TestXYDet:
             with pytest.raises(ProximityError):
                 xy_block_det_asymptotic(SpectralParameter(complex(node + 5e-4, 1e-9)), e, case, 20)
 
-    def test_prefactor_at_symmetric_point(self):
-        # prefactor(beta) with beta -> -beta is unchanged (theta3 is even)
-        b = 0.2 + 0.1j
-        lhs = xy_widom_prefactor(b, self.e, self.case)
-        rhs = xy_widom_prefactor(-b, self.e, self.case)
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+    def test_even_in_lambda(self):
+        # beta(-lambda) = -beta(lambda) and theta3 is even, so the prefactor,
+        # and with it the asymptote, is unchanged under lambda -> -lambda
+        for lam in (2.0 + 1.0j, 0.4 + 0.3j):
+            lhs = xy_block_det_asymptotic(SpectralParameter(lam), self.e, self.case, 20)
+            rhs = xy_block_det_asymptotic(SpectralParameter(-lam), self.e, self.case, 20)
+            assert log_gap(complex(lhs.log_abs, lhs.phase), complex(rhs.log_abs, rhs.phase)) < 1e-12
+
+    @pytest.mark.parametrize("lam", [1.0 + 1e-14, complex(1.0, 1e-14), 1.0 + 1e-12])
+    def test_asymptote_near_one_against_mpmath(self, lam):
+        # at (1e-3, 1.0) each theta3 factor of the prefactor at lambda ~ 1 is
+        # beyond double range while ln P is not; 1 - lambda^2 near lambda = 1
+        # keeps its digits only as (1 - lambda)(1 + lambda)
+        p = ModelParams(1e-3, 1.0)
+        e, case = modulus_k(p), classify_case(p)
+        got = xy_block_det_asymptotic(SpectralParameter(lam), e, case, 40, proximity_tol=1e-20)
+        want = xy_block_det_log_mp(lam, e.tau0, case.sigma, 40)
+        assert log_gap(complex(got.log_abs, got.phase), want) < 1e-12

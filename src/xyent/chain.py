@@ -16,7 +16,9 @@
 #     from the coefficient tails beyond the block's two edges (_edge_nus),
 #     and never form G.  The g_l come from one inverse real FFT of phi on
 #     the half grid 0 <= theta <= pi, whose length n is the least even
-#     2^a 3^b 5^c the aliasing margin allows (_smooth_size).
+#     2^a 3^b 5^c >= max(64, 2L, L + 2K) (_smooth_size): every alias of a
+#     block entry lies beyond 2K steps, where the coefficients are below
+#     1e-32 (see build_correlation_matrix).
 #   * XX (gamma = 0): real symmetric Toeplitz L x L matrix with closed-form
 #     entries; its signed eigenvalues are kept (entropies are even in nu and
 #     the signed values feed the characteristic-determinant oracle).
@@ -72,7 +74,8 @@ _DENSE_MAX_L = 128
 
 # The edge route stops once no residual diagonal of I - G G^T exceeds
 # _EDGE_TOL, and refuses a factor of more than _EDGE_RANK_BUDGET columns
-# (the most seen is 58, at (1e-4, 1.0), L = 3000, on a 746,496-point grid).
+# (the most seen is 58, at (1e-4, 1.0), L = 3000, on the 746,496-point grid
+# that L + 2K = 739,828 asks for).
 # Its FFT columns carry rounding of about 1e-17: stopping at 1e-17 or 1e-18
 # instead adds pivots on that noise and moves S by up to 3e-14, while
 # stopping at 1e-15 drops genuine edge modes worth up to -1.1e-13 of S
@@ -162,11 +165,15 @@ class CorrelationMatrix:
                 f"coefficients, got shape {c.shape}"
             )
 
+    def _two_sided(self) -> np.ndarray:
+        """(c_{1-L}, ..., c_0, ..., c_{L-1}), the coefficients the block holds."""
+        c, L = self.coefficients, self.L
+        return np.concatenate((c[c.size - L + 1:], c[:L]))
+
     @property
     def entries(self) -> np.ndarray:
         """The L x L block, filled anew from the coefficients on each call."""
-        c, L = self.coefficients, self.L
-        return _toeplitz_fill(np.concatenate((c[c.size - L + 1:], c[:L])))
+        return _toeplitz_fill(self._two_sided())
 
 
 @dataclass(frozen=True)
@@ -344,14 +351,16 @@ def build_correlation_matrix(p: ModelParams, L: int) -> CorrelationMatrix:
     like rho^|l|, rho the largest modulus of a branch point inside the unit
     circle, so within K = ceil(16 ln 10 / ln(1/rho)) steps they lose 16
     digits.  The grid has n points, the least even n = 2^a 3^b 5^c with
-    n >= max(64, 2(L + K)), which puts every alias of an entry with |l| < L
-    at least L + 2K steps out.  The g_l are real and
+    n >= max(64, 2L, L + 2K): the nearest alias of an entry with |l| < L
+    then lies n - L + 1 >= 2K + 1 steps out, and n >= 2L leaves the 2L - 1
+    coefficients a CorrelationMatrix needs.  The g_l are real and
     phi(-theta) = conj(phi(theta)), so phi is sampled at the n/2 + 1 points
     0 <= theta <= pi and the g_l are the inverse real FFT of conj(phi).
-    Certificate: the computed |g_l| on L + K <= |l| <= n/2 must be at most
-    1e-12, or ResolutionError is raised; so is a grid over MAX_QUAD_POINTS,
-    before any FFT.  The XX line gamma = 0 has a piecewise constant symbol;
-    its block comes from build_xx_matrix.
+    Certificate: the computed |g_l| on M <= |l| <= n - M, M = max(L, K),
+    beyond both the block and K, must be at most 1e-12, or ResolutionError
+    is raised; so is a grid over MAX_QUAD_POINTS, before any FFT.  The XX
+    line gamma = 0 has a piecewise constant symbol; its block comes from
+    build_xx_matrix.
     """
     if L < 1:
         raise DomainError(f"block length must be >= 1, got {L}")
@@ -364,21 +373,24 @@ def build_correlation_matrix(p: ModelParams, L: int) -> CorrelationMatrix:
     rho = _branch_rho(p.gamma, p.h)
     decay = -math.log(rho) if rho > 0.0 else math.inf
     K = math.ceil(_DECAY_LOG / decay) if decay > 0.0 else math.inf
-    if 2 * (L + K) > MAX_QUAD_POINTS:
+    need = max(2 * L, L + 2 * K)
+    if need > MAX_QUAD_POINTS:
         raise ResolutionError(
             f"coefficients decay like rho^|l| with rho = {rho!r}: L = {L} needs a grid of "
-            f"{2 * (L + K)} points, over MAX_QUAD_POINTS = {MAX_QUAD_POINTS}; (gamma, h) = "
+            f"{need} points, over MAX_QUAD_POINTS = {MAX_QUAD_POINTS}; (gamma, h) = "
             f"({p.gamma}, {p.h}) is too close to criticality"
         )
-    n = _smooth_size(max(64, 2 * (L + K)))
+    n = _smooth_size(max(64, need))
     thetas = 2.0 * math.pi * np.arange(n // 2 + 1) / n
     w = np.cos(thetas) - 1j * p.gamma * np.sin(thetas) - p.h / 2.0
     g = np.fft.irfft(np.conj(w / np.abs(w)), n)  # g[l % n] = (1/2pi) int e^{-il theta} phi
-    tail = np.max(np.abs(g[L + K: n - L - K + 1]))
+    M = max(L, K)
+    tail = np.max(np.abs(g[M: n - M + 1]))
     if tail > _TAIL_TOL:
         raise ResolutionError(
-            f"symbol coefficients {tail:.3e} at L + K <= |l| <= n/2 exceed {_TAIL_TOL} on "
-            f"the {n}-point grid sized from rho = {rho!r}: (gamma, h) = ({p.gamma}, {p.h})"
+            f"symbol coefficients {tail:.3e} at M <= |l| <= n - M, M = max(L, K) = {M}, "
+            f"exceed {_TAIL_TOL} on the {n}-point grid sized from rho = {rho!r}: "
+            f"(gamma, h) = ({p.gamma}, {p.h})"
         )
     return CorrelationMatrix(coefficients=g, L=L)
 
@@ -491,15 +503,18 @@ def nu_spectrum(c: CorrelationMatrix) -> NuSpectrum:
     Values beyond +-1 by more than 1e-8 indicate a failed solve; they are
     refused before any value is clamped or snapped.
     """
-    if not c.symmetric and c.L > _DENSE_MAX_L:
-        return NuSpectrum(nus=_edge_nus(c))
     if c.symmetric:
         nus = np.linalg.eigvalsh(c.entries)[::-1].copy()
+    elif c.L > _DENSE_MAX_L:
+        return NuSpectrum(nus=_edge_nus(c))
     else:
-        nus = np.sort(np.abs(np.linalg.eigvalsh(c.entries[:, ::-1])))[::-1].copy()
-    if np.any(np.abs(nus) > 1.0 + 1e-8):
+        # G J is the Hankel matrix v[i + j] of v = (g_{1-L}, ..., g_{L-1}):
+        # a strided view, copied once, by the eigensolver
+        hankel = sliding_window_view(c._two_sided(), c.L)
+        nus = np.sort(np.abs(np.linalg.eigvalsh(hankel)))[::-1].copy()
+    if not max(abs(nus[0]), abs(nus[-1])) <= 1.0 + 1e-8:
         raise SpectrumRangeError(
-            f"|nu| > 1 beyond tolerance: range [{nus.min():.3e}, {nus.max():.3e}]"
+            f"|nu| > 1 beyond tolerance: range [{nus[-1]:.3e}, {nus[0]:.3e}]"
         )
     np.clip(nus, -1.0, 1.0, out=nus)
     if not c.symmetric:

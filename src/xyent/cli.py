@@ -1,5 +1,5 @@
 # cli.py
-# Command-line front end.  Four subcommands:
+# Command-line front end.  Four commands, the first argument:
 #
 #   entropy   exact block entropy vs the matching large-L reference
 #   renyi     exact Renyi entropy vs the two limit forms
@@ -121,18 +121,15 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
         prog="xyent",
         description="Entanglement entropy of a block of spins in the XY/XX chain ground state.",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--gamma", type=float, default=0.0, help="anisotropy (0 = XX chain)")
-    common.add_argument("--h", type=float, default=0.0, help="transverse field")
-    common.add_argument("--L", type=str, default=None, help="block length, N or start:stop:step")
-    common.add_argument("--alpha", type=str, default=None, help="Renyi orders, comma separated")
-    common.add_argument("--nmax", type=int, default=64, help="ladder truncation")
-    common.add_argument("--lambda", dest="lam", type=str, default=None, help="lambda as 're' or 're,im'")
-    common.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-    common.add_argument("--tol", type=float, default=None, help="override tolerance/threshold")
-    for name in _DISPATCH:
-        sub.add_parser(name, parents=[common])
+    ap.add_argument("command", choices=tuple(_DISPATCH))
+    ap.add_argument("--gamma", type=float, default=0.0, help="anisotropy (0 = XX chain)")
+    ap.add_argument("--h", type=float, default=0.0, help="transverse field")
+    ap.add_argument("--L", type=str, default=None, help="block length, N or start:stop:step")
+    ap.add_argument("--alpha", type=str, default=None, help="Renyi orders, comma separated")
+    ap.add_argument("--nmax", type=int, default=64, help="ladder truncation")
+    ap.add_argument("--lambda", dest="lam", type=str, default=None, help="lambda as 're' or 're,im'")
+    ap.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+    ap.add_argument("--tol", type=float, default=None, help="override tolerance/threshold")
     ns = ap.parse_args(argv)
     return RunConfig(
         command=ns.command,

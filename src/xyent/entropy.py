@@ -96,11 +96,12 @@ def e_func(x: float, nu: float) -> float:
 
 
 def vn_entropy_exact(nus: NuSpectrum) -> EntropyResult:
-    """Block von Neumann entropy S = sum_m e(1, nu_m)."""
-    p = (1.0 + nus.nus) / 2.0
-    q = (1.0 - nus.nus) / 2.0
-    s = -float(np.sum(p * np.log(p, out=np.zeros_like(p), where=p > 0.0)
-                      + q * np.log(q, out=np.zeros_like(q), where=q > 0.0)))
+    """Block von Neumann entropy S = sum_m e(1, nu_m); a mode at |nu| = 1
+    adds 0, so only those with |nu| < 1 are summed."""
+    nu = nus.nus[np.abs(nus.nus) < 1.0]
+    p = (1.0 + nu) / 2.0
+    q = (1.0 - nu) / 2.0
+    s = -float(np.sum(p * np.log(p) + q * np.log(q)))
     return _mk(s, "ExactFiniteL", L=len(nus))
 
 
@@ -119,12 +120,15 @@ def renyi_exact(nus: NuSpectrum, alpha: float) -> EntropyResult:
     """Block Renyi entropy (1/(1-alpha)) sum_k ln[((1+nu)/2)^a + ((1-nu)/2)^a].
 
     alpha must be positive and distinct from 1 (the functional degenerates
-    there; its alpha -> 1 limit is the von Neumann value).
+    there; its alpha -> 1 limit is the von Neumann value).  Each log is
+    taken as a ln p + ln(1 + (q/p)^a), p = (1 + |nu|)/2 >= q, so it stays
+    finite where both powers underflow (a past about 1075 at nu = 0).
     """
     _check_alpha(alpha)
-    p = (1.0 + nus.nus) / 2.0
-    q = (1.0 - nus.nus) / 2.0
-    s = float(np.sum(np.log(np.power(p, alpha) + np.power(q, alpha))))
+    x = np.abs(nus.nus)
+    p = (1.0 + x) / 2.0
+    q = (1.0 - x) / 2.0
+    s = float(np.sum(alpha * np.log(p) + np.log1p(np.power(q / p, alpha))))
     return _mk(s / (1.0 - alpha), "ExactFiniteL", L=len(nus), alpha=alpha)
 
 

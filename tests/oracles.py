@@ -56,6 +56,18 @@ def brute_renyi_entropy(nus: np.ndarray, alpha: float) -> float:
     return float(math.log(float(np.sum(pr ** alpha))) / (1.0 - alpha))
 
 
+def renyi_sum_mp(nus: np.ndarray, alpha: float) -> float:
+    """(1/(1-a)) sum ln(((1+nu)/2)^a + ((1-nu)/2)^a) over the given doubles,
+    at 50 digits, where no power underflows."""
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        s = mpmath.fsum(
+            mpmath.log(((1 + mpmath.mpf(nu)) / 2) ** a + ((1 - mpmath.mpf(nu)) / 2) ** a)
+            for nu in np.asarray(nus, dtype=float)
+        )
+        return float(s / (1 - a))
+
+
 def quad_fourier_coeff(symbol, k: int) -> complex:
     """(1/2 pi) int_0^{2 pi} symbol(t) e^{-ikt} dt by adaptive quadrature."""
     re, _ = quad(lambda t: (symbol(t) * np.exp(-1j * k * t)).real, 0.0, 2.0 * math.pi,

@@ -222,16 +222,19 @@ def _even_smooth_sizes(top):
     return np.array(sorted(sizes))
 
 
+_GRID_SIZES = _even_smooth_sizes(4 * chain.MAX_QUAD_POINTS)
+
+
 class TestGridRule:
     @pytest.mark.parametrize(
         "g,h,L,n",
         [
-            (1.0, 3.0, 12, 216),
-            (0.5, 1.0, 100, 360),
-            (0.02, 0.6, 800, 5400),
+            (1.0, 3.0, 12, 200),
+            (0.5, 1.0, 100, 240),
+            (0.02, 0.6, 800, 4500),
             (0.5, 1.99, 50, 7500),
             # on the circle h^2 = 4(1 - gamma^2): a valid block
-            (0.6, 1.6, 40, 192),
+            (0.6, 1.6, 40, 150),
             # gamma = 1, h = 0: phi = e^{-i theta}, no branch point in reach
             (1.0, 0.0, 10, 64),
         ],
@@ -246,8 +249,7 @@ class TestGridRule:
         # 2^a 3^b 5^c >= m, never more than the least power of two >= m
         top = chain.MAX_QUAD_POINTS
         ms = list(range(1, 2 ** 16 + 1)) + list(range(top - 64, top + 65))
-        sizes = _even_smooth_sizes(4 * top)
-        want = sizes[np.searchsorted(sizes, ms)]
+        want = _GRID_SIZES[np.searchsorted(_GRID_SIZES, ms)]
         got = np.array([chain._smooth_size(m) for m in ms])
         assert np.array_equal(got, want)
         assert np.all(got <= [1 << max(1, (m - 1).bit_length()) for m in ms])
@@ -316,6 +318,30 @@ def test_entries_match_oracle_over_plane(point, L):
     idx = np.arange(L)
     want = g[(idx[:, None] - idx[None, :]) % g.size]
     assert np.max(np.abs(got - want)) <= 1e-14
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_PLANE, st.integers(1, 20000))
+def test_grid_rule_over_plane(point, L):
+    # the grid is the least even 5-smooth n >= max(64, 2L, L + 2K); the
+    # nearest alias of a block entry, n - L + 1 steps out, lies beyond 2K,
+    # and the certificate band M <= |l| <= n - M, M = max(L, K), holds at
+    # least l = n/2
+    try:
+        p = ModelParams(*point)
+    except DomainError:
+        return
+    rho = chain._branch_rho(p.gamma, p.h)
+    K = math.ceil(chain._DECAY_LOG / -math.log(rho)) if rho > 0.0 else 0
+    need = max(64, 2 * L, L + 2 * K)
+    if need > chain.MAX_QUAD_POINTS:
+        with pytest.raises(ResolutionError, match="MAX_QUAD_POINTS"):
+            build_correlation_matrix(p, L)
+        return
+    n = build_correlation_matrix(p, L).coefficients.size
+    assert n == _GRID_SIZES[np.searchsorted(_GRID_SIZES, need)]
+    assert n - L + 1 >= 2 * K + 1
+    assert n - max(L, K) >= max(L, K)
 
 
 class TestXXMatrix:
@@ -387,10 +413,11 @@ class TestNuSpectrum:
     @pytest.mark.parametrize(
         "g,h,L",
         [(0.5, 1.5, 400), (0.5, 1.5, 800), (0.6, 2.5, 400), (0.6, 2.5, 800), (0.5, 1.0, 800),
-         (0.5, 1.9, 800)],
+         (0.5, 1.9, 800), (0.5, 1.0, 100), (0.9, 1.8, 400)],
     )
     def test_converged_block_meets_limit(self, g, h, L):
-        # converged blocks (rho^(2L) far below 1e-16): the edge route leaves
+        # converged blocks (rho^(2L) far below 1e-16), (0.5, 1.0) at L = 100
+        # on the dense route and the rest on the edge route, which leaves
         # the trivial modes at exactly 1 and keeps the genuine ones, among
         # them (0.5, 1.0)'s ladder pair at 1 - 92 eps, which the dense
         # route's snap set to 1 (-6.9e-13); the SVD of G was off by 4.6e-13
@@ -410,8 +437,16 @@ class TestNuSpectrum:
         nus = nu_spectrum(c).nus
         assert abs(nus[-1] - np.linalg.svd(c.entries, compute_uv=False)[-1]) <= 10 * np.finfo(float).eps
 
+    @pytest.mark.parametrize("L", [1, 2, 7, chain._DENSE_MAX_L])
+    def test_dense_route_reads_the_hankel_view(self, L):
+        # eigvalsh of the strided view v[i + j] is eigvalsh of G J, bitwise
+        c = build_correlation_matrix(ModelParams(0.9, 1.8), L)
+        want = np.minimum(np.sort(np.abs(np.linalg.eigvalsh(c.entries[:, ::-1])))[::-1], 1.0)
+        want[want >= 1.0 - chain._SNAP_EPS * math.sqrt(L)] = 1.0
+        assert np.array_equal(nu_spectrum(c).nus, want)
+
     def test_near_critical_block_scales(self):
-        # (0.5, 1.999), L = 12800: K = 36805 and a 100,000-point grid; the
+        # (0.5, 1.999), L = 12800: K = 36805 and an 87,480-point grid; the
         # edge route never forms the 1.3 GB block
         p = ModelParams(0.5, 1.999)
         L = 12800

@@ -111,6 +111,20 @@ class TestRenyiCommand:
         assert lines[0] == "alpha,S_exact,S_qproduct,S_modular"
         assert len(lines) == 3
 
+    def test_large_order_strict_json(self, capsys):
+        # alpha = 1e4 at (0.5, 1.0): every power of the mode near nu = 0
+        # underflows, and the value must still be a finite JSON number
+        def refuse(token):
+            raise ValueError(f"non-finite JSON token {token}")
+
+        code, out, err = run_cli(
+            capsys, "renyi", "--gamma", "0.5", "--h", "1.0", "--L", "40", "--alpha", "1e4",
+            "--format", "json",
+        )
+        assert code == 0 and err == ""
+        row = json.loads(out, parse_constant=refuse)["rows"][0]
+        assert all(math.isfinite(v) for v in row)
+
     def test_alpha_one_rejected(self, capsys):
         code, out, err = run_cli(
             capsys, "renyi", "--gamma", "0.5", "--h", "1", "--L", "10", "--alpha", "1"

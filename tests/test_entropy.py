@@ -38,6 +38,7 @@ from oracles import (
     brute_vn_entropy,
     elliptic_modulus_mp,
     plane,
+    renyi_sum_mp,
 )
 
 
@@ -69,6 +70,14 @@ class TestExactEntropies:
             assert renyi_exact(nus, a).value == pytest.approx(
                 brute_renyi_entropy(nus.nus, a), abs=1e-12
             )
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0, 1e3, 1100.0, 1e4, 1e6])
+    def test_renyi_against_mpmath(self, alpha):
+        # at (0.5, 1.0) a mode sits near nu = 0, so past alpha ~ 1075 both
+        # powers p^a and q^a underflow, and their sum must not be taken
+        nus = nu_spectrum(build_correlation_matrix(ModelParams(0.5, 1.0), 40))
+        want = renyi_sum_mp(nus.nus, alpha)
+        assert abs(renyi_exact(nus, alpha).value - want) <= 1e-13 * abs(want)
 
     def test_renyi_order_validation(self):
         nus = nu_spectrum(build_xx_matrix(0.0, 2))

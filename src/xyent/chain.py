@@ -22,6 +22,8 @@
 #   * XX (gamma = 0): real symmetric Toeplitz L x L matrix with closed-form
 #     entries; its signed eigenvalues are kept (entropies are even in nu and
 #     the signed values feed the characteristic-determinant oracle).
+#   * A block is stored only as its coefficients; dense solves read it as a
+#     strided view of them (_toeplitz_view), and only entries copies it.
 
 from __future__ import annotations
 
@@ -145,7 +147,7 @@ class BranchPoints:
 class CorrelationMatrix:
     """Finite-block correlation matrix: the real L x L Toeplitz block
     T_ij = c_{i-j}, held as its coefficients, c_l at index l mod n of a
-    vector of n >= 2L - 1 of them.  The block itself is filled only on
+    vector of n >= 2L - 1 of them.  The block itself is copied out only on
     demand, as entries.
 
     symmetric is True for the XX block (from build_xx_matrix), whose signed
@@ -165,15 +167,15 @@ class CorrelationMatrix:
                 f"coefficients, got shape {c.shape}"
             )
 
-    def _two_sided(self) -> np.ndarray:
-        """(c_{1-L}, ..., c_0, ..., c_{L-1}), the coefficients the block holds."""
+    def _view(self) -> np.ndarray:
+        """The block, a read-only view of the 2L - 1 coefficients it holds."""
         c, L = self.coefficients, self.L
-        return np.concatenate((c[c.size - L + 1:], c[:L]))
+        return _toeplitz_view(np.concatenate((c[c.size - L + 1:], c[:L])))
 
     @property
     def entries(self) -> np.ndarray:
-        """The L x L block, filled anew from the coefficients on each call."""
-        return _toeplitz_fill(self._two_sided())
+        """The L x L block, an owned and writable copy, made anew on each call."""
+        return self._view().copy()
 
 
 @dataclass(frozen=True)
@@ -318,16 +320,12 @@ def _xx_coefficients(h: float, lmax: int) -> np.ndarray:
     return c
 
 
-def _toeplitz_fill(c: np.ndarray) -> np.ndarray:
-    """L x L Toeplitz matrix T[i, j] = c_{i-j} from the two-sided vector
-    c = (c_{1-L}, ..., c_0, ..., c_{L-1}), whose length 2L - 1 gives L.
-
-    Row i is the window c_{i-L+1..i} read backwards: one strided view of
-    the reversed vector, copied once.
-    """
-    L = (c.size + 1) // 2
-    rows = sliding_window_view(np.ascontiguousarray(c[::-1]), L)
-    return rows[::-1].copy()
+def _toeplitz_view(v: np.ndarray) -> np.ndarray:
+    """L x L Toeplitz matrix T[i, j] = c_{i-j} as a read-only strided view,
+    no copy, of v = (c_{1-L}, ..., c_0, ..., c_{L-1}), whose length gives L.
+    The windows of v form the Hankel matrix v[i + j] = (T J)[i, j], J the
+    exchange matrix; so T is their row reversal, transposed."""
+    return sliding_window_view(v, (v.size + 1) // 2)[::-1].T
 
 
 def _smooth_size(m: int) -> int:
@@ -494,24 +492,22 @@ def nu_spectrum(c: CorrelationMatrix) -> NuSpectrum:
 
     XY: the L singular values of G, which are the nonnegative eigenvalues of
     i B_L.  Up to L = _DENSE_MAX_L they are |eig(G J)|, from one symmetric
-    eigensolve of the Hankel matrix G J, clamped to [0, 1], with every
-    nu >= 1 - 4 sqrt(L) eps set to exactly 1.0 (the trivial modes, whose
-    rounding spreads by up to about 1.8 sqrt(L) eps).  Longer blocks take
-    them from the block's edges (_edge_nus), which needs a unimodular
-    symbol, as build_correlation_matrix's always is.
-    XX: the signed eigenvalues of the symmetric matrix, clamped to [-1, 1].
+    eigensolve of the Hankel matrix G J (the view of G, columns reversed),
+    clamped to [0, 1], with every nu >= 1 - 4 sqrt(L) eps set to exactly 1.0
+    (the trivial modes, whose rounding spreads by up to about 1.8 sqrt(L)
+    eps).  Longer blocks take them from the block's edges (_edge_nus), which
+    needs a unimodular symbol, as build_correlation_matrix's always is.
+    XX: the signed eigenvalues of the view of the symmetric block, clamped
+    to [-1, 1].
     Values beyond +-1 by more than 1e-8 indicate a failed solve; they are
     refused before any value is clamped or snapped.
     """
     if c.symmetric:
-        nus = np.linalg.eigvalsh(c.entries)[::-1].copy()
+        nus = np.linalg.eigvalsh(c._view())[::-1].copy()
     elif c.L > _DENSE_MAX_L:
         return NuSpectrum(nus=_edge_nus(c))
     else:
-        # G J is the Hankel matrix v[i + j] of v = (g_{1-L}, ..., g_{L-1}):
-        # a strided view, copied once, by the eigensolver
-        hankel = sliding_window_view(c._two_sided(), c.L)
-        nus = np.sort(np.abs(np.linalg.eigvalsh(hankel)))[::-1].copy()
+        nus = np.sort(np.abs(np.linalg.eigvalsh(c._view()[:, ::-1])))[::-1].copy()
     if not max(abs(nus[0]), abs(nus[-1])) <= 1.0 + 1e-8:
         raise SpectrumRangeError(
             f"|nu| > 1 beyond tolerance: range [{nus[-1]:.3e}, {nus[0]:.3e}]"

@@ -106,8 +106,8 @@ def vn_entropy_exact(nus: NuSpectrum) -> EntropyResult:
 
 
 def _check_alpha(alpha: float) -> None:
-    if not (alpha > 0.0):
-        raise DomainError(f"Renyi order must be > 0, got alpha = {alpha}")
+    if not (0.0 < alpha < math.inf):
+        raise DomainError(f"Renyi order must be a finite real > 0, got alpha = {alpha}")
     if alpha == 1.0:
         raise DomainError(
             "alpha = 1 is excluded: the Renyi functional 1/(1-alpha) ln tr rho^alpha "

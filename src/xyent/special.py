@@ -1,5 +1,6 @@
 # special.py
-# Special functions used throughout: Barnes G on the disc |x| <= 5.62,
+# Special functions used throughout: Barnes G on the disc |x| <= 5.62 (32
+# product factors and a tail polynomial with frozen coefficients), the
 # complete elliptic integral K, Jacobi theta series theta_{2,3,4}, and the
 # elliptic modular lambda function.  theta3 is summed in one place, in log
 # space (_log_theta3): theta, the XY determinant prefactor and the
@@ -71,13 +72,21 @@ def _as_tau(tau: complex) -> complex:
 # The defining product converges too slowly to reach 1e-14 directly, so the
 # first _N_DIRECT factors are multiplied out and the rest of the log-sum is
 # resummed analytically: expanding n*log(1+x/n) - x + x^2/(2n) in powers of
-# x/n and summing over n > _N_DIRECT gives Hurwitz zeta values, a series in
-# x/(_N_DIRECT + 1).  scipy.special, which supplies them, costs about a
-# third of a second to import, so log_barnes_g loads it on first call.
+# x/n and summing over n > _N_DIRECT gives sum_{j>=3} (-1)^{j-1} zeta(j-1, 33)
+# x^j / j.  On |x| <= 5.62 its terms past j = 22 sum to 7.5e-18, so the tail
+# is a fixed polynomial (Horner), with zeta(s, 33), s = 2..21, frozen to
+# double from 40-digit mpmath.
 
 _N_DIRECT = 32
-# The tail series stops at its first term below this, relative to the sum.
-_BARNES_TOL = 1e-14
+_ZETA_33 = (
+    0.03076680402030209, 0.00047326080198204537, 9.7056181465898e-06, 2.2390520415408442e-07,
+    5.509341869661817e-09, 1.4119843230949137e-10, 3.721862849883547e-12, 1.0014092850268639e-13,
+    2.7369586674508075e-15, 7.573312678582031e-17, 2.1165784852683847e-18, 5.964211998122713e-20,
+    1.692249333666506e-21, 4.8296897874911047e-23, 1.385357369694475e-24, 3.991215683168688e-26,
+    1.1542894258769386e-27, 3.349623638814897e-29, 9.749588455364436e-31, 2.845429393519719e-32,
+)
+# (-1)^{j-1} zeta(j-1, 33) / j for j = 22 down to 3
+_BARNES_TAIL = tuple((-1.0) ** s * z / (s + 1) for s, z in enumerate(_ZETA_33, start=2))[::-1]
 # Largest |x| accepted: it covers every +-beta of a SpectralParameter.  Its
 # cut guard keeps lambda at least 1e-15 from +-1, so |Im beta| is at most
 # ln(2e15) / (2 pi) = 5.607, and |beta| peaks at 5.613 near
@@ -90,12 +99,10 @@ def log_barnes_g(x: complex) -> complex:
     an analytic tail: a sum of principal logs, so a log of G(1+x) up to a
     multiple of 2 pi i.  At x = -1, -2, ..., where G(1+x) = 0, it is -inf.
 
-    Raises DomainError beyond _BARNES_MAX_ABS and ConvergenceError if the
-    tail series fails to reach _BARNES_TOL (it cannot inside the bound; the
-    guard protects the budget invariant).
+    Raises DomainError beyond _BARNES_MAX_ABS and at a NaN.
     """
     x = complex(x)
-    if abs(x) > _BARNES_MAX_ABS:
+    if not abs(x) <= _BARNES_MAX_ABS:
         raise DomainError(
             f"Barnes G evaluated only on |x| <= _BARNES_MAX_ABS = {_BARNES_MAX_ABS}, "
             f"got |x| = {abs(x):.6g}"
@@ -105,8 +112,6 @@ def log_barnes_g(x: complex) -> complex:
     if x.imag == 0 and x.real <= -1 and x.real.is_integer():
         # G(0) = G(-1) = ... = 0: the factor (1 + x/n)^n at n = -x vanishes.
         return complex("-inf")
-    from scipy.special import zeta as hurwitz_zeta
-
     total = (
         0.5 * x * math.log(2.0 * math.pi)
         - 0.5 * x * (x + 1.0)
@@ -114,17 +119,10 @@ def log_barnes_g(x: complex) -> complex:
     )
     for n in range(1, _N_DIRECT + 1):
         total += n * cmath.log(1.0 + x / n) - x + x * x / (2.0 * n)
-
-    # Tail: sum_{n>N} [n log(1+x/n) - x + x^2/(2n)]
-    #     = sum_{j>=3} (-1)^{j-1} x^j / j * zeta(j-1, N+1)
-    xp = x * x * x
-    for j in range(3, 400):
-        term = (-1.0) ** (j - 1) * xp / j * hurwitz_zeta(j - 1, _N_DIRECT + 1)
-        total += term
-        if abs(term) < _BARNES_TOL * max(1.0, abs(total)):
-            return total
-        xp *= x
-    raise ConvergenceError(f"Barnes G tail at |x| = {abs(x):.6g} did not converge within 400 terms")
+    tail = 0.0
+    for a in _BARNES_TAIL:
+        tail = tail * x + a
+    return total + tail * x * x * x
 
 
 # -----------------------------------------------------------------------------

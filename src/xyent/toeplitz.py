@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .chain import NuSpectrum, PhaseCase, _ladder_node, _toeplitz_fill
+from .chain import NuSpectrum, PhaseCase, _ladder_node, _toeplitz_view
 from .errors import CutError, DomainError, ProximityError, ResolutionError
 from .special import EllipticModulus, _log_theta_prefactor, log_barnes_g
 
@@ -76,12 +76,14 @@ class ScaledValue:
 
 @dataclass(frozen=True)
 class SpectralParameter:
-    """Characteristic-polynomial variable lambda, kept off the cut [-1, 1]."""
+    """Characteristic-polynomial variable lambda: finite, off the cut [-1, 1]."""
 
     lam: complex
 
     def __post_init__(self) -> None:
         lam = complex(self.lam)
+        if not cmath.isfinite(lam):
+            raise DomainError(f"lambda must be finite, got {lam}")
         if abs(lam.imag) < 1e-15 and -1.0 - 1e-15 <= lam.real <= 1.0 + 1e-15:
             raise CutError(f"lambda = {lam} lies on the spectral cut [-1, 1]")
 
@@ -151,9 +153,9 @@ def fourier_coeffs(symbol: Callable[[float], complex], n: int) -> np.ndarray:
     return _two_sided(_symbol_grid(symbol, n), n, _COEFF_TAIL_TOL, "symbol")
 
 
-def toeplitz_matrix(coeffs: np.ndarray, L: int) -> np.ndarray:
-    """L x L Toeplitz matrix T[j, k] = c_{j-k} from a two-sided coefficient
-    array (length 2n+1, c_k at index n+k, n >= L-1)."""
+def _window(coeffs: np.ndarray, L: int) -> np.ndarray:
+    """(c_{1-L}, ..., c_{L-1}) from a two-sided coefficient array (length
+    2n+1, c_k at index n+k, n >= L-1): the coefficients T_L(c) holds."""
     coeffs = np.asarray(coeffs)
     if coeffs.ndim != 1 or coeffs.size % 2 != 1:
         raise DomainError("coefficient array must be one-dimensional with odd length")
@@ -162,20 +164,23 @@ def toeplitz_matrix(coeffs: np.ndarray, L: int) -> np.ndarray:
         raise DomainError(f"matrix size must be >= 1, got {L}")
     if n < L - 1:
         raise DomainError(f"need coefficients out to |k| = {L - 1}, have {n}")
-    return _toeplitz_fill(coeffs[n - L + 1: n + L])
+    return coeffs[n - L + 1: n + L]
+
+
+def toeplitz_matrix(coeffs: np.ndarray, L: int) -> np.ndarray:
+    """L x L Toeplitz matrix T[j, k] = c_{j-k} from a two-sided coefficient
+    array (length 2n+1, c_k at index n+k, n >= L-1), as an owned copy."""
+    return _toeplitz_view(_window(coeffs, L)).copy()
 
 
 def toeplitz_det_exact(coeffs: np.ndarray, L: int) -> ScaledValue:
-    """det T_L(c) by dense LU factorization.
+    """det T_L(c) by dense LU factorization of its strided view, real if every c_k is.
 
     A numerically singular matrix yields log_abs = -inf together with a
     condition warning, not an exception.
     """
-    t = toeplitz_matrix(coeffs, L)
-    if np.max(np.abs(t.imag)) == 0.0:
-        sign, logdet = np.linalg.slogdet(t.real)
-    else:
-        sign, logdet = np.linalg.slogdet(t)
+    v = _window(coeffs, L)
+    sign, logdet = np.linalg.slogdet(_toeplitz_view(v if np.count_nonzero(v.imag) else v.real))
     if sign == 0:
         warnings.warn("Toeplitz matrix numerically singular; reporting det = 0")
         return ScaledValue(-math.inf, 0.0)

@@ -1,7 +1,9 @@
 # Independent reference implementations used to check the package.  These
 # are deliberately slow and simple: brute-force enumeration, adaptive
 # quadrature and the 2L x 2L Majorana layout of the XY block, no shared code
-# with the library under test.
+# with the library under test.  The one exception is xx_entropy_contour,
+# which takes the library's Fisher-Hartwig asymptote as given and checks
+# the step from that determinant to the entropy.
 
 from __future__ import annotations
 
@@ -179,6 +181,43 @@ def xy_block_det_log_mp(lam: complex, tau0: float, sigma: int, L: int) -> comple
             + L * mpmath.log(1 - lam ** 2)
         )
         return complex(logd)
+
+
+def xx_entropy_contour(h: float, L: int) -> complex:
+    """Large-L XX block entropy from the Fisher-Hartwig asymptote of
+    D_L(lambda) = det(lambda - T_L), by the paper's contour integral
+    S = (1/2 pi i) oint e(1, lambda) d ln D_L(lambda) around the cut [-1, 1].
+
+    Collapsed onto the cut and integrated by parts (e(1, +-1) = 0), it is
+    S = -(1/2 pi i) int_{-1}^{1} e'(x) J(x) dx, with J = ln D(x - i0) - ln D(x + i0)
+    the jump of ln D_L across the cut.  At x = tanh(pi y), e'(x) = -pi y,
+    dx = pi sech^2(pi y) dy, and beta = Log((x+1)/(x-1)) / (2 pi i) is
+    -1/2 - i y above the cut and 1/2 - i y below it; beta = +-(1/2 - 1e-15) - i y
+    keeps |Re beta_j - Re beta_k| below 1, as fisher_hartwig_asymptotic asks.
+    ln D_L is its two-jump case on the constant symbol e^0: the dropped
+    L V_0 term jumps by a constant, which integrates to 0 against e'.  The
+    y-integral is Gauss-Legendre on 22 panels x 20 nodes over |y| <= 5.5,
+    where |beta| stays inside log_barnes_g's disc; the cut tails beyond
+    are left out.  The result should be real: its imaginary part is
+    returned too, as a check.
+    """
+    from xyent import FHSingularity, SmoothSymbolFactorization, fisher_hartwig_asymptotic
+
+    kf = math.acos(abs(h) / 2.0)
+    f = SmoothSymbolFactorization.constant(0.0)
+
+    def log_d(beta: complex) -> complex:
+        jumps = [FHSingularity(kf, 0.0, -beta), FHSingularity(2.0 * math.pi - kf, 0.0, beta)]
+        v = fisher_hartwig_asymptotic(f, jumps, L)
+        return complex(v.log_abs, v.phase)
+
+    x, w = np.polynomial.legendre.leggauss(20)
+    mid = np.linspace(-5.25, 5.25, 22)  # panels of width 1/2
+    y = (mid[:, None] + 0.25 * x).ravel()
+    half = 0.5 - 1e-15
+    jump = np.array([log_d(half - 1j * t) - log_d(-half - 1j * t) for t in y])
+    de = -math.pi * y * math.pi / np.cosh(math.pi * y) ** 2  # e'(x) dx/dy
+    return -complex(np.sum(np.tile(0.25 * w, mid.size) * de * jump)) / (2j * math.pi)
 
 
 # Universal constant in the XX entropy asymptote, derived independently of

@@ -276,7 +276,16 @@ class TestToeplitzFill:
     def test_xx_equals_index_gather(self, L):
         c = _xx_coefficients(0.7, L - 1)
         idx = np.abs(np.subtract.outer(np.arange(L), np.arange(L)))
-        assert np.array_equal(build_xx_matrix(0.7, L).entries, c[idx])
+        got = build_xx_matrix(0.7, L).entries
+        assert np.array_equal(got, c[idx])
+        assert got.flags.owndata and got.flags.writeable
+
+    @pytest.mark.parametrize("L", [1, 2, 7, 256])
+    def test_xx_nus_read_the_view(self, L):
+        # eigvalsh of the strided view is eigvalsh of the filled block, bitwise
+        c = build_xx_matrix(0.7, L)
+        want = np.clip(np.linalg.eigvalsh(c.entries)[::-1], -1.0, 1.0)
+        assert np.array_equal(nu_spectrum(c).nus, want)
 
     @pytest.mark.parametrize("L", [1, 2, 7, 300])
     def test_xy_equals_index_gather(self, monkeypatch, L):
@@ -285,6 +294,7 @@ class TestToeplitzFill:
         g = outputs[0]
         idx = np.arange(L)
         assert np.array_equal(got, g[(idx[:, None] - idx[None, :]) % g.size])
+        assert got.flags.owndata and got.flags.writeable
 
     @pytest.mark.parametrize("L,n", [(1, 0), (1, 3), (5, 4), (6, 9)])
     def test_toeplitz_matrix_equals_index_gather(self, L, n):
@@ -294,6 +304,7 @@ class TestToeplitzFill:
         want = coeffs[n + (idx[:, None] - idx[None, :])]
         got = toeplitz_matrix(coeffs, L)
         assert got.dtype == np.complex128 and got.flags.c_contiguous
+        assert got.flags.owndata and got.flags.writeable
         assert np.array_equal(got, want)
 
 

@@ -228,15 +228,28 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "entropy", "--gamma", "0.5", "--h", "2", "--L", "10")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        "renyi --gamma 0.5 --h 1.0 --L 20 --alpha inf --format json",
+        "detcheck --gamma 0.5 --h 1.0 --L 8 --lambda inf",
+        "detcheck --gamma 0 --h 0 --L 8 --lambda nan",
+        "detcheck --gamma 0 --h 0 --L 8 --lambda 2,inf",
+    ])
+    def test_non_finite_order_or_lambda_is_2(self, capsys, argv):
+        # refused before any NaN reaches the table or round(nan) a traceback
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "finite" in err
+
     def test_resolution_failure_is_3(self, capsys):
         code, out, err = run_cli(capsys, "entropy", "--gamma", "1e-7", "--h", "1", "--L", "8")
         assert code == 3
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy costs most of a cold start; only the Barnes G tail loads it, so
-    # neither the import nor an XY nu-spectrum may, on the dense route
-    # (L = 40) or on the edge route (L = 400)
+    # scipy costs most of a cold start, and the library needs none of it:
+    # neither the import, nor an XY nu-spectrum on the dense route (L = 40)
+    # or the edge route (L = 400), nor Barnes G (through both Fisher-Hartwig
+    # forms) may load it
     src = os.path.dirname(os.path.dirname(os.path.abspath(xyent.__file__)))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
@@ -245,6 +258,11 @@ def test_import_leaves_scipy_unloaded():
         "from xyent import ModelParams, build_correlation_matrix, nu_spectrum\n"
         "nu_spectrum(build_correlation_matrix(ModelParams(0.5, 1.0), 40))\n"
         "nu_spectrum(build_correlation_matrix(ModelParams(0.5, 1.0), 400))\n"
+        "from xyent import (FHSingularity, SmoothSymbolFactorization, SpectralParameter,\n"
+        "                   fisher_hartwig_asymptotic, xx_char_det_asymptotic)\n"
+        "xx_char_det_asymptotic(SpectralParameter(2.0), 1.0, 64)\n"
+        "fisher_hartwig_asymptotic(SmoothSymbolFactorization.constant(0.0),\n"
+        "                          [FHSingularity(1.0, 0.25, 0.1j)], 64)\n"
         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,

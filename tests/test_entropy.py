@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import xyent.entropy as entropy_mod
 from xyent import (
@@ -39,6 +40,7 @@ from oracles import (
     elliptic_modulus_mp,
     plane,
     renyi_sum_mp,
+    xx_entropy_contour,
 )
 
 
@@ -85,6 +87,9 @@ class TestExactEntropies:
             renyi_exact(nus, 1.0)
         with pytest.raises(DomainError):
             renyi_exact(nus, -0.5)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="finite real > 0"):
+                renyi_exact(nus, bad)
 
     def test_method_tags(self):
         nus = nu_spectrum(build_xx_matrix(0.0, 2))
@@ -112,6 +117,18 @@ class TestXXAsymptote:
             xx_entropy_asymptotic(2.0, 64)
         with pytest.raises(DomainError):
             xx_entropy_asymptotic(0.0, 1)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(st.floats(0.0, 1.6), st.floats(math.log(64.0), math.log(1e6)).map(lambda u: round(math.exp(u))))
+def test_contour_over_fisher_hartwig_meets_xx_asymptote(h, L):
+    # the paper's step from determinant to entropy: the contour integral of
+    # e(1, lambda) d ln D_L over the Fisher-Hartwig asymptote (Barnes G out
+    # to |beta| = 5.52) against the closed form; the cut tails |y| > 5.5
+    # that the oracle leaves out are worth about 1e-12 to 4e-12 here
+    s = xx_entropy_contour(h, L)
+    assert abs(s.imag) <= 1e-11
+    assert abs(s.real - xx_entropy_asymptotic(h, L).value) <= 1e-11
 
 
 class TestLadder:
@@ -246,7 +263,7 @@ class TestRenyiLimits:
     def test_order_validation(self):
         e = modulus_k(ModelParams(0.5, 1.0))
         c = classify_case(ModelParams(0.5, 1.0))
-        for bad in (1.0, 0.0, -2.0):
+        for bad in (1.0, 0.0, -2.0, math.inf, math.nan):
             with pytest.raises(DomainError):
                 renyi_limit_qproduct(bad, e, c)
             with pytest.raises(DomainError):

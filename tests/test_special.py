@@ -63,6 +63,7 @@ class TestBarnesG:
     @pytest.mark.parametrize("x", [
         1.2j, -0.3 - 2.1j, 0.49 + 3.7j, -0.45 - 5.2j, 0.25 + 5.6j, -0.25 - 5.6j,
         5.62, -5.62, 3.3, -2.5, -4.5 + 1e-3j, 2.0 + 2.0j, -3.0 - 3.0j, 5.62j,
+        cmath.rect(5.62, math.pi / 4), cmath.rect(5.62, 3 * math.pi / 4),
     ])
     def test_widened_against_mpmath(self, x):
         # the whole disc |x| <= 5.62, the strip |Re x| < 1/2 that spectral
@@ -71,12 +72,28 @@ class TestBarnesG:
             want = mpmath.log(mpmath.barnesg(1 + mpmath.mpc(x)))
         assert log_gap(log_barnes_g(x), want) < 1e-13 * max(1.0, abs(complex(want)))
 
+    def test_frozen_zeta_values(self):
+        # the tail polynomial's zeta(s, 33), s = 2..21, against 40-digit mpmath
+        with mpmath.workdps(40):
+            want = [float(mpmath.zeta(s, 33)) for s in range(2, 22)]
+        assert list(special._ZETA_33) == want
+
+    def test_dropped_tail_terms(self):
+        # the terms past j = 22 of sum_j (-1)^(j-1) zeta(j-1, 33) x^j / j,
+        # at the edge |x| = 5.62 of the domain
+        with mpmath.workdps(40):
+            x = mpmath.mpf("5.62")
+            rest = mpmath.nsum(lambda j: mpmath.zeta(j - 1, 33) * x ** j / j, [23, mpmath.inf])
+        assert rest < 1e-17
+
     def test_domain_limit(self):
         log_barnes_g(5.62)
         with pytest.raises(DomainError, match="_BARNES_MAX_ABS"):
             log_barnes_g(5.63)
         with pytest.raises(DomainError, match="_BARNES_MAX_ABS"):
             log_barnes_g(0.1 - 6.0j)
+        with pytest.raises(DomainError, match="_BARNES_MAX_ABS"):
+            log_barnes_g(complex(math.nan, 0.5))
 
     @pytest.mark.parametrize("beta", [0.1, 0.3j, 0.2 + 0.3j, -0.4 + 1.1j])
     def test_pair_identity(self, beta):

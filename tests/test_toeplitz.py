@@ -84,6 +84,12 @@ class TestSpectralParameter:
     def test_off_cut_accepted(self, lam):
         SpectralParameter(lam)
 
+    @pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan, complex(2.0, math.inf),
+                                     complex(math.nan, 1.0)])
+    def test_non_finite_rejected(self, lam):
+        with pytest.raises(DomainError, match="lambda must be finite"):
+            SpectralParameter(lam)
+
     def test_beta_value(self):
         b = SpectralParameter(3.0).beta
         assert b == pytest.approx(-1j * math.log(2.0) / (2.0 * math.pi), rel=1e-14)
@@ -126,6 +132,21 @@ class TestToeplitzDet:
         t = toeplitz_matrix(c, 2)
         assert t[0, 1] == 3.0  # c_{-1}
         assert t[1, 0] == 2.0  # c_{+1}
+
+    @pytest.mark.parametrize("imag", [None, 0.0, 1.0])
+    @pytest.mark.parametrize("L", [1, 2, 7, 256])
+    def test_reads_the_view_bitwise(self, imag, L):
+        # the LU of the strided view is the LU of the owned matrix, bitwise;
+        # real coefficients, also when held as complex, take the real solve
+        rng = np.random.default_rng(L)
+        c = rng.standard_normal(2 * L + 5)
+        c[L + 2] += 3.0 * math.sqrt(L)
+        if imag is not None:
+            c = c + 1j * imag * rng.standard_normal(c.size)
+        t = toeplitz_matrix(c, L)
+        sign, logdet = np.linalg.slogdet(t if imag else t.real)
+        got = toeplitz_det_exact(c, L)
+        assert got == ScaledValue(float(logdet), float(cmath.phase(complex(sign))))
 
     def test_singular_warns(self):
         c = np.zeros(3, dtype=complex)

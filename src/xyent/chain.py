@@ -12,7 +12,7 @@
 #     a Toeplitz G is persymmetric, J G J = G^T with J the exchange matrix, so
 #     the Hankel matrix G J is symmetric, and one symmetric eigensolve gives
 #     svd(G); its trivial modes, those within 4 sqrt(L) eps of |nu| = 1, are
-#     set to exactly 1 (see _SNAP_EPS).  Longer blocks take delta = 1 - nu^2
+#     snapped to 1 (see _SNAP_EPS).  Longer blocks take delta = 1 - nu^2
 #     from the coefficient tails beyond the block's two edges (_edge_nus),
 #     and never form G.  The g_l come from one inverse real FFT of phi on
 #     the half grid 0 <= theta <= pi, whose length n is the least even
@@ -22,11 +22,14 @@
 #   * XX (gamma = 0): real symmetric Toeplitz L x L matrix with closed-form
 #     entries; its signed eigenvalues are kept (entropies are even in nu and
 #     the signed values feed the characteristic-determinant oracle).
+#   * Every route returns a NuSpectrum: the nontrivial modes with their
+#     delta = 1 - nu^2, and the counts of trivial ones at exactly +-1.
 #   * A block is stored only as its coefficients; dense solves read it as a
 #     strided view of them (_toeplitz_view), and only entries copies it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -42,11 +45,9 @@ __all__ = [
     "CASE_1A",
     "CASE_1B",
     "CASE_2",
-    "BranchPoints",
     "CorrelationMatrix",
     "NuSpectrum",
     "classify_case",
-    "branch_points",
     "modulus_k",
     "build_correlation_matrix",
     "build_xx_matrix",
@@ -135,15 +136,6 @@ CASE_2 = PhaseCase("2", 0)
 
 
 @dataclass(frozen=True)
-class BranchPoints:
-    """Branch points lambda1, lambda2 of the symbol's elliptic curve; with
-    their reciprocals they are the four endpoints of its cuts."""
-
-    lambda1: complex
-    lambda2: complex
-
-
-@dataclass(frozen=True)
 class CorrelationMatrix:
     """Finite-block correlation matrix: the real L x L Toeplitz block
     T_ij = c_{i-j}, held as its coefficients, c_l at index l mod n of a
@@ -180,16 +172,66 @@ class CorrelationMatrix:
 
 @dataclass(frozen=True)
 class NuSpectrum:
-    """Correlation eigenvalue ladder, sorted descending.
-
-    XY spectra are clamped to [0, 1].  XX spectra keep their signs (the
-    entropy functions are even in nu), so values lie in [-1, 1].
+    """nu-spectrum of a block as its routes resolve it: the nontrivial modes,
+    descending (XY ones in [0, 1], XX ones signed, since the entropies are
+    even in nu), with the delta = 1 - nu^2 their route computed, each in
+    (0, 1], so a mode whose nu rounds to 1.0 still counts; and n_plus and
+    n_minus, the counts of trivial modes at exactly +1 and -1.  A non-finite
+    value, a |nu| or delta beyond 1 + 1e-8, a delta <= 0, modes out of order,
+    arrays of unequal length or a negative count raise SpectrumRangeError.
     """
 
-    nus: np.ndarray = field(repr=False)
+    modes: np.ndarray = field(repr=False)
+    delta: np.ndarray = field(repr=False)
+    n_plus: int = 0
+    n_minus: int = 0
+
+    def __post_init__(self) -> None:
+        for name in ("modes", "delta"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        m, d = self.modes, self.delta
+        ok = m.ndim == 1 and m.shape == d.shape and min(self.n_plus, self.n_minus) >= 0
+        if ok and m.size:  # written so that a NaN fails it; descending, so m's ends bound it
+            ok = (bool((m[1:] <= m[:-1]).all()) and m[0] <= 1.0 + 1e-8 and m[-1] >= -1.0 - 1e-8
+                  and d.min() > 0.0 and d.max() <= 1.0 + 1e-8)
+        if not ok:
+            raise SpectrumRangeError(
+                f"a nu-spectrum needs descending modes, |nu| <= 1 + 1e-8, a delta in (0, 1 + 1e-8] "
+                f"each and counts >= 0: modes {m.shape} in [{np.min(m, initial=0.0):.3e}, "
+                f"{np.max(m, initial=0.0):.3e}], delta {d.shape} in [{np.min(d, initial=1.0):.3e}, "
+                f"{np.max(d, initial=1.0):.3e}], counts {self.n_plus}, {self.n_minus}")
+
+    @classmethod
+    def from_nus(cls, nus) -> "NuSpectrum":
+        """The spectrum of a whole ladder of L values, in any order.  Values
+        beyond +-1 by more than 1e-8 indicate a failed solve and are refused;
+        the rest at or beyond +-1 are counted as trivial modes."""
+        x = np.sort(np.asarray(nus, dtype=float))  # ascending, any NaN last
+        if x.size and not (x[0] >= -1.0 - 1e-8 and x[-1] <= 1.0 + 1e-8):
+            raise SpectrumRangeError(f"|nu| > 1 beyond tolerance: range [{x[0]:.3e}, {x[-1]:.3e}]")
+        n_minus = int(np.searchsorted(x, -1.0, side="right"))
+        n_plus = x.size - int(np.searchsorted(x, 1.0, side="left"))
+        m = x[n_minus: x.size - n_plus][::-1]
+        return cls(m, (1.0 - m) * (1.0 + m), n_plus, n_minus)
+
+    @functools.cached_property
+    def nus(self) -> np.ndarray:
+        """The whole ladder of L values, descending, read-only, built on first use."""
+        out = np.ones(len(self))
+        out[self.n_plus: out.size - self.n_minus] = self.modes
+        out[out.size - self.n_minus:] = -1.0
+        out.flags.writeable = False
+        return out
+
+    @functools.cached_property
+    def _halves(self) -> tuple[np.ndarray, np.ndarray]:
+        """(q, ln p) of each mode, q = (1 - |nu|)/2 formed as delta/(2(1 + |nu|)),
+        so it keeps its digits as |nu| -> 1, and p = 1 - q = (1 + |nu|)/2."""
+        q = self.delta / (2.0 * (1.0 + np.abs(self.modes)))
+        return q, np.log1p(-q)
 
     def __len__(self) -> int:
-        return len(self.nus)
+        return self.modes.size + self.n_plus + self.n_minus
 
 
 # -----------------------------------------------------------------------------
@@ -217,8 +259,15 @@ def classify_case(p: ModelParams) -> PhaseCase:
 
 
 def _branch_pair(gamma: float, h: float) -> tuple[complex, complex]:
-    """The closed forms of lambda1, lambda2 (see branch_points), chosen by the
-    sign of h^2 - 4(1-gamma^2) alone, so points on the circle are covered."""
+    """Branch points lambda1, lambda2 of the symbol, with their reciprocals
+    the four endpoints of its cuts; the pair is picked by the sign of
+    h^2 - 4(1-gamma^2) alone, so points on that circle are covered.
+    Real pair (cases 1a, 2): lambda1 = (h - sqrt(h^2 - 4(1-gamma^2))) / (2(1+gamma))
+    and lambda2 = 2(1+gamma) / (h + sqrt(h^2 - 4(1-gamma^2))), which equals
+    ((1+gamma)/(1-gamma)) lambda1 but stays finite on the Ising line gamma = 1,
+    where lambda1 = 0.  Complex pair (case 1b): lambda2 = 1/conj(lambda1) and
+    lambda1 = (h - i sqrt(4(1-gamma^2) - h^2)) / (2(1+gamma)).
+    """
     disc2 = h * h - 4.0 * (1.0 - gamma * gamma)
     if disc2 >= 0.0:
         disc = math.sqrt(disc2)
@@ -237,22 +286,6 @@ def _branch_rho(gamma: float, h: float) -> float:
     The branch points come in pairs z, 1/conj(z), one of each inside."""
     return max(min(abs(lam), 1.0 / abs(lam)) if lam != 0 else 0.0
                for lam in _branch_pair(gamma, h))
-
-
-def branch_points(p: ModelParams) -> BranchPoints:
-    """Branch points of the symbol and the cut-endpoint labeling.
-
-    Cases 1a/2 (real pair):
-        lambda1 = (h - sqrt(h^2 - 4(1-gamma^2))) / (2(1+gamma))
-        lambda2 = 2(1+gamma) / (h + sqrt(h^2 - 4(1-gamma^2)))
-    where the second form equals ((1+gamma)/(1-gamma)) lambda1 but stays
-    finite on the Ising line gamma = 1.
-    Case 1b (complex pair): lambda1 = (h - i sqrt(4(1-gamma^2)-h^2)) / (2(1+gamma)),
-    lambda2 = 1/conj(lambda1).
-    On the Ising line gamma = 1, lambda1 sits at the origin.
-    """
-    classify_case(p)  # rejects the XX line and the critical manifolds
-    return BranchPoints(*_branch_pair(p.gamma, p.h))
 
 
 def _exact_square(x: float) -> tuple[float, float]:
@@ -404,9 +437,9 @@ def build_xx_matrix(h: float, L: int) -> CorrelationMatrix:
     return CorrelationMatrix(coefficients=np.concatenate((c, c[:0:-1])), L=L, symmetric=True)
 
 
-def _edge_nus(c: CorrelationMatrix) -> np.ndarray:
-    """nu-spectrum of an XY block, descending, from its two edges; no L x L
-    array is formed.
+def _edge_nus(c: CorrelationMatrix) -> NuSpectrum:
+    """nu-spectrum of an XY block from its two edges; no L x L array is
+    formed, and the trivial modes are counted, not stored.
 
     The n coefficients are the first column of an n x n circulant C, whose
     symbol is chat = fft(coefficients); G is its leading L x L block and
@@ -430,8 +463,8 @@ def _edge_nus(c: CorrelationMatrix) -> np.ndarray:
     mode among them, take nu from the singular values of G^T U, U their
     eigenvectors of F^T F (F^T y / s, y a left singular vector of R^T,
     s > 0.7) and G^T U a circulant product, since sqrt(1 - delta) keeps
-    only half the digits of a small nu.  The L - r trivial modes are
-    exactly 1.0.
+    only half the digits of a small nu.  The r modes keep their delta; the
+    L - r trivial ones are counted as n_plus.
     """
     coef, L = c.coefficients, c.L
     n = coef.size
@@ -471,48 +504,40 @@ def _edge_nus(c: CorrelationMatrix) -> np.ndarray:
         d -= F[r] * F[r]
         d[p] = 0.0
         r += 1
-    nus = np.ones(L)
-    if r:
-        y, s, _ = np.linalg.svd(np.linalg.qr(F[:r].T, mode="r").T)
-        delta = s * s  # never below 0, so only its top can leave [-1e-8, 1 + 1e-8]
-        if not delta[0] <= 1.0 + 1e-8:
-            raise SpectrumRangeError(f"delta = 1 - nu^2 = {delta[0]:.3e} beyond 1 + 1e-8 at L = {L}")
-        small = int(np.count_nonzero(delta > 0.5))
-        nus[small:r] = np.sqrt(1.0 - delta[small:])
-        if small:
-            v = np.zeros((small, n))
-            v[:, :L] = (y[:, :small].T @ F[:r]) / s[:small, None]  # s > 0.7 here
-            gtu = np.fft.irfft(np.conj(chat) * np.fft.rfft(v), n)[:, :L]  # (C^T v)[:L] = G^T u
-            nus[:small] = np.linalg.svd(gtu, compute_uv=False)
-    return np.sort(nus)[::-1]
+    if not r:
+        return NuSpectrum(np.empty(0), np.empty(0), n_plus=L)
+    y, s, _ = np.linalg.svd(np.linalg.qr(F[:r].T, mode="r").T)
+    delta = s * s
+    small = int(np.count_nonzero(delta > 0.5))
+    modes = np.empty(r)  # ascending, as delta descends
+    modes[small:] = np.sqrt(1.0 - delta[small:])
+    if small:
+        v = np.zeros((small, n))
+        v[:, :L] = (y[:, :small].T @ F[:r]) / s[:small, None]  # s > 0.7 here
+        gtu = np.fft.irfft(np.conj(chat) * np.fft.rfft(v), n)[:, :L]  # (C^T v)[:L] = G^T u
+        modes[:small] = np.linalg.svd(gtu, compute_uv=False)[::-1]
+    order = np.argsort(modes, kind="stable")[::-1]
+    return NuSpectrum(modes[order], delta[order], n_plus=L - r)
 
 
 def nu_spectrum(c: CorrelationMatrix) -> NuSpectrum:
-    """Extract the nu-spectrum, sorted descending.
+    """Extract the nu-spectrum.
 
     XY: the L singular values of G, which are the nonnegative eigenvalues of
     i B_L.  Up to L = _DENSE_MAX_L they are |eig(G J)|, from one symmetric
     eigensolve of the Hankel matrix G J (the view of G, columns reversed),
-    clamped to [0, 1], with every nu >= 1 - 4 sqrt(L) eps set to exactly 1.0
-    (the trivial modes, whose rounding spreads by up to about 1.8 sqrt(L)
-    eps).  Longer blocks take them from the block's edges (_edge_nus), which
-    needs a unimodular symbol, as build_correlation_matrix's always is.
-    XX: the signed eigenvalues of the view of the symmetric block, clamped
-    to [-1, 1].
-    Values beyond +-1 by more than 1e-8 indicate a failed solve; they are
-    refused before any value is clamped or snapped.
+    with every nu in [1 - 4 sqrt(L) eps, 1) set to exactly 1.0 (the trivial
+    modes, whose rounding spreads by up to about 1.8 sqrt(L) eps).  Longer
+    blocks take them from the block's edges (_edge_nus), which needs a
+    unimodular symbol, as build_correlation_matrix's always is.
+    XX: the signed eigenvalues of the view of the symmetric block.
+    Both dense solves hand their whole ladder to NuSpectrum.from_nus, which
+    refuses a value beyond +-1 by more than 1e-8 (a failed solve).
     """
     if c.symmetric:
-        nus = np.linalg.eigvalsh(c._view())[::-1].copy()
-    elif c.L > _DENSE_MAX_L:
-        return NuSpectrum(nus=_edge_nus(c))
-    else:
-        nus = np.sort(np.abs(np.linalg.eigvalsh(c._view()[:, ::-1])))[::-1].copy()
-    if not max(abs(nus[0]), abs(nus[-1])) <= 1.0 + 1e-8:
-        raise SpectrumRangeError(
-            f"|nu| > 1 beyond tolerance: range [{nus[-1]:.3e}, {nus[0]:.3e}]"
-        )
-    np.clip(nus, -1.0, 1.0, out=nus)
-    if not c.symmetric:
-        nus[nus >= 1.0 - _SNAP_EPS * math.sqrt(c.L)] = 1.0
-    return NuSpectrum(nus=nus)
+        return NuSpectrum.from_nus(np.linalg.eigvalsh(c._view()))
+    if c.L > _DENSE_MAX_L:
+        return _edge_nus(c)
+    nus = np.abs(np.linalg.eigvalsh(c._view()[:, ::-1]))
+    nus[(nus >= 1.0 - _SNAP_EPS * math.sqrt(c.L)) & (nus < 1.0)] = 1.0
+    return NuSpectrum.from_nus(nus)

@@ -12,6 +12,7 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -105,12 +106,10 @@ def _parse_alphas(text: str) -> tuple[float, ...]:
 
 
 def _parse_lambda(text: str) -> complex:
-    parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        parts = [float(p) for p in text.split(",")]
+        if len(parts) <= 2:
+            return complex(*parts)
     except ValueError:
         pass
     raise ConfigError(f"could not parse lambda {text!r}; use 're' or 're,im'")
@@ -214,18 +213,9 @@ def cmd_renyi(cfg: RunConfig) -> tuple[list[str], list[list]]:
     e = modulus_k(p)
     L = _require_Ls(cfg)[-1]
     nus = _xy_nus(p, L)
-    header = ["alpha", "S_exact", "S_qproduct", "S_modular"]
-    rows: list[list] = []
-    for a in cfg.alphas:
-        rows.append(
-            [
-                a,
-                renyi_exact(nus, a).value,
-                renyi_limit_qproduct(a, e, case).value,
-                renyi_limit_modular(a, e, case).value,
-            ]
-        )
-    return header, rows
+    rows = [[a, renyi_exact(nus, a).value, renyi_limit_qproduct(a, e, case).value,
+             renyi_limit_modular(a, e, case).value] for a in cfg.alphas]
+    return ["alpha", "S_exact", "S_qproduct", "S_modular"], rows
 
 
 def cmd_spectrum(cfg: RunConfig) -> tuple[list[str], list[list]]:
@@ -234,14 +224,9 @@ def cmd_spectrum(cfg: RunConfig) -> tuple[list[str], list[list]]:
     p = ModelParams(cfg.gamma, cfg.h)
     spec = density_spectrum(p, cfg.nmax)
     finite: np.ndarray | None = None
-    offsets: list[int] = []
     if cfg.Ls:
-        off = 0
-        for m in spec.mults:
-            offsets.append(off)
-            off += m
-        want = min(off, _FINITE_CAP)
-        finite = finite_l_eigenvalues(_xy_nus(p, cfg.Ls[-1]), want)
+        offsets = list(itertools.accumulate(spec.mults, initial=0))  # rung n starts at offsets[n]
+        finite = finite_l_eigenvalues(_xy_nus(p, cfg.Ls[-1]), min(offsets[-1], _FINITE_CAP))
     header = ["n", "lambda_n", "multiplicity", "cumtrace"]
     if finite is not None:
         header.append(f"finite_L{cfg.Ls[-1]}")

@@ -86,9 +86,9 @@ def _mk(value: float, method: str, *, gamma=None, h=None, L=None, alpha=1.0) -> 
 # -----------------------------------------------------------------------------
 def e_func(x: float, nu: float) -> float:
     """e(x, nu) = -((x+nu)/2) ln((x+nu)/2) - ((x-nu)/2) ln((x-nu)/2),
-    with the convention 0 ln 0 = 0.  Requires x >= |nu|."""
-    if x < abs(nu) - 1e-12:
-        raise DomainError(f"e(x, nu) needs x >= |nu|, got x = {x}, nu = {nu}")
+    with the convention 0 ln 0 = 0.  Requires a finite x >= |nu|."""
+    if not (x >= abs(nu) - 1e-12 and math.isfinite(x)):
+        raise DomainError(f"e(x, nu) needs a finite x >= |nu|, got x = {x}, nu = {nu}")
     p = (x + nu) / 2.0
     q = (x - nu) / 2.0
     return -((p * math.log(p) if p > 0.0 else 0.0)
@@ -96,12 +96,11 @@ def e_func(x: float, nu: float) -> float:
 
 
 def vn_entropy_exact(nus: NuSpectrum) -> EntropyResult:
-    """Block von Neumann entropy S = sum_m e(1, nu_m); a mode at |nu| = 1
-    adds 0, so only those with |nu| < 1 are summed."""
-    nu = nus.nus[np.abs(nus.nus) < 1.0]
-    p = (1.0 + nu) / 2.0
-    q = (1.0 - nu) / 2.0
-    s = -float(np.sum(p * np.log(p) + q * np.log(q)))
+    """Block von Neumann entropy S = sum_m e(1, nu_m) = -sum (p ln p + q ln q)
+    over the nontrivial modes, with q = (1 - |nu|)/2 from their delta (a
+    trivial mode adds 0)."""
+    q, lnp = nus._halves
+    s = -float(np.sum((1.0 - q) * lnp + q * np.log(q)))
     return _mk(s, "ExactFiniteL", L=len(nus))
 
 
@@ -122,13 +121,12 @@ def renyi_exact(nus: NuSpectrum, alpha: float) -> EntropyResult:
     alpha must be positive and distinct from 1 (the functional degenerates
     there; its alpha -> 1 limit is the von Neumann value).  Each log is
     taken as a ln p + ln(1 + (q/p)^a), p = (1 + |nu|)/2 >= q, so it stays
-    finite where both powers underflow (a past about 1075 at nu = 0).
+    finite where both powers underflow (a past about 1075 at nu = 0); q
+    comes from the modes' delta, and a trivial mode adds 0.
     """
     _check_alpha(alpha)
-    x = np.abs(nus.nus)
-    p = (1.0 + x) / 2.0
-    q = (1.0 - x) / 2.0
-    s = float(np.sum(alpha * np.log(p) + np.log1p(np.power(q / p, alpha))))
+    q, lnp = nus._halves
+    s = float(np.sum(alpha * lnp + np.log1p(np.power(q / (1.0 - q), alpha))))
     return _mk(s / (1.0 - alpha), "ExactFiniteL", L=len(nus), alpha=alpha)
 
 

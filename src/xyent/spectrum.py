@@ -221,18 +221,17 @@ def finite_l_eigenvalues(nus, count: int) -> np.ndarray:
 
     Each eigenvalue is a product over modes of (1 +- nu_m)/2; the largest
     takes the bigger factor from every mode and the rest follow by flipping
-    modes in order of least cost.  A mode with |nu| = 1 has factors 1 and
-    0, so it neither moves the top nor opens a flip, and only the modes
-    with |nu| < 1 are read.  Enumerated lazily with a max-heap, so only
-    O(count log count) subset products are formed.
+    modes in order of least cost.  A trivial mode (|nu| = 1) has factors 1
+    and 0, so it neither moves the top nor opens a flip, and only the
+    nontrivial modes are read, their factors p and q from their delta.
+    Enumerated lazily with a max-heap, so only O(count log count) subset
+    products are formed.
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
-    arr = np.abs(np.asarray(nus.nus, dtype=float))
-    arr = arr[arr < 1.0]
-    big = np.log1p(arr) - math.log(2.0)
-    logtop = float(np.sum(big))
-    cost = np.sort(np.log(1.0 - arr) - math.log(2.0) - big)[::-1]  # least negative first
+    q, lnp = nus._halves
+    logtop = float(np.sum(lnp))
+    cost = np.sort(np.log(q) - lnp)[::-1]  # least negative first
     out = [logtop]
     if cost.size:
         heap = [(-(logtop + cost[0]), 0)]
@@ -243,7 +242,6 @@ def finite_l_eigenvalues(nus, count: int) -> np.ndarray:
             if i + 1 < cost.size:
                 heapq.heappush(heap, (-(val + cost[i + 1]), i + 1))
                 heapq.heappush(heap, (-(val - cost[i] + cost[i + 1]), i + 1))
-    vals = np.exp(np.array(out[:count]))
-    if vals.size < count:
-        vals = np.concatenate([vals, np.zeros(count - vals.size)])
+    vals = np.zeros(count)
+    vals[:len(out)] = np.exp(out)
     return vals

@@ -101,7 +101,7 @@ class SpectralParameter:
 @dataclass(frozen=True)
 class FHSingularity:
     """One Fisher-Hartwig singularity: position theta in [0, 2 pi), root
-    exponent alpha (Re alpha > -1/2) and jump exponent beta."""
+    exponent alpha (Re alpha > -1/2) and jump exponent beta, both finite."""
 
     theta: float
     alpha: complex
@@ -110,10 +110,10 @@ class FHSingularity:
     def __post_init__(self) -> None:
         if not (0.0 <= self.theta < 2.0 * math.pi):
             raise DomainError(f"singularity angle must lie in [0, 2 pi), got {self.theta}")
+        if not (cmath.isfinite(complex(self.alpha)) and cmath.isfinite(complex(self.beta))):
+            raise DomainError(f"exponents must be finite: alpha = {self.alpha}, beta = {self.beta}")
         if not (complex(self.alpha).real > -0.5):
-            raise DomainError(
-                f"root exponent needs Re alpha > -1/2, got alpha = {self.alpha}"
-            )
+            raise DomainError(f"root exponent needs Re alpha > -1/2, got alpha = {self.alpha}")
 
     @property
     def z(self) -> complex:
@@ -137,7 +137,7 @@ def _two_sided(samples: np.ndarray, n: int, tail_tol: float, what: str) -> np.nd
     c = np.fft.fft(samples) / samples.size  # c[k] = c_k for k >= 0, c[-k] at the top
     out = c[np.arange(-n, n + 1) % samples.size]
     tail = max(abs(out[0]), abs(out[-1]))
-    if tail > tail_tol:
+    if not tail <= tail_tol:  # a NaN sample makes every coefficient NaN
         raise ResolutionError(
             f"{what} coefficients at |k| = {n} still {tail:.3e} > {tail_tol:.0e}; raise n"
         )
@@ -220,8 +220,8 @@ class SmoothSymbolFactorization:
         """
         vals = _symbol_grid(symbol, n)
         amin = np.min(np.abs(vals))
-        if amin < 1e-13:
-            raise DomainError(f"symbol vanishes on the unit circle (min |phi| = {amin:.3e})")
+        if not amin >= 1e-13:
+            raise DomainError(f"symbol vanishes or is not finite: min |phi| = {amin:.3e}")
         ph = np.unwrap(np.angle(vals))
         winding = round((np.unwrap(np.append(ph, ph[0]))[-1] - ph[0]) / (2.0 * math.pi))
         if winding != 0:
@@ -239,25 +239,13 @@ class SmoothSymbolFactorization:
         return cls(Vk=vk, V0=complex(V0))
 
     def log_b_plus(self, z: complex) -> complex:
-        """log b+(z) = sum_{k=1}^{n} V_k z^k (|z| <= 1)."""
-        n = self.order
-        total = 0.0 + 0.0j
-        zp = 1.0 + 0.0j
-        for k in range(1, n + 1):
-            zp *= z
-            total += self.Vk[n + k] * zp
-        return total
+        """log b+(z) = sum_{k=1}^{n} V_k z^k (|z| <= 1), by Horner's rule."""
+        return complex(z * np.polyval(self.Vk[:self.order:-1], z))
 
     def log_b_minus(self, z: complex) -> complex:
-        """log b-(z) = sum_{k=1}^{n} V_{-k} z^{-k} (|z| >= 1)."""
-        n = self.order
-        total = 0.0 + 0.0j
-        zp = 1.0 + 0.0j
+        """log b-(z) = sum_{k=1}^{n} V_{-k} z^{-k} (|z| >= 1), by Horner's rule."""
         w = 1.0 / z
-        for k in range(1, n + 1):
-            zp *= w
-            total += self.Vk[n - k] * zp
-        return total
+        return complex(w * np.polyval(self.Vk[:self.order], w))
 
     def szego_sum(self) -> complex:
         """sum_{k>=1} k V_k V_{-k}, the log of the smooth-limit constant."""
@@ -370,9 +358,11 @@ def xx_char_det_asymptotic(s: SpectralParameter, h: float, L: int) -> ScaledValu
 
 
 def xx_char_det_exact(nus: NuSpectrum, s: SpectralParameter) -> ScaledValue:
-    """D_L(lambda) = prod_m (lambda - nu_m) from the exact nu-spectrum."""
+    """D_L(lambda) = prod_m (lambda - nu_m) from the exact nu-spectrum: a
+    product over its modes, times (lambda - 1)^n_plus (lambda + 1)^n_minus."""
     lam = complex(s.lam)
-    logd = np.sum(np.log(lam - nus.nus))
+    logd = (np.sum(np.log(lam - nus.modes)) + nus.n_plus * cmath.log(lam - 1.0)
+            + nus.n_minus * cmath.log(lam + 1.0))
     return ScaledValue(float(logd.real), float(logd.imag))
 
 
@@ -427,9 +417,12 @@ def xy_block_det_asymptotic(
 
 
 def xy_block_det_exact(nus: NuSpectrum, s: SpectralParameter) -> ScaledValue:
-    """D_L(lambda) = (-1)^L prod_m (lambda^2 - nu_m^2) from the exact
-    (nonnegative) XY nu-spectrum."""
+    """D_L(lambda) = (-1)^L prod_m (lambda^2 - nu_m^2) from the exact XY
+    nu-spectrum: lambda^2 - nu^2 = w + delta over its modes and w for each
+    trivial one, w = (lambda - 1)(lambda + 1), so no factor cancels near
+    lambda = +-1."""
     lam = complex(s.lam)
     L = len(nus)
-    logd = np.sum(np.log(lam * lam - nus.nus ** 2))
+    w = (lam - 1.0) * (lam + 1.0)
+    logd = np.sum(np.log(w + nus.delta)) + (nus.n_plus + nus.n_minus) * cmath.log(w)
     return ScaledValue(float(logd.real), float(logd.imag + math.pi * (L % 2)))

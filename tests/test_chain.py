@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,22 +14,27 @@ from xyent import (
     ModelParams,
     NuSpectrum,
     ResolutionError,
+    SpectralParameter,
     SpectrumRangeError,
     XyentError,
-    branch_points,
     build_correlation_matrix,
     build_xx_matrix,
     classify_case,
     complete_elliptic_K,
+    finite_l_eigenvalues,
     modulus_k,
     nu_spectrum,
+    renyi_exact,
     toeplitz_matrix,
     vn_entropy_exact,
     vn_entropy_limit_series,
+    xx_char_det_exact,
+    xy_block_det_exact,
 )
 from xyent import chain
 from xyent.chain import _xx_coefficients
 from oracles import (
+    brute_density_probs,
     elliptic_modulus_mp,
     majorana_matrix,
     plane,
@@ -78,8 +84,7 @@ class TestClassify:
 class TestBranchPoints:
     @pytest.mark.parametrize("g,h", [(1.0, 1.0), (0.9, 1.8), (1.0, 3.0), (0.7, 2.5)])
     def test_real_cases_solve_quadratics(self, g, h):
-        bp = branch_points(ModelParams(g, h))
-        l1, l2 = bp.lambda1, bp.lambda2
+        l1, l2 = chain._branch_pair(g, h)
         # lambda1 solves (1+g) x^2 - h x + (1-g) = 0; lambda2 the reflected one
         assert abs((1 + g) * l1 * l1 - h * l1 + (1 - g)) < 1e-12
         assert abs((1 - g) * l2 * l2 - h * l2 + (1 + g)) < 1e-12
@@ -89,8 +94,7 @@ class TestBranchPoints:
         # the cut endpoints lambda1, lambda2 and their reciprocals are real;
         # lambda1 lies inside the unit circle, and lambda2 inside it in
         # case 2, outside it in case 1a
-        bp = branch_points(ModelParams(g, h))
-        l1, l2 = bp.lambda1, bp.lambda2
+        l1, l2 = chain._branch_pair(g, h)
         assert abs(l1.imag) < 1e-14 and abs(l2.imag) < 1e-14
         assert 0.0 <= l1.real < 1.0
         assert (l2.real < 1.0) == (h > 2.0)
@@ -100,8 +104,7 @@ class TestBranchPoints:
             assert l2.real == pytest.approx((1 + g) / (1 - g) * l1.real, rel=1e-12)
 
     def test_complex_case_conjugation(self):
-        bp = branch_points(ModelParams(0.5, 1.0))
-        l1, l2 = bp.lambda1, bp.lambda2
+        l1, l2 = chain._branch_pair(0.5, 1.0)
         assert abs(l1.imag) > 0.1
         assert abs(l1) < 1.0 < abs(l2)
         assert l2 == pytest.approx(1.0 / l1.conjugate(), rel=1e-14)
@@ -109,9 +112,9 @@ class TestBranchPoints:
     def test_ising_line_degenerates_cleanly(self):
         # gamma = 1 collapses lambda1 to the origin; the stable second form
         # keeps lambda2 finite
-        bp = branch_points(ModelParams(1.0, 3.0))
-        assert bp.lambda1 == 0.0
-        assert bp.lambda2 == pytest.approx(2.0 / 3.0, rel=1e-15)
+        l1, l2 = chain._branch_pair(1.0, 3.0)
+        assert l1 == 0.0
+        assert l2 == pytest.approx(2.0 / 3.0, rel=1e-15)
 
 
 class TestModulus:
@@ -280,7 +283,7 @@ class TestToeplitzFill:
         assert np.array_equal(got, c[idx])
         assert got.flags.owndata and got.flags.writeable
 
-    @pytest.mark.parametrize("L", [1, 2, 7, 256])
+    @pytest.mark.parametrize("L", [1, 2, 7, 128, 129, 256])
     def test_xx_nus_read_the_view(self, L):
         # eigvalsh of the strided view is eigvalsh of the filled block, bitwise
         c = build_xx_matrix(0.7, L)
@@ -477,8 +480,74 @@ class TestNuSpectrum:
         # the last dense block and the first edge block both agree with the
         # SVD of G
         c = build_correlation_matrix(ModelParams(g, h), L)
-        svd = NuSpectrum(np.linalg.svd(c.entries, compute_uv=False))
+        svd = NuSpectrum.from_nus(np.linalg.svd(c.entries, compute_uv=False))
         assert abs(vn_entropy_exact(nu_spectrum(c)).value - vn_entropy_exact(svd).value) <= 1e-12
+
+    @pytest.mark.parametrize("L", [chain._DENSE_MAX_L + 1, 256])
+    @pytest.mark.parametrize("g,h", [(0.9, 1.8), (0.5, 1.0)])
+    def test_edge_route_assembles_its_ladder(self, g, h, L):
+        # the edge route holds its r modes and counts the L - r trivial
+        # ones; its ladder is those 1.0s, then the modes, each one with
+        # delta <= 1/2 being sqrt(1 - delta) bitwise
+        spec = nu_spectrum(build_correlation_matrix(ModelParams(g, h), L))
+        r = spec.modes.size
+        assert (spec.n_plus, spec.n_minus, len(spec)) == (L - r, 0, L)
+        big = spec.delta <= 0.5
+        assert np.array_equal(spec.modes[big], np.sqrt(1.0 - spec.delta[big]))
+        assert np.array_equal(spec.nus, np.concatenate((np.ones(L - r), spec.modes)))
+        assert np.all(np.diff(spec.nus) <= 0.0)
+
+    @pytest.mark.parametrize("g,h,L", [(0.5, 1.0, 800), (0.01, 1.0, 1600)])
+    def test_edge_entropy_is_its_delta_sum(self, g, h, L):
+        # S from the spectrum's own delta, each mode's e(1, sqrt(1 - delta))
+        # summed at 30 digits, within 1e-15 of max(1, S); (0.01, 1.0), with
+        # S = 1.95, has three modes with delta > 1/2, whose nu come from
+        # G^T U and must stay paired with their delta
+        spec = nu_spectrum(build_correlation_matrix(ModelParams(g, h), L))
+        with mpmath.workdps(30):
+            want = 0
+            for d in spec.delta:
+                nu = mpmath.sqrt(1 - mpmath.mpf(float(d)))
+                p, q = (1 + nu) / 2, (1 - nu) / 2
+                want -= p * mpmath.log(p) + q * mpmath.log(q)
+        assert abs(vn_entropy_exact(spec).value - float(want)) <= 1e-15 * max(1.0, float(want))
+
+    def test_from_nus_counts_and_clamps(self):
+        spec = NuSpectrum.from_nus(np.array([0.5, 1.0 + 1e-9, -1.0 - 1e-9, 1.0, -0.25]))
+        assert (spec.n_plus, spec.n_minus, len(spec)) == (2, 1, 5)
+        assert np.array_equal(spec.modes, [0.5, -0.25])
+        assert np.array_equal(spec.delta, [0.75, 0.9375])
+        assert np.array_equal(spec.nus, [1.0, 1.0, 0.5, -0.25, -1.0])
+
+    @pytest.mark.parametrize(
+        "nus", [[math.nan, 0.5], [0.5, -math.inf], [1.5, 0.5], [0.2, -1.0 - 1e-7]]
+    )
+    def test_from_nus_refuses(self, nus):
+        # a NaN used to drop out of the entropy sums, and a 1.5 gave a
+        # finite XY determinant
+        with pytest.raises(SpectrumRangeError):
+            NuSpectrum.from_nus(np.array(nus))
+
+    @pytest.mark.parametrize(
+        "modes,delta,counts",
+        [
+            ([math.nan, 0.5], [0.5, 0.75], (0, 0)),
+            ([0.5], [math.nan], (0, 0)),
+            ([math.inf], [0.5], (0, 0)),
+            ([1.5, 0.5], [0.5, 0.75], (0, 0)),
+            ([0.5], [0.0], (0, 0)),  # a mode at delta = 0 is trivial: counted, not held
+            ([0.5], [-1e-3], (0, 0)),
+            ([0.5], [1.0 + 1e-7], (0, 0)),
+            ([0.5, 0.2], [0.75], (0, 0)),
+            ([0.2, 0.5], [0.96, 0.75], (0, 0)),  # modes must descend
+            ([[0.5]], [[0.75]], (0, 0)),
+            ([0.5], [0.75], (-1, 0)),
+            ([0.5], [0.75], (0, -1)),
+        ],
+    )
+    def test_constructor_refuses(self, modes, delta, counts):
+        with pytest.raises(SpectrumRangeError):
+            NuSpectrum(np.array(modes), np.array(delta), *counts)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -508,3 +577,52 @@ def test_xy_nus_match_svd_over_plane(point, L):
     assert np.max(np.abs(nus - want)) <= 2.0 * tau
     if L <= chain._DENSE_MAX_L:
         assert np.all(nus[nus >= 1.0 - tau] == 1.0)
+
+
+@st.composite
+def _ladders(draw):
+    """A ladder of L values in [-1, 1]: runs at +1 and -1, and the rest
+    uniform, or within 1e-16 to 1e-1 of +-1, in random order."""
+    L = draw(st.integers(1, 300))
+    n_plus = draw(st.integers(0, L))
+    n_minus = draw(st.integers(0, L - n_plus))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.uniform(-1.0, 1.0, L - n_plus - n_minus)
+    near = rng.random(x.size) < 0.3
+    x[near] = np.sign(x[near]) * (1.0 - 10.0 ** rng.uniform(-16.0, -1.0, np.count_nonzero(near)))
+    x = np.concatenate((np.ones(n_plus), x, -np.ones(n_minus)))
+    rng.shuffle(x)
+    return x
+
+
+def _log_close(got, want: complex, tol: float) -> bool:
+    # a (log_abs, phase) pair against a complex log, the phase mod 2 pi
+    err = max(abs(got.log_abs - want.real),
+              abs((got.phase - want.imag + math.pi) % (2.0 * math.pi) - math.pi))
+    return err <= tol * max(1.0, abs(want))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_ladders(), st.complex_numbers(max_magnitude=3.0).filter(lambda z: abs(z.imag) >= 0.05))
+def test_from_nus_over_ladders(x, lam):
+    # every reader of the spectrum against its direct formula over the
+    # ladder x, with p, q = (1 +- x)/2
+    spec = NuSpectrum.from_nus(x)
+    assert np.array_equal(spec.nus, np.sort(x)[::-1]) and len(spec) == x.size
+    p, q = (1.0 + x) / 2.0, (1.0 - x) / 2.0
+    inner = np.abs(x) < 1.0
+    s = -np.sum(p[inner] * np.log(p[inner]) + q[inner] * np.log(q[inner]))
+    assert abs(vn_entropy_exact(spec).value - s) <= 1e-13
+    for a in (0.5, 2.0, 3.0):
+        want = np.sum(np.log(p ** a + q ** a)) / (1.0 - a)
+        assert abs(renyi_exact(spec, a).value - want) <= 1e-13 * max(1.0, abs(want))
+    s_lam = SpectralParameter(lam)
+    assert _log_close(xx_char_det_exact(spec, s_lam), complex(np.sum(np.log(lam - x))), 1e-13)
+    want = complex(np.sum(np.log(lam * lam - x * x))) + 1j * math.pi * x.size
+    assert _log_close(xy_block_det_exact(spec, s_lam), want, 1e-13)
+    # the top 16 eigenvalues only flip the 16 cheapest modes, those of least |x|
+    ax = np.sort(np.abs(x[inner]))
+    top = np.sort(brute_density_probs(ax[:16]))[::-1][:16] * np.prod((1.0 + ax[16:]) / 2.0)
+    top = np.concatenate((top, np.zeros(16 - top.size)))
+    got = finite_l_eigenvalues(spec, 16)
+    assert np.max(np.abs(got - top)) <= 1e-13 * top[0]

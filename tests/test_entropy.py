@@ -58,6 +58,13 @@ class TestEFunc:
         with pytest.raises(DomainError):
             e_func(0.5, 0.9)
 
+    @pytest.mark.parametrize("x,nu", [(math.nan, 0.0), (1.0, math.nan), (math.inf, 0.0),
+                                      (math.inf, math.inf)])
+    def test_non_finite_refused(self, x, nu):
+        # both NaN cases used to return -0.0
+        with pytest.raises(DomainError):
+            e_func(x, nu)
+
 
 class TestExactEntropies:
     def test_single_site_xx(self):

@@ -6,8 +6,8 @@ import xyent
 # modules' own __all__ lists, and this set pins it, so a name added to or
 # dropped from a module shows up here.
 PUBLIC = {
-    "__version__", "BoundaryError", "branch_points", "BranchPoints",
-    "build_correlation_matrix", "build_xx_matrix", "CASE_1A", "CASE_1B", "CASE_2",
+    "__version__", "BoundaryError", "build_correlation_matrix", "build_xx_matrix",
+    "CASE_1A", "CASE_1B", "CASE_2",
     "classify_case", "complete_elliptic_K", "ConfigError", "ConvergenceError",
     "CorrelationMatrix", "critical_entropy_approx", "CutError", "density_spectrum",
     "DensitySpectrum", "DomainError", "e_func", "EllipticModulus", "EntropyResult",

@@ -191,7 +191,7 @@ class TestFiniteLEigenvalues:
         # a mode with |nu| = 1 has factors 1 and 0: appending such modes
         # leaves the top of the spectrum where it was
         nus = nu_spectrum(build_correlation_matrix(ModelParams(0.9, 1.8), 40))
-        padded = NuSpectrum(np.concatenate((np.ones(300), nus.nus, -np.ones(5))))
+        padded = NuSpectrum.from_nus(np.concatenate((np.ones(300), nus.nus, -np.ones(5))))
         got = finite_l_eigenvalues(padded, 16)
         assert np.allclose(got, finite_l_eigenvalues(nus, 16), rtol=4e-15, atol=0.0)
 

@@ -57,6 +57,9 @@ def _scaled_gap(got: ScaledValue, want: complex) -> float:
     return log_gap(complex(got.log_abs, got.phase), want) / max(1.0, abs(want))
 
 
+# A symbol that is NaN at the few samples within 0.05 of theta = 1
+_NAN_NEAR_1 = lambda t: math.nan if abs(t - 1.0) < 0.05 else 2.0
+
 class TestScaledValue:
     def test_value_round_trip(self):
         v = ScaledValue(math.log(2.5), 0.3)
@@ -118,6 +121,11 @@ class TestFourierCoeffs:
         rough = lambda t: abs(2.0 * math.sin(t / 2.0)) ** 0.6
         with pytest.raises(ResolutionError):
             fourier_coeffs(rough, 32)
+
+    def test_nan_sample_refused(self):
+        # one NaN sample makes every coefficient NaN, which used to be returned
+        with pytest.raises(ResolutionError):
+            fourier_coeffs(_NAN_NEAR_1, 8)
 
 
 class TestToeplitzDet:
@@ -185,6 +193,11 @@ class TestSzego:
         with pytest.raises(DomainError):
             SmoothSymbolFactorization.from_symbol(lambda t: math.cos(t), n=16)
 
+    def test_nan_symbol_rejected(self):
+        # used to raise ValueError from round(nan)
+        with pytest.raises(DomainError):
+            SmoothSymbolFactorization.from_symbol(_NAN_NEAR_1, n=8)
+
     def test_slow_tail_rejected(self):
         with pytest.raises(ResolutionError):
             SmoothSymbolFactorization.from_symbol(lambda t: 1.0 - 0.99 * cmath.exp(1j * t), n=32)
@@ -234,6 +247,10 @@ class TestFisherHartwig:
         f = SmoothSymbolFactorization.constant(0.0)
         with pytest.raises(DomainError):
             FHSingularity(0.0, -0.6, 0.0)  # Re alpha <= -1/2
+        for alpha, beta in ((math.inf, 0.0), (complex(0.0, math.nan), 0.0), (0.0, math.nan),
+                            (0.0, complex(math.inf, 0.0))):
+            with pytest.raises(DomainError):
+                FHSingularity(0.0, alpha, beta)  # a NaN beta used to pass
         with pytest.raises(DomainError):
             fisher_hartwig_asymptotic(
                 f, [FHSingularity(0.0, 0.0, 0.6), FHSingularity(1.0, 0.0, -0.6)], 8

@@ -8,17 +8,10 @@
 #     phi(theta) = w(theta)/|w(theta)|, w = cos(theta) - i gamma sin(theta) - h/2.
 #     The 2L x 2L Majorana matrix B_L interleaves G and -G^T, so
 #     spec(i B_L) = +-svd(G) (Peschel, J. Phys. A 36 L205 (2003); Vidal et
-#     al., PRL 90 227902 (2003)).  Up to L = _DENSE_MAX_L, nu = |eig(G J)|:
-#     a Toeplitz G is persymmetric, J G J = G^T with J the exchange matrix, so
-#     the Hankel matrix G J is symmetric, and one symmetric eigensolve gives
-#     svd(G); its trivial modes, those within 4 sqrt(L) eps of |nu| = 1, are
-#     snapped to 1 (see _SNAP_EPS).  Longer blocks take delta = 1 - nu^2
-#     from the coefficient tails beyond the block's two edges (_edge_nus),
-#     and never form G.  The g_l come from one inverse real FFT of phi on
-#     the half grid 0 <= theta <= pi, whose length n is the least even
-#     2^a 3^b 5^c >= max(64, 2L, L + 2K) (_smooth_size): every alias of a
-#     block entry lies beyond 2K steps, where the coefficients are below
-#     1e-32 (see build_correlation_matrix).
+#     al., PRL 90 227902 (2003)).  nu_spectrum takes them from one symmetric
+#     eigensolve of the Hankel matrix G J up to L = _DENSE_MAX_L, and from
+#     the block's two edges beyond (_edge_nus); build_correlation_matrix
+#     takes the g_l from one inverse real FFT of phi.
 #   * XX (gamma = 0): real symmetric Toeplitz L x L matrix with closed-form
 #     entries; its signed eigenvalues are kept (entropies are even in nu and
 #     the signed values feed the characteristic-determinant oracle).
@@ -36,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BoundaryError, DomainError, ResolutionError, SpectrumRangeError
-from .special import EllipticModulus, _elliptic_modulus
+from .errors import BoundaryError, DomainError, ResolutionError, SpectrumRangeError, _count, _real
+from .special import EllipticModulus
 
 __all__ = [
     "ModelParams",
@@ -112,10 +105,8 @@ class ModelParams:
     h: float
 
     def __post_init__(self) -> None:
-        if not (self.gamma >= 0.0) or not math.isfinite(self.gamma):
-            raise DomainError(f"gamma must be a finite real >= 0, got {self.gamma}")
-        if not (self.h >= 0.0) or not math.isfinite(self.h):
-            raise DomainError(f"h must be a finite real >= 0, got {self.h}")
+        _real("gamma", self.gamma, 0.0)
+        _real("h", self.h, 0.0)
 
 
 @dataclass(frozen=True)
@@ -152,12 +143,10 @@ class CorrelationMatrix:
     symmetric: bool = False
 
     def __post_init__(self) -> None:
-        c = self.coefficients
-        if self.L < 1 or c.ndim != 1 or c.size < 2 * self.L - 1:
-            raise DomainError(
-                f"a block of length L = {self.L} needs a vector of at least 2L - 1 "
-                f"coefficients, got shape {c.shape}"
-            )
+        c, L = self.coefficients, _count("block length L", self.L, 1)
+        if c.ndim != 1 or c.size < 2 * L - 1 or not np.isfinite(c).all():
+            raise DomainError(f"a block of length L = {L} needs a vector of at least 2L - 1 "
+                              f"finite coefficients, got shape {c.shape}")
 
     def _view(self) -> np.ndarray:
         """The block, a read-only view of the 2L - 1 coefficients it holds."""
@@ -178,7 +167,7 @@ class NuSpectrum:
     (0, 1], so a mode whose nu rounds to 1.0 still counts; and n_plus and
     n_minus, the counts of trivial modes at exactly +1 and -1.  A non-finite
     value, a |nu| or delta beyond 1 + 1e-8, a delta <= 0, modes out of order,
-    arrays of unequal length or a negative count raise SpectrumRangeError.
+    arrays of unequal length or a bad count raise SpectrumRangeError.
     """
 
     modes: np.ndarray = field(repr=False)
@@ -189,17 +178,22 @@ class NuSpectrum:
     def __post_init__(self) -> None:
         for name in ("modes", "delta"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        try:
+            _count("n_plus", self.n_plus, 0)
+            _count("n_minus", self.n_minus, 0)
+        except DomainError as exc:
+            raise SpectrumRangeError(f"a nu-spectrum's trivial-mode counts: {exc}") from None
         m, d = self.modes, self.delta
-        ok = m.ndim == 1 and m.shape == d.shape and min(self.n_plus, self.n_minus) >= 0
+        ok = m.ndim == 1 and m.shape == d.shape
         if ok and m.size:  # written so that a NaN fails it; descending, so m's ends bound it
             ok = (bool((m[1:] <= m[:-1]).all()) and m[0] <= 1.0 + 1e-8 and m[-1] >= -1.0 - 1e-8
                   and d.min() > 0.0 and d.max() <= 1.0 + 1e-8)
         if not ok:
             raise SpectrumRangeError(
-                f"a nu-spectrum needs descending modes, |nu| <= 1 + 1e-8, a delta in (0, 1 + 1e-8] "
-                f"each and counts >= 0: modes {m.shape} in [{np.min(m, initial=0.0):.3e}, "
+                f"a nu-spectrum needs descending modes, |nu| <= 1 + 1e-8 and a delta in "
+                f"(0, 1 + 1e-8] each: modes {m.shape} in [{np.min(m, initial=0.0):.3e}, "
                 f"{np.max(m, initial=0.0):.3e}], delta {d.shape} in [{np.min(d, initial=1.0):.3e}, "
-                f"{np.max(d, initial=1.0):.3e}], counts {self.n_plus}, {self.n_minus}")
+                f"{np.max(d, initial=1.0):.3e}]")
 
     @classmethod
     def from_nus(cls, nus) -> "NuSpectrum":
@@ -326,7 +320,7 @@ def modulus_k(p: ModelParams) -> EllipticModulus:
         k, kprime = math.sqrt(-q / r), g / math.sqrt(r)
     else:
         k, kprime = g / math.sqrt(q), math.sqrt(-r / q)
-    return _elliptic_modulus(k, kprime)
+    return EllipticModulus(k, kprime)
 
 
 def _ladder_node(m, sigma: int, tau0: float):
@@ -393,8 +387,7 @@ def build_correlation_matrix(p: ModelParams, L: int) -> CorrelationMatrix:
     line gamma = 0 has a piecewise constant symbol; its block comes from
     build_xx_matrix.
     """
-    if L < 1:
-        raise DomainError(f"block length must be >= 1, got {L}")
+    L = _count("block length L", L, 1)
     if p.gamma == 0.0:
         raise BoundaryError("gamma = 0 is the XX line; use build_xx_matrix(h, L)")
     scale = max(1.0, p.h)
@@ -429,11 +422,8 @@ def build_correlation_matrix(p: ModelParams, L: int) -> CorrelationMatrix:
 def build_xx_matrix(h: float, L: int) -> CorrelationMatrix:
     """Symmetric Toeplitz correlation matrix of an XX block (gamma = 0,
     |h| < 2), from the closed-form coefficients."""
-    if not (abs(h) < 2.0):
-        raise DomainError(f"XX correlation matrix needs |h| < 2, got h = {h}")
-    if L < 1:
-        raise DomainError(f"block length must be >= 1, got {L}")
-    c = _xx_coefficients(h, L - 1)
+    h = _real("XX field h", h, -2.0, 2.0, "()")
+    c = _xx_coefficients(h, _count("block length L", L, 1) - 1)
     return CorrelationMatrix(coefficients=np.concatenate((c, c[:0:-1])), L=L, symmetric=True)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -36,7 +37,7 @@ from .entropy import (
     vn_entropy_limit_series,
     xx_entropy_asymptotic,
 )
-from .errors import ConfigError, ConvergenceError, DomainError
+from .errors import ConfigError, ConvergenceError, DomainError, _count, _real
 from .spectrum import density_spectrum, finite_l_eigenvalues
 from .toeplitz import (
     SpectralParameter,
@@ -73,13 +74,14 @@ class RunConfig:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
-        if self.tol is not None and not (self.tol > 0.0):
-            raise ConfigError(f"tol must be positive, got {self.tol}")
-        if self.nmax < 0:
-            raise ConfigError(f"nmax must be >= 0, got {self.nmax}")
-        for L in self.Ls:
-            if L < 1:
-                raise ConfigError(f"block length must be >= 1, got {L}")
+        try:
+            if self.tol is not None:
+                _real("tol", self.tol, 0.0, math.inf, "()")
+            _count("nmax", self.nmax, 0)
+            for L in self.Ls:
+                _count("block length L", L, 1)
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 def _parse_range(text: str) -> tuple[int, ...]:
@@ -151,28 +153,22 @@ def _fmt(x) -> str:
     return "%.17g" % float(x)
 
 
+def _xy_point(cfg: RunConfig):
+    """The model point, its phase case and its elliptic modulus."""
+    p = ModelParams(cfg.gamma, cfg.h)
+    return p, classify_case(p), modulus_k(p)
+
+
 def _metadata(cfg: RunConfig) -> dict:
     if cfg.gamma == 0.0:
         return {"gamma": cfg.gamma, "h": cfg.h, "case": "XX", "sigma": None, "k": None, "tau0": None}
-    p = ModelParams(cfg.gamma, cfg.h)
-    case = classify_case(p)
-    e = modulus_k(p)
-    return {
-        "gamma": cfg.gamma,
-        "h": cfg.h,
-        "case": case.label,
-        "sigma": case.sigma,
-        "k": e.k,
-        "tau0": e.tau0,
-    }
+    _, case, e = _xy_point(cfg)
+    return {"gamma": cfg.gamma, "h": cfg.h, "case": case.label, "sigma": case.sigma,
+            "k": e.k, "tau0": e.tau0}
 
 
 def _xy_nus(p: ModelParams, L: int):
     return nu_spectrum(build_correlation_matrix(p, L))
-
-
-def _xx_nus(h: float, L: int):
-    return nu_spectrum(build_xx_matrix(h, L))
 
 
 def _require_Ls(cfg: RunConfig) -> tuple[int, ...]:
@@ -186,13 +182,11 @@ def cmd_entropy(cfg: RunConfig) -> tuple[list[str], list[list]]:
     rows: list[list] = []
     if cfg.gamma == 0.0:
         for L in _require_Ls(cfg):
-            s_ex = vn_entropy_exact(_xx_nus(cfg.h, L)).value
+            s_ex = vn_entropy_exact(nu_spectrum(build_xx_matrix(cfg.h, L))).value
             s_ref = xx_entropy_asymptotic(cfg.h, L).value
             rows.append([L, s_ex, s_ref, s_ex - s_ref])
         return header, rows
-    p = ModelParams(cfg.gamma, cfg.h)
-    case = classify_case(p)
-    e = modulus_k(p)
+    p, case, e = _xy_point(cfg)
     s_lim = vn_entropy_limit_series(e, case.sigma).value
     for L in _require_Ls(cfg):
         s_ex = vn_entropy_exact(_xy_nus(p, L)).value
@@ -208,9 +202,7 @@ def cmd_renyi(cfg: RunConfig) -> tuple[list[str], list[list]]:
         raise ConfigError("the renyi command needs --alpha")
     for a in cfg.alphas:
         _check_alpha(a)
-    p = ModelParams(cfg.gamma, cfg.h)
-    case = classify_case(p)
-    e = modulus_k(p)
+    p, case, e = _xy_point(cfg)
     L = _require_Ls(cfg)[-1]
     nus = _xy_nus(p, L)
     rows = [[a, renyi_exact(nus, a).value, renyi_limit_qproduct(a, e, case).value,
@@ -249,13 +241,11 @@ def cmd_detcheck(cfg: RunConfig) -> tuple[list[str], list[list]]:
     rows: list[list] = []
     if cfg.gamma == 0.0:
         for L in _require_Ls(cfg):
-            ex = xx_char_det_exact(_xx_nus(cfg.h, L), s)
+            ex = xx_char_det_exact(nu_spectrum(build_xx_matrix(cfg.h, L)), s)
             asym = xx_char_det_asymptotic(s, cfg.h, L)
             rows.append([L, ex.log_abs, asym.log_abs, abs(asym.ratio(ex) - 1.0)])
         return header, rows
-    p = ModelParams(cfg.gamma, cfg.h)
-    case = classify_case(p)
-    e = modulus_k(p)
+    p, case, e = _xy_point(cfg)
     prox = cfg.tol if cfg.tol is not None else 1e-3
     for L in _require_Ls(cfg):
         ex = xy_block_det_exact(_xy_nus(p, L), s)
@@ -295,12 +285,9 @@ def main(argv: list[str] | None = None) -> int:
         cfg = parse_args(argv)
         sys.stdout.write(run(cfg))
         return 0
-    except DomainError as exc:
+    except (DomainError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, DomainError) else 3
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .chain import NuSpectrum, ModelParams, PhaseCase, _ladder_node
-from .errors import ConvergenceError, DomainError, RegimeError
+from .errors import ConvergenceError, DomainError, RegimeError, _count, _real
 from .special import EllipticModulus, _agm, _log1p_series, _log_lambda_imag, _log_theta_prefactor
 from .spectrum import _ladder_params
 
@@ -46,6 +46,9 @@ _SERIES_TOL = 1e-16
 # tanh(x) rounds to 1.0 from x = 19.1 on, so ladder nodes past this argument
 # are 1.0 and their terms 0.
 _TANH_ONE = 20.0
+# A Renyi order past this is taken at its alpha -> inf limit, which the
+# entropy meets there to double precision; alpha times a log may overflow.
+_ALPHA_INF = 1e300
 
 
 @dataclass(frozen=True)
@@ -86,9 +89,18 @@ def _mk(value: float, method: str, *, gamma=None, h=None, L=None, alpha=1.0) -> 
 # -----------------------------------------------------------------------------
 def e_func(x: float, nu: float) -> float:
     """e(x, nu) = -((x+nu)/2) ln((x+nu)/2) - ((x-nu)/2) ln((x-nu)/2),
-    with the convention 0 ln 0 = 0.  Requires a finite x >= |nu|."""
-    if not (x >= abs(nu) - 1e-12 and math.isfinite(x)):
-        raise DomainError(f"e(x, nu) needs a finite x >= |nu|, got x = {x}, nu = {nu}")
+    with the convention 0 ln 0 = 0.  Requires a finite nu and a finite
+    x >= |nu|; a value beyond double range raises DomainError."""
+    nu = _real("nu", nu)
+    x = _real("x", x, abs(nu) - 1e-12)
+    s = _e(x, nu)
+    if s == -math.inf:
+        raise DomainError(f"e(x, nu) at x = {x}, nu = {nu} lies beyond double range")
+    return s
+
+
+def _e(x: float, nu: float) -> float:
+    """e(x, nu) of e_func, unchecked, for the ladder series' terms."""
     p = (x + nu) / 2.0
     q = (x - nu) / 2.0
     return -((p * math.log(p) if p > 0.0 else 0.0)
@@ -105,14 +117,9 @@ def vn_entropy_exact(nus: NuSpectrum) -> EntropyResult:
 
 
 def _check_alpha(alpha: float) -> None:
-    if not (0.0 < alpha < math.inf):
-        raise DomainError(f"Renyi order must be a finite real > 0, got alpha = {alpha}")
-    if alpha == 1.0:
-        raise DomainError(
-            "alpha = 1 is excluded: the Renyi functional 1/(1-alpha) ln tr rho^alpha "
-            "is undefined there (its limit is the von Neumann entropy; use the "
-            "entropy command)"
-        )
+    if _real("Renyi order alpha", alpha, 0.0, math.inf, "()") == 1.0:
+        raise DomainError("alpha = 1 is excluded: 1/(1-alpha) ln tr rho^alpha is undefined there "
+                          "(its limit is the von Neumann entropy; use the entropy command)")
 
 
 def renyi_exact(nus: NuSpectrum, alpha: float) -> EntropyResult:
@@ -122,10 +129,13 @@ def renyi_exact(nus: NuSpectrum, alpha: float) -> EntropyResult:
     there; its alpha -> 1 limit is the von Neumann value).  Each log is
     taken as a ln p + ln(1 + (q/p)^a), p = (1 + |nu|)/2 >= q, so it stays
     finite where both powers underflow (a past about 1075 at nu = 0); q
-    comes from the modes' delta, and a trivial mode adds 0.
+    comes from the modes' delta, and a trivial mode adds 0.  Past
+    _ALPHA_INF it is its alpha -> inf limit -sum ln p.
     """
     _check_alpha(alpha)
     q, lnp = nus._halves
+    if alpha > _ALPHA_INF:
+        return _mk(-float(np.sum(lnp)), "ExactFiniteL", L=len(nus), alpha=alpha)
     s = float(np.sum(alpha * lnp + np.log1p(np.power(q / (1.0 - q), alpha))))
     return _mk(s / (1.0 - alpha), "ExactFiniteL", L=len(nus), alpha=alpha)
 
@@ -144,28 +154,12 @@ def renyi_exact(nus: NuSpectrum, alpha: float) -> EntropyResult:
 # panel sits at least half its width from the pole at t = 0.
 
 _UPSILON_SERIES = [
-    -0.3333333333333333,
-    0.2,
-    -0.05555555555555555,
-    0.011904761904761904,
-    -0.002777777777777778,
-    0.0005555555555555556,
-    -6.613756613756614e-05,
-    4.509379509379509e-06,
-    -9.185773074661964e-07,
-    2.3136035040796945e-07,
-    -8.35070279514724e-09,
-    -4.17535139757362e-09,
-    -5.3530146122738715e-11,
-    1.6652823608939388e-10,
-    -2.5490545772732723e-13,
-    -5.238738387334083e-12,
-    -9.371524181151737e-16,
-    1.6534208511364134e-13,
-    -2.7402117488747765e-18,
-    -5.090181602817408e-15,
-    -6.524313687797087e-21,
-    1.5405758669108334e-16,
+    -0.3333333333333333, 0.2, -0.05555555555555555, 0.011904761904761904,
+    -0.002777777777777778, 0.0005555555555555556, -6.613756613756614e-05, 4.509379509379509e-06,
+    -9.185773074661964e-07, 2.3136035040796945e-07, -8.35070279514724e-09, -4.17535139757362e-09,
+    -5.3530146122738715e-11, 1.6652823608939388e-10, -2.5490545772732723e-13, -5.238738387334083e-12,
+    -9.371524181151737e-16, 1.6534208511364134e-13, -2.7402117488747765e-18, -5.090181602817408e-15,
+    -6.524313687797087e-21, 1.5405758669108334e-16,
 ]
 
 
@@ -202,10 +196,8 @@ def upsilon1() -> float:
 def xx_entropy_asymptotic(h: float, L: int) -> EntropyResult:
     """Large-L XX block entropy
     S = (1/3) ln L + (1/6) ln(1 - (h/2)^2) + (ln 2)/3 + Upsilon1."""
-    if not (abs(h) < 2.0):
-        raise DomainError(f"XX asymptote needs |h| < 2, got h = {h}")
-    if L < 2:
-        raise DomainError(f"XX asymptote needs L >= 2, got L = {L}")
+    h = _real("XX field h", h, -2.0, 2.0, "()")
+    L = _count("block length L", L, 2)
     s = (
         math.log(L) / 3.0
         + math.log(1.0 - (h / 2.0) ** 2) / 6.0
@@ -220,10 +212,8 @@ def xx_entropy_asymptotic(h: float, L: int) -> EntropyResult:
 # -----------------------------------------------------------------------------
 def theta_zero_ladder(e: EllipticModulus, sigma: int, M: int) -> ThetaZeroLadder:
     """Ladder lambda_m = tanh((m + (1-sigma)/2) pi tau0), m = 0..M."""
-    if sigma not in (0, 1):
-        raise DomainError(f"sigma must be 0 or 1, got {sigma}")
-    if M < 0:
-        raise DomainError(f"ladder length must be >= 0, got {M}")
+    sigma = _count("sigma", sigma, 0, 1)
+    M = _count("ladder length M", M, 0)
     vals = _ladder_node(np.arange(M + 1), sigma, e.tau0)
     return ThetaZeroLadder(tau0=e.tau0, sigma=sigma, values=vals)
 
@@ -238,12 +228,11 @@ def vn_entropy_limit_series(e: EllipticModulus, sigma: int) -> EntropyResult:
     0, so the nodes are taken in one array call on m < 20/(pi tau0) + 1,
     at most the budget of 10^5 terms.
     """
-    if sigma not in (0, 1):
-        raise DomainError(f"sigma must be 0 or 1, got {sigma}")
+    sigma = _count("sigma", sigma, 0, 1)
     stop = min(_SERIES_BUDGET, math.ceil(_TANH_ONE / (math.pi * e.tau0)) + 1)
-    total = e_func(1.0, 0.0) if sigma == 1 else 0.0
+    total = _e(1.0, 0.0) if sigma == 1 else 0.0
     for node in _ladder_node(np.arange(sigma, stop), sigma, e.tau0).tolist():
-        term = e_func(1.0, node)
+        term = _e(1.0, node)
         total += 2.0 * term
         if term < _SERIES_TOL:
             return _mk(total, "LimitSeries", L=None)
@@ -286,11 +275,10 @@ def vn_entropy_limit_integral(e: EllipticModulus, sigma: int) -> EntropyResult:
     ConvergenceError.  The integrand is ln P(i x) of _log_theta_prefactor,
     the prefactor of xy_block_det_asymptotic.
     """
-    if sigma not in (0, 1):
-        raise DomainError(f"sigma must be 0 or 1, got {sigma}")
+    sigma = _count("sigma", sigma, 0, 1)
     h = _INTEGRAL_STEP
     ix, w = _midpoint_rules(h, _INTEGRAL_CUTOFF)
-    num = _log_theta_prefactor(ix, e.tau0, sigma)
+    num = _log_theta_prefactor(ix, e.tau0, sigma).real
     m = ix.size // 3
     coarse = float(num[:m] @ w[:m])
     fine = float(num[m:] @ w[m:])
@@ -351,8 +339,12 @@ def renyi_limit_modular(alpha: float, e: EllipticModulus, case: PhaseCase) -> En
     with lam = lambda(i alpha tau0) in (0, 1).  ln lam and ln(1 - lam) are
     read from the nome product on whichever side of lambda(i) = 1/2 it
     converges fastest, so neither is formed by subtraction as alpha tau0 -> 0.
+    Past alpha max(tau0, 1) = _ALPHA_INF it is its alpha -> inf limit
+    -ln lambda_0.  A value beyond double range raises DomainError.
     """
     _check_alpha(alpha)
+    if alpha * max(e.tau0, 1.0) > _ALPHA_INF:
+        return _mk(-_ladder_params(e, case.sigma)[0], "RenyiModular", L=None, alpha=alpha)
     log_lam, log_co = _log_lambda_imag(alpha * e.tau0)
     k, kp = e.k, e.kprime
     third_ln2 = math.log(2.0) / 3.0
@@ -368,6 +360,9 @@ def renyi_limit_modular(alpha: float, e: EllipticModulus, case: PhaseCase) -> En
             + (2.0 * log_lam - log_co) / (12.0 * (1.0 - alpha))
             + third_ln2
         )
+    if not math.isfinite(s):
+        raise DomainError(f"Renyi limit at alpha tau0 = {alpha * e.tau0:.3e} lies beyond "
+                          "double range")
     return _mk(s, "RenyiModular", L=None, alpha=alpha)
 
 

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _count, _real
 
 __all__ = [
     "EllipticModulus",
@@ -44,17 +44,28 @@ _TERM_BUDGET = 10 ** 6
 
 @dataclass(frozen=True)
 class EllipticModulus:
-    """Modulus pair (k, k') with the module parameter tau0 = K(k')/K(k)."""
+    """Modulus pair (k, k') with the module parameter tau0 = K(k')/K(k).
+
+    k lies in (0, 1), whose ends are degenerations (tau0 = infinity / 0),
+    refused also where k got there by rounding.  A k' or tau0 left out is
+    computed once k has passed, tau0 = AGM(1, k') / AGM(1, k) from both as
+    held, so no complement is rebuilt from a rounded one.
+    """
 
     k: float
-    kprime: float
-    tau0: float
+    kprime: float | None = None
+    tau0: float | None = None
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.k < 1.0):
-            raise DomainError(f"modulus k must lie in (0, 1), got {self.k}")
-        if abs(self.k * self.k + self.kprime * self.kprime - 1.0) > 1e-12:
+        k = _real("modulus k", self.k, 0.0, 1.0, "()")
+        if self.kprime is None:
+            object.__setattr__(self, "kprime", math.sqrt((1.0 - k) * (1.0 + k)))
+        kp = _real("complementary modulus k'", self.kprime, 0.0, math.inf, "()")
+        if not abs(k * k + kp * kp - 1.0) <= 1e-12:
             raise DomainError("k^2 + k'^2 = 1 violated")
+        if self.tau0 is None:
+            object.__setattr__(self, "tau0", _agm(1.0, kp) / _agm(1.0, k))
+        _real("tau0", self.tau0, 0.0, math.inf, "()")
 
 
 def _as_tau(tau: complex) -> complex:
@@ -145,8 +156,7 @@ def complete_elliptic_K(k: float) -> float:
     Evaluated by the arithmetic-geometric mean: K = pi / (2 AGM(1, k')).
     Accurate to ~1e-15 relative for 0 <= k < 1.
     """
-    if not (0.0 <= k < 1.0):
-        raise DomainError(f"complete_elliptic_K needs 0 <= k < 1, got {k}")
+    k = _real("modulus k", k, 0.0, 1.0, "[)")
     # (1-k)(1+k) avoids cancellation for k near 1
     return math.pi / (2.0 * _agm(1.0, math.sqrt((1.0 - k) * (1.0 + k))))
 
@@ -213,8 +223,7 @@ def theta(j: int, s: complex, tau: complex) -> complex:
     A value beyond double range raises DomainError, and an Im tau below
     about 1e-11 ConvergenceError (the series' budget).
     """
-    if j not in (2, 3, 4):
-        raise DomainError(f"theta index must be 2, 3 or 4, got {j}")
+    j = _count("theta index j", j, 2, 4)
     tau = _as_tau(tau)
     s = complex(s)
     shift = {2: tau / 2.0, 3: 0.0, 4: 0.5}[j]
@@ -233,17 +242,17 @@ def _log_theta_prefactor(beta: np.ndarray, tau0: float, sigma: int) -> np.ndarra
     """ln P(beta) for an array of complex beta, where
     P = theta3(beta + sigma tau/2) theta3(beta - sigma tau/2) / theta3(sigma tau/2)^2
     at tau = i tau0 is the prefactor of the XY block determinant; at
-    beta = i x it is the kernel of the limit-entropy integral.  When
-    sigma = 0 the two shifted arguments are the same points, and theta3 is
-    evaluated on them once.
+    beta = i x it is the kernel of the limit-entropy integral.  Both sigma
+    read one theta3 pass over beta - sigma tau/2 and sigma tau/2: theta3 is
+    even and theta3(beta + tau/2) = e^{-2 pi i beta} theta3(beta - tau/2), so
+    ln P = 2 (ln theta3(beta - sigma tau/2) - ln theta3(sigma tau/2))
+    - 2 pi i sigma beta, up to a multiple of 2 pi i.
     """
     tau = 1j * tau0
-    if sigma == 1:
-        off = tau / 2.0
-        logs = _log_theta3(np.concatenate((beta + off, beta - off, [off])), tau)
-        return logs[: beta.size] + logs[beta.size: -1] - 2.0 * logs[-1]
-    logs = _log_theta3(np.append(beta, 0.0), tau)
-    return 2.0 * (logs[:-1] - logs[-1])
+    off = sigma * tau / 2.0
+    logs = _log_theta3(np.append(beta - off, off), tau)
+    logp = 2.0 * (logs[:-1] - logs[-1])
+    return logp - 2j * math.pi * beta if sigma else logp
 
 
 def _log1p_series(z: complex, r: complex, sign: float, what: Callable[[], str]) -> complex:
@@ -311,26 +320,8 @@ def modular_lambda(tau: complex) -> complex:
     return 16.0 * q * cmath.exp(_nome_log_sum(q))
 
 
-def _elliptic_modulus(k: float, kprime: float) -> EllipticModulus:
-    """The (k, k', tau0) triple from a modulus and its complement, each
-    taken as given: tau0 = K(k')/K(k) = AGM(1, k') / AGM(1, k).
-
-    The endpoints k = 0, 1 are genuine degenerations (tau0 = infinity / 0)
-    and are rejected, also where k got there by rounding.
-    """
-    if not (0.0 < k < 1.0):
-        raise DomainError(f"modulus k must lie in (0, 1), got {k}")
-    return EllipticModulus(k=k, kprime=kprime, tau0=_agm(1.0, kprime) / _agm(1.0, k))
-
-
 def tau0_from_modulus(k: float) -> EllipticModulus:
-    """Build the full (k, k', tau0) triple with
-    tau0 = K(k')/K(k) = AGM(1, k') / AGM(1, k).
-
-    Each AGM takes its modulus as held, so no complement is rebuilt from a
-    rounded one: k below 1e-8, where k' rounds to 1, keeps its digits.
-    The endpoints k = 0, 1 are rejected.
-    """
-    if not (0.0 < k < 1.0):
-        raise DomainError(f"tau0_from_modulus needs 0 < k < 1, got {k}")
-    return _elliptic_modulus(k, math.sqrt((1.0 - k) * (1.0 + k)))
+    """The full (k, k', tau0) triple of a modulus 0 < k < 1, with
+    tau0 = K(k')/K(k) = AGM(1, k') / AGM(1, k) (see EllipticModulus): k
+    below 1e-8, where k' rounds to 1, keeps its digits."""
+    return EllipticModulus(k)

@@ -15,7 +15,7 @@ from typing import Literal
 import numpy as np
 
 from .chain import ModelParams, PhaseCase, classify_case, modulus_k
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _count, _real
 from .special import EllipticModulus
 
 __all__ = [
@@ -44,8 +44,7 @@ def partition_counts(kind: Literal["Distinct", "DistinctOdd"], nmax: int) -> lis
     by dynamic programming."""
     if kind not in ("Distinct", "DistinctOdd"):
         raise DomainError(f"unknown partition kind {kind!r}")
-    if nmax < 0:
-        raise DomainError(f"nmax must be >= 0, got {nmax}")
+    nmax = _count("truncation nmax", nmax, 0)
     step = 2 if kind == "DistinctOdd" else 1
     counts = [0] * (nmax + 1)
     counts[0] = 1
@@ -65,11 +64,8 @@ def multiplicities(case: PhaseCase, nmax: int) -> list[int]:
     the overall factor 2 is the exact double degeneracy carried by the zero
     mode of the nu ladder).
     """
-    if nmax < 0:
-        raise DomainError(f"nmax must be >= 0, got {nmax}")
-    kind = "Distinct" if case.sigma == 1 else "DistinctOdd"
-    p = partition_counts(kind, nmax)
-    conv = [sum(p[l] * p[n - l] for l in range(n + 1)) for n in range(nmax + 1)]
+    p = partition_counts("Distinct" if case.sigma == 1 else "DistinctOdd", nmax)
+    conv = [sum(p[l] * p[n - l] for l in range(n + 1)) for n in range(len(p))]
     if case.sigma == 1:
         return [2 * c for c in conv]
     return conv
@@ -77,10 +73,13 @@ def multiplicities(case: PhaseCase, nmax: int) -> list[int]:
 
 def multiplicity_asymptotic(n: int) -> float:
     """Large-n form of the sigma = 0 multiplicities,
-    m_n ~ 2^{-3/2} 3^{-1/4} n^{-3/4} e^{pi sqrt(n/3)}."""
-    if n < 1:
-        raise DomainError(f"asymptotic multiplicity needs n >= 1, got {n}")
-    return 2.0 ** -1.5 * 3.0 ** -0.25 * n ** -0.75 * math.exp(math.pi * math.sqrt(n / 3.0))
+    m_n ~ 2^{-3/2} 3^{-1/4} n^{-3/4} e^{pi sqrt(n/3)}; from n = 153,135 on
+    it lies beyond double range and raises DomainError."""
+    n = _count("rung n", n, 1)
+    try:
+        return 2.0 ** -1.5 * 3.0 ** -0.25 * n ** -0.75 * math.exp(math.pi * math.sqrt(n / 3.0))
+    except OverflowError:
+        raise DomainError(f"multiplicity at n = {n} lies beyond double range") from None
 
 
 @dataclass(frozen=True)
@@ -115,8 +114,7 @@ def density_spectrum(p: ModelParams, nmax: int = 64) -> DensitySpectrum:
     Requires a noncritical point with gamma > 0 (the classification
     rejects gamma = 0 and the critical manifolds).
     """
-    if nmax < 0:
-        raise DomainError(f"nmax must be >= 0, got {nmax}")
+    nmax = _count("truncation nmax", nmax, 0)
     case = classify_case(p)
     e = modulus_k(p)
     loglam0, c = _ladder_params(e, case.sigma)
@@ -162,14 +160,16 @@ def zeta_function(spec: DensitySpectrum, alpha: float) -> float:
     The truncation tail is bounded analytically from the multiplicity
     growth envelope; if the bound exceeds 1e-12 relative to the sum
     (which happens for small alpha, where the series converges slowly),
-    the truncation is refused rather than silently wrong.
+    the truncation is refused rather than silently wrong, and an alpha
+    whose powers of the ladder leave double range raises DomainError.
     """
-    if not (alpha > 0.0):
-        raise DomainError(f"zeta order must be > 0, got {alpha}")
+    alpha = _real("zeta order alpha", alpha, 0.0, math.inf, "()")
+    loglam0, c = _ladder_params(spec.modulus, spec.sigma)
+    if not math.isfinite(alpha * (loglam0 - c * (spec.truncation + 1))):  # the least exponent
+        raise DomainError(f"the ladder's powers at alpha = {alpha} lie beyond double range")
     value = float(
         sum(m * math.exp(alpha * ll) for m, ll in zip(spec.mults, spec.loglambdas))
     )
-    loglam0, c = _ladder_params(spec.modulus, spec.sigma)
     bound = _tail_bound(loglam0, c, alpha, spec.sigma, spec.truncation + 1)
     if not (bound <= _ZETA_TAIL_TOL * max(abs(value), 1e-300)):
         raise ConvergenceError(
@@ -189,8 +189,7 @@ def required_nmax(e: EllipticModulus, case: PhaseCase, alpha: float) -> int:
     nmax: doubling finds a truncation that clears, and bisection the least
     one, in O(log nmax) bound evaluations.
     """
-    if not (alpha > 0.0):
-        raise DomainError(f"zeta order must be > 0, got {alpha}")
+    alpha = _real("zeta order alpha", alpha, 0.0, math.inf, "()")
     loglam0, c = _ladder_params(e, case.sigma)
     lead = math.exp(alpha * loglam0)
 
@@ -227,8 +226,7 @@ def finite_l_eigenvalues(nus, count: int) -> np.ndarray:
     Enumerated lazily with a max-heap, so only O(count log count) subset
     products are formed.
     """
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count}")
+    count = _count("count", count, 1)
     q, lnp = nus._halves
     logtop = float(np.sum(lnp))
     cost = np.sort(np.log(q) - lnp)[::-1]  # least negative first

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .chain import NuSpectrum, PhaseCase, _ladder_node, _toeplitz_view
-from .errors import CutError, DomainError, ProximityError, ResolutionError
+from .errors import CutError, DomainError, ProximityError, ResolutionError, _count, _real
 from .special import EllipticModulus, _log_theta_prefactor, log_barnes_g
 
 __all__ = [
@@ -108,12 +108,10 @@ class FHSingularity:
     beta: complex
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.theta < 2.0 * math.pi):
-            raise DomainError(f"singularity angle must lie in [0, 2 pi), got {self.theta}")
+        _real("singularity angle theta", self.theta, 0.0, 2.0 * math.pi, "[)")
         if not (cmath.isfinite(complex(self.alpha)) and cmath.isfinite(complex(self.beta))):
             raise DomainError(f"exponents must be finite: alpha = {self.alpha}, beta = {self.beta}")
-        if not (complex(self.alpha).real > -0.5):
-            raise DomainError(f"root exponent needs Re alpha > -1/2, got alpha = {self.alpha}")
+        _real("root exponent Re alpha", complex(self.alpha).real, -0.5, math.inf, "()")
 
     @property
     def z(self) -> complex:
@@ -123,9 +121,7 @@ class FHSingularity:
 def _symbol_grid(symbol: Callable[[float], complex], n: int) -> np.ndarray:
     """Samples of symbol at 2 pi j / N, j = 0..N-1, on the least power of two
     N >= max(256, 4n): enough points for coefficients out to |k| = n."""
-    if n < 1:
-        raise DomainError(f"coefficient order must be >= 1, got {n}")
-    size = 1 << max(8, (4 * n - 1).bit_length())
+    size = 1 << max(8, (4 * _count("coefficient order n", n, 1) - 1).bit_length())
     thetas = 2.0 * math.pi * np.arange(size) / size
     return np.array([symbol(float(t)) for t in thetas], dtype=complex)
 
@@ -155,16 +151,19 @@ def fourier_coeffs(symbol: Callable[[float], complex], n: int) -> np.ndarray:
 
 def _window(coeffs: np.ndarray, L: int) -> np.ndarray:
     """(c_{1-L}, ..., c_{L-1}) from a two-sided coefficient array (length
-    2n+1, c_k at index n+k, n >= L-1): the coefficients T_L(c) holds."""
+    2n+1, c_k at index n+k, n >= L-1): the coefficients T_L(c) holds, each
+    of them finite."""
     coeffs = np.asarray(coeffs)
+    L = _count("matrix size L", L, 1)
     if coeffs.ndim != 1 or coeffs.size % 2 != 1:
         raise DomainError("coefficient array must be one-dimensional with odd length")
     n = coeffs.size // 2
-    if L < 1:
-        raise DomainError(f"matrix size must be >= 1, got {L}")
     if n < L - 1:
         raise DomainError(f"need coefficients out to |k| = {L - 1}, have {n}")
-    return coeffs[n - L + 1: n + L]
+    v = coeffs[n - L + 1: n + L]
+    if not np.isfinite(v).all():
+        raise DomainError(f"coefficients out to |k| = {L - 1} must be finite")
+    return v
 
 
 def toeplitz_matrix(coeffs: np.ndarray, L: int) -> np.ndarray:
@@ -233,17 +232,21 @@ class SmoothSymbolFactorization:
 
     @classmethod
     def constant(cls, V0: complex) -> "SmoothSymbolFactorization":
-        """Factorization of the constant symbol e^{V0} (b+ = b- = 1)."""
+        """Factorization of the constant symbol e^{V0} (b+ = b- = 1); V0 finite."""
+        if not cmath.isfinite(complex(V0)):
+            raise DomainError(f"V0 must be finite, got {V0}")
         vk = np.zeros(3, dtype=complex)
         vk[1] = V0
         return cls(Vk=vk, V0=complex(V0))
 
     def log_b_plus(self, z: complex) -> complex:
-        """log b+(z) = sum_{k=1}^{n} V_k z^k (|z| <= 1), by Horner's rule."""
+        """log b+(z) = sum_{k=1}^{n} V_k z^k (|z| <= 1 + 1e-12), by Horner's rule."""
+        _real("|z|", abs(z), 0.0, 1.0 + 1e-12)
         return complex(z * np.polyval(self.Vk[:self.order:-1], z))
 
     def log_b_minus(self, z: complex) -> complex:
-        """log b-(z) = sum_{k=1}^{n} V_{-k} z^{-k} (|z| >= 1), by Horner's rule."""
+        """log b-(z) = sum_{k=1}^{n} V_{-k} z^{-k} (finite |z| >= 1 - 1e-12), by Horner's rule."""
+        _real("|z|", abs(z), 1.0 - 1e-12)
         w = 1.0 / z
         return complex(w * np.polyval(self.Vk[:self.order], w))
 
@@ -263,33 +266,21 @@ def szego_asymptotic(f: SmoothSymbolFactorization, L: int) -> ScaledValue:
 # -----------------------------------------------------------------------------
 # Fisher-Hartwig
 # -----------------------------------------------------------------------------
-def _near_nonpositive_int(x: complex) -> bool:
-    if abs(x.imag) > 1e-12:
-        return False
-    r = round(x.real)
-    return r <= -1 and abs(x.real - r) < 1e-12
-
-
 def _validate_fh(sings: Sequence[FHSingularity]) -> None:
     thetas = [s.theta for s in sings]
     if len(set(thetas)) != len(thetas):
         raise DomainError("singularity angles must be distinct")
     for s in sings:
         for sgn in (+1, -1):
-            if _near_nonpositive_int(complex(s.alpha) + sgn * complex(s.beta)):
-                raise DomainError(
-                    f"alpha {'+' if sgn > 0 else '-'} beta = "
-                    f"{complex(s.alpha) + sgn * complex(s.beta)} hits a nonpositive "
-                    f"integer at theta = {s.theta}: the expansion degenerates"
-                )
+            x = complex(s.alpha) + sgn * complex(s.beta)
+            r = round(x.real)  # finite: FHSingularity refuses a non-finite exponent
+            if abs(x.imag) <= 1e-12 and r <= -1 and abs(x.real - r) < 1e-12:
+                raise DomainError(f"alpha {'+' if sgn > 0 else '-'} beta = {x} hits a nonpositive "
+                                  f"integer at theta = {s.theta}: the expansion degenerates")
     res = [complex(s.beta).real for s in sings]
-    for j in range(len(res)):
-        for k in range(j + 1, len(res)):
-            if abs(res[j] - res[k]) >= 1.0:
-                raise DomainError(
-                    f"jump exponents with |Re beta_j - Re beta_k| = "
-                    f"{abs(res[j] - res[k]):.6g} >= 1 are outside the standard regime"
-                )
+    if res and max(res) - min(res) >= 1.0:  # some pair has |Re beta_j - Re beta_k| >= 1
+        raise DomainError(f"jump exponents with Re beta spread over {max(res) - min(res):.6g} "
+                          f">= 1 are outside the standard regime")
 
 
 def fisher_hartwig_asymptotic(
@@ -309,10 +300,10 @@ def fisher_hartwig_asymptotic(
 
     with singularities ordered by angle.  An empty singularity list reduces
     to the smooth limit.  Every alpha_j +- beta_j and 2 alpha_j must lie in
-    the domain |x| <= 5.62 of log_barnes_g.
+    the domain |x| <= 5.62 of log_barnes_g, and a log beyond double range
+    raises DomainError.
     """
-    if L < 1:
-        raise DomainError(f"matrix size must be >= 1, got {L}")
+    L = _count("matrix size L", L, 1)
     sings = sorted(sings, key=lambda s: s.theta)
     _validate_fh(sings)
 
@@ -331,6 +322,8 @@ def fisher_hartwig_asymptotic(
             # z_k/(z_j e^{i pi}) = e^{i (t_k - t_j - pi)} with the exponent
             # already in (-pi, pi), so the principal log is i times it.
             logd += (aj * bk - ak * bj) * 1j * (tk - tj - math.pi)
+    if not cmath.isfinite(logd):
+        raise DomainError(f"Fisher-Hartwig log-determinant {logd} lies beyond double range")
     return ScaledValue(float(logd.real), float(logd.imag))
 
 
@@ -346,10 +339,7 @@ def xx_char_det_asymptotic(s: SpectralParameter, h: float, L: int) -> ScaledValu
                   e^{L V_0} L^{-2 beta^2},
     V_0 = Log(lambda+1) - (kF/pi) Log((lambda+1)/(lambda-1)).
     """
-    if not (abs(h) < 2.0):
-        raise DomainError(f"XX chain needs |h| < 2, got h = {h}")
-    if L < 1:
-        raise DomainError(f"matrix size must be >= 1, got {L}")
+    h = _real("XX field h", h, -2.0, 2.0, "()")
     lam = complex(s.lam)
     kf = math.acos(abs(h) / 2.0)
     v0 = cmath.log(lam + 1.0) - (kf / math.pi) * cmath.log((lam + 1.0) / (lam - 1.0))
@@ -388,12 +378,11 @@ def xy_block_det_asymptotic(
     unreliable (the true determinant crosses over to the next order), so
     such lambda are rejected, and so are lambda within proximity_tol of
     +-1, where the zeros accumulate; pass a smaller tolerance deliberately
-    to probe the sign change.
+    to probe the sign change; a negative one is refused.
     """
-    if L < 1:
-        raise DomainError(f"matrix size must be >= 1, got {L}")
+    L = _count("block length L", L, 1)
+    t = _real("proximity_tol", proximity_tol, 0.0)
     lam = complex(s.lam)
-    t = proximity_tol
     x = abs(lam.real)
     if t > 0.0 and abs(lam.imag) < t:
         if abs(x - 1.0) < t:

@@ -240,6 +240,22 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "finite" in err
 
+    @pytest.mark.parametrize("argv", [
+        "entropy --gamma 0 --h nan --L 10",  # h
+        "entropy --gamma nan --h 1 --L 10",  # gamma
+        "entropy --gamma 0.5 --h 1 --L 0",  # L
+        "entropy --gamma 1e-9 --h 1 --L 10",  # k rounds to 1
+        "spectrum --gamma 1 --h 3 --nmax -1",  # nmax
+        "renyi --gamma 0.5 --h 1 --L 10 --alpha nan",  # alpha
+        "detcheck --gamma 0.5 --h 1 --L 10 --lambda nan",  # lambda
+        "detcheck --gamma 0.5 --h 1 --L 10 --lambda 2 --tol nan",  # tol
+    ])
+    def test_bad_argument_is_one_error_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
     def test_resolution_failure_is_3(self, capsys):
         code, out, err = run_cli(capsys, "entropy", "--gamma", "1e-7", "--h", "1", "--L", "8")
         assert code == 3

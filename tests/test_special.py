@@ -192,6 +192,24 @@ class TestTheta:
             want = mpmath.log(mpmath.jtheta(3, 1j * mpmath.pi * y, mpmath.exp(-0.4 * mpmath.pi)))
             assert abs(got - float(want.real)) < 1e-13 * max(1.0, abs(got))
 
+    @pytest.mark.parametrize("tau0", [0.09, 0.5, 1.6, 5.0])
+    def test_prefactor_one_pass_matches_two(self, tau0):
+        # sigma = 1 reads theta3 at beta - tau/2 only, through
+        # theta3(beta + tau/2) = e^{-2 pi i beta} theta3(beta - tau/2): against
+        # the product of both shifted thetas, at the limit integral's nodes
+        # i x and at XY determinant arguments, equal mod 2 pi i
+        tau = 1j * tau0
+        beta = np.concatenate((1j * np.linspace(0.05, 10.0, 40),
+                               [0.1 + 0.2j, -0.3 - 1.5j, 0.45 + 3.0j, -0.2 + 0.01j]))
+        logs = special._log_theta3(np.concatenate((beta + tau / 2, beta - tau / 2, [tau / 2])), tau)
+        n = beta.size
+        want = logs[:n] + logs[n:2 * n] - 2.0 * logs[-1]
+        got = special._log_theta_prefactor(beta, tau0, 1)
+        scale = np.maximum(1.0, np.abs(want))
+        assert np.all(np.abs(got.real - want.real) <= 2e-15 * scale)
+        turns = (got.imag - want.imag) / (2.0 * math.pi)
+        assert np.all(np.abs(turns - np.round(turns)) * 2.0 * math.pi <= 2e-15 * scale)
+
     def test_subnormal_im_tau_refused(self):
         # ln(1e17) / (pi Im tau) is infinite: refused by the budget, not by
         # an OverflowError from the term count

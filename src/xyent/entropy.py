@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .chain import NuSpectrum, ModelParams, PhaseCase, _ladder_node
 from .errors import ConvergenceError, DomainError, RegimeError, _count, _real
@@ -174,6 +173,7 @@ def _upsilon_integrand(t: np.ndarray) -> np.ndarray:
 
 def _upsilon_tail(order: int) -> float:
     """int_1^50 of the Upsilon1 integrand, order-point Gauss-Legendre per panel."""
+    from numpy.polynomial.legendre import leggauss  # here, to keep numpy.polynomial off import
     x, w = leggauss(order)
     a, b = _UPSILON_PANELS[:-1, None], _UPSILON_PANELS[1:, None]
     half = (b - a) / 2.0

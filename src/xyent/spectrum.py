@@ -38,22 +38,35 @@ _ZETA_TAIL_TOL = 1e-12
 _NMAX_BUDGET = 10 ** 6
 
 
+def _slot_bits(nmax: int, sigma: int) -> int:
+    # Whole bytes, wider than log2(n + 1) + E(n)/ln 2 at n = nmax: a saddle point
+    # x = e^-t bounds q(n) <= x^-n prod(1 + x^k) by e^{pi sqrt(n/3)} for distinct
+    # parts (e^{pi sqrt(n/6)} for distinct odd ones), and sqrt(l) + sqrt(n - l)
+    # <= sqrt(2n) each pair product by e^{E(n)}, so every coefficient is below 2^B.
+    bits = math.log2(nmax + 1) + _envelope_exponent(nmax, sigma) / math.log(2.0)
+    return 8 * (int(bits) // 8 + 1)
+
+
+def _ladder_product(sigma: int, nmax: int, pair: bool) -> list[int]:
+    """Coefficients of x^0..x^nmax in prod (1 + x^k) over distinct odd (sigma = 0)
+    or distinct (sigma = 1) parts k, or in its square if `pair`, from one exact
+    integer with coefficient n in bits [n B, (n + 1) B) (Kronecker substitution):
+    a part costs a shift, add and mask, and no slot reaches 2^B to carry."""
+    slot = _slot_bits(nmax, sigma)
+    mask = (1 << slot * (nmax + 1)) - 1
+    packed = 1
+    for part in range(1, nmax + 1, 2 - sigma):
+        packed = (packed + (packed << slot * part)) & mask
+    raw = (packed * packed & mask if pair else packed).to_bytes(slot // 8 * (nmax + 1), "little")
+    return [int.from_bytes(raw[i:i + slot // 8], "little") for i in range(0, len(raw), slot // 8)]
+
+
 def partition_counts(kind: Literal["Distinct", "DistinctOdd"], nmax: int) -> list[int]:
     """Counts of partitions of 0..nmax into distinct positive parts
-    ("Distinct") or distinct odd parts ("DistinctOdd"), as exact integers,
-    by dynamic programming."""
+    ("Distinct") or distinct odd parts ("DistinctOdd"), as exact integers."""
     if kind not in ("Distinct", "DistinctOdd"):
         raise DomainError(f"unknown partition kind {kind!r}")
-    nmax = _count("truncation nmax", nmax, 0)
-    step = 2 if kind == "DistinctOdd" else 1
-    counts = [0] * (nmax + 1)
-    counts[0] = 1
-    part = 1
-    while part <= nmax:
-        for s in range(nmax, part - 1, -1):
-            counts[s] += counts[s - part]
-        part += step
-    return counts
+    return _ladder_product(int(kind == "Distinct"), _count("truncation nmax", nmax, 0), False)
 
 
 def multiplicities(case: PhaseCase, nmax: int) -> list[int]:
@@ -64,11 +77,8 @@ def multiplicities(case: PhaseCase, nmax: int) -> list[int]:
     the overall factor 2 is the exact double degeneracy carried by the zero
     mode of the nu ladder).
     """
-    p = partition_counts("Distinct" if case.sigma == 1 else "DistinctOdd", nmax)
-    conv = [sum(p[l] * p[n - l] for l in range(n + 1)) for n in range(len(p))]
-    if case.sigma == 1:
-        return [2 * c for c in conv]
-    return conv
+    pairs = _ladder_product(case.sigma, _count("truncation nmax", nmax, 0), True)
+    return [(1 + case.sigma) * m for m in pairs]
 
 
 def multiplicity_asymptotic(n: int) -> float:
@@ -180,14 +190,17 @@ def zeta_function(spec: DensitySpectrum, alpha: float) -> float:
 
 
 def required_nmax(e: EllipticModulus, case: PhaseCase, alpha: float) -> int:
-    """Smallest ladder truncation whose zeta(alpha) tail bound clears the
-    zeta_function tolerance relative to the leading term.
+    """Smallest ladder truncation nmax >= 1 (never 0) whose zeta(alpha) tail
+    bound clears the zeta_function tolerance relative to the leading term.
 
     The bound is +inf until the ladder's decay overtakes the envelope's
     growth, and falls from there on (both the first term and the ratio of
     the geometric majorant fall), so whether nmax clears it is monotone in
-    nmax: doubling finds a truncation that clears, and bisection the least
-    one, in O(log nmax) bound evaluations.
+    nmax.  Without its factor 1/(1 - rho) >= 1 it clears from the root of
+    alpha c u^2 - E(u^2) = ln(C/tol), u^2 = nmax + 1: that nmax and the one
+    below are tried, and a boundary elsewhere (or past a root kept finite by
+    clamping alpha c) is bracketed by galloping and bisected, in O(log nmax)
+    bound evaluations.
     """
     alpha = _real("zeta order alpha", alpha, 0.0, math.inf, "()")
     loglam0, c = _ladder_params(e, case.sigma)
@@ -196,15 +209,17 @@ def required_nmax(e: EllipticModulus, case: PhaseCase, alpha: float) -> int:
     def clears(nmax: int) -> bool:
         return _tail_bound(loglam0, c, alpha, case.sigma, nmax + 1) <= _ZETA_TAIL_TOL * lead
 
-    hi = 1
+    a, b = min(max(alpha * c, 1e-300), 1e300), _envelope_exponent(1.0, case.sigma)
+    u = (b + math.sqrt(b * b + 4.0 * a * math.log(_ENVELOPE_C / _ZETA_TAIL_TOL))) / (2.0 * a)
+    hi = max(1, min(math.ceil(min(u * u, _NMAX_BUDGET)) - 1, _NMAX_BUDGET - 1))
+    lo, step = hi - 1, 1  # lo does not clear (0: nothing below 1 to try)
+    while lo > 0 and clears(lo):
+        hi, lo, step = lo, max(lo - step, 0), 2 * step
     while not clears(hi):
         if hi == _NMAX_BUDGET - 1:
-            raise ConvergenceError(
-                f"no truncation nmax below its budget of 10^6 brings the zeta tail bound "
-                f"under {_ZETA_TAIL_TOL:.0e} at alpha = {alpha}"
-            )
-        hi = min(2 * hi, _NMAX_BUDGET - 1)
-    lo = hi // 2  # does not clear (0: nothing below 1 to try)
+            raise ConvergenceError(f"no truncation nmax below its budget of 10^6 brings the zeta "
+                                   f"tail bound under {_ZETA_TAIL_TOL:.0e} at alpha = {alpha}")
+        lo, hi, step = hi, min(hi + step, _NMAX_BUDGET - 1), 2 * step
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if clears(mid):

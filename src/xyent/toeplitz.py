@@ -56,11 +56,8 @@ class ScaledValue:
 
     @property
     def value(self) -> complex:
-        if self.log_abs == -math.inf:
-            return 0.0 + 0.0j
-        if self.log_abs > 709.0:
-            return cmath.rect(math.inf, 0.0)
-        return cmath.rect(math.exp(self.log_abs), self.phase)
+        """x as an ordinary complex, x / 1; one beyond double range raises DomainError."""
+        return self.ratio(ScaledValue(0.0, 0.0))
 
     def ratio(self, other: "ScaledValue") -> complex:
         """self / other as an ordinary complex; intended for ratios near 1.
@@ -69,9 +66,7 @@ class ScaledValue:
         try:
             return cmath.exp(log_ratio)
         except OverflowError:
-            raise DomainError(
-                f"ratio e^{log_ratio.real:.6g} lies beyond double range"
-            ) from None
+            raise DomainError(f"e^{log_ratio.real:.6g} lies beyond double range") from None
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 # Independent reference implementations used to check the package.  These
 # are deliberately slow and simple: brute-force enumeration, adaptive
 # quadrature and the 2L x 2L Majorana layout of the XY block, no shared code
-# with the library under test.  The one exception is xx_entropy_contour,
+# with the library under test.  The exceptions are xx_entropy_contour,
 # which takes the library's Fisher-Hartwig asymptote as given and checks
-# the step from that determinant to the entropy.
+# the step from that determinant to the entropy, and doubling_required_nmax,
+# which searches over a predicate the caller builds from the library's
+# zeta tail bound, so that it checks the search and not the bound.
 
 from __future__ import annotations
 
@@ -258,3 +260,39 @@ def plane(h2_depth: float, gamma_depth: float):
         ),
         st.tuples(st.just(1.0), _log_approach(1, 3)),
     )
+
+
+def dp_partition_counts(kind: str, nmax: int) -> list[int]:
+    """Counts of partitions of 0..nmax into distinct ("Distinct") or
+    distinct odd ("DistinctOdd") parts by the 0/1 knapsack recurrence."""
+    counts = [1] + [0] * nmax
+    for part in range(1, nmax + 1, 2 if kind == "DistinctOdd" else 1):
+        for s in range(nmax, part - 1, -1):
+            counts[s] += counts[s - part]
+    return counts
+
+
+def convolved_multiplicities(sigma: int, nmax: int) -> list[int]:
+    """Ladder multiplicities as the pair convolution of the knapsack counts,
+    doubled for sigma = 1."""
+    p = dp_partition_counts("Distinct" if sigma == 1 else "DistinctOdd", nmax)
+    return [(1 + sigma) * sum(p[l] * p[n - l] for l in range(n + 1)) for n in range(nmax + 1)]
+
+
+def doubling_required_nmax(clears, budget: int) -> int | None:
+    """Least nmax >= 1 below `budget` for which the monotone predicate
+    `clears` holds, by doubling from 1 and then bisecting; None if even
+    budget - 1 does not clear."""
+    hi = 1
+    while not clears(hi):
+        if hi == budget - 1:
+            return None
+        hi = min(2 * hi, budget - 1)
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if clears(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi

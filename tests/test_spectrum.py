@@ -1,5 +1,8 @@
+import functools
 import math
+import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -24,8 +27,17 @@ from xyent import (
     vn_entropy_limit_series,
     zeta_function,
 )
-from xyent import spectrum
-from oracles import brute_density_probs, brute_partition_count
+from xyent import EllipticModulus, spectrum
+from oracles import (
+    brute_density_probs,
+    brute_partition_count,
+    convolved_multiplicities,
+    doubling_required_nmax,
+    dp_partition_counts,
+)
+
+# nmax at which the packed product is checked against the knapsack oracle
+PACKED_NMAX = [*range(81), 500, 1000, 2000]
 
 
 class TestPartitions:
@@ -51,6 +63,47 @@ class TestPartitions:
             partition_counts("odd", 5)
         with pytest.raises(DomainError):
             partition_counts("Distinct", -1)
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_counts(sigma: int) -> tuple[list[int], list[int]]:
+    # (partition counts, multiplicities) to PACKED_NMAX's largest; each
+    # entry is independent of the truncation, so smaller nmax read a prefix
+    kind = "Distinct" if sigma == 1 else "DistinctOdd"
+    return dp_partition_counts(kind, PACKED_NMAX[-1]), convolved_multiplicities(sigma, PACKED_NMAX[-1])
+
+
+class TestPackedProduct:
+    @pytest.mark.parametrize("case", [CASE_2, CASE_1B], ids=["sigma0", "sigma1"])
+    def test_equals_knapsack_and_convolution(self, case):
+        counts, mults = _oracle_counts(case.sigma)
+        kind = "Distinct" if case.sigma == 1 else "DistinctOdd"
+        for nmax in PACKED_NMAX:
+            assert partition_counts(kind, nmax) == counts[:nmax + 1], nmax
+            assert multiplicities(case, nmax) == mults[:nmax + 1], nmax
+
+    @pytest.mark.parametrize("sigma", [0, 1])
+    def test_slot_wider_than_every_coefficient(self, sigma):
+        # the pair sums m_n / (1 + sigma) are the largest integers a slot holds
+        counts, mults = _oracle_counts(sigma)
+        for nmax in PACKED_NMAX:
+            pairs = max(m // (1 + sigma) for m in mults[:nmax + 1])
+            assert pairs >= max(counts[:nmax + 1])
+            assert spectrum._slot_bits(nmax, sigma) > pairs.bit_length(), nmax
+
+    def test_faster_than_knapsack(self):
+        # one packed product against the O(nmax^2) loops, identical integers
+        def best(f):
+            out = []
+            for _ in range(5):
+                t = time.perf_counter()
+                f()
+                out.append(time.perf_counter() - t)
+            return min(out)
+
+        packed = best(lambda: multiplicities(CASE_1B, 1000))
+        loops = best(lambda: convolved_multiplicities(1, 1000))
+        assert packed * 4.0 <= loops
 
 
 class TestMultiplicities:
@@ -173,6 +226,59 @@ class TestZeta:
         spec = density_spectrum(ModelParams(1.0, 3.0), nmax=16)
         with pytest.raises(DomainError):
             zeta_function(spec, 0.0)
+
+
+def _modulus_at(tau0: float) -> EllipticModulus:
+    # k and k' from the theta constants at q = e^{-pi tau0}, tau0 as given;
+    # k is kept below 1 where it would round there
+    q = mpmath.exp(-mpmath.pi * tau0)
+    t2, t3, t4 = (mpmath.jtheta(j, 0, q) for j in (2, 3, 4))
+    k = min(float((t2 / t3) ** 2), math.nextafter(1.0, 0.0))
+    return EllipticModulus(k, float((t4 / t3) ** 2), tau0)
+
+
+class TestRequiredNmaxSearch:
+    def test_equals_doubling_search(self, monkeypatch):
+        # the closed-form start and its local check give the least nmax the
+        # doubling-then-bisection search finds, in O(log nmax) tail bounds
+        calls = []
+        bound = spectrum._tail_bound
+        monkeypatch.setattr(spectrum, "_tail_bound", lambda *a: calls.append(a) or bound(*a))
+        worst = 0
+        for tau0 in np.geomspace(0.05, 20.0, 41):
+            e = _modulus_at(float(tau0))
+            for case in (CASE_2, CASE_1B):
+                loglam0, c = spectrum._ladder_params(e, case.sigma)
+                for alpha in (0.3, 0.5, 1.0, 2.0, 10.0):
+                    tol = spectrum._ZETA_TAIL_TOL * math.exp(alpha * loglam0)
+                    want = doubling_required_nmax(
+                        lambda n: bound(loglam0, c, alpha, case.sigma, n + 1) <= tol,
+                        spectrum._NMAX_BUDGET)
+                    calls.clear()
+                    got = required_nmax(e, case, alpha)
+                    assert got == want, (float(tau0), case.sigma, alpha)
+                    assert len(calls) <= 2 * math.ceil(math.log2(got + 1)) + 2
+                    worst = max(worst, len(calls))
+        assert worst >= 3  # some starts do miss the boundary and gallop
+
+    @pytest.mark.parametrize("boundary", [0, 1, 2, 3, 9, 10, 11, 999, 12345, 10 ** 6 - 1])
+    def test_finds_any_boundary(self, monkeypatch, boundary):
+        # with a step for the tail bound, the search returns the step's
+        # place from its closed-form start (nmax 10 here) above it (galloping
+        # down), at it, or below it
+        e = _modulus_at(1.0)
+        monkeypatch.setattr(spectrum, "_tail_bound",
+                            lambda *a: 0.0 if a[-1] - 1 >= boundary else math.inf)
+        assert required_nmax(e, CASE_2, 1.0) == max(boundary, 1)
+
+    def test_never_zero(self):
+        # a ladder whose bound clears already at nmax = 0 still gets one rung
+        # past the top
+        e = _modulus_at(20.0)
+        loglam0, c = spectrum._ladder_params(e, 1)
+        assert spectrum._tail_bound(loglam0, c, 10.0, 1, 1) <= (
+            spectrum._ZETA_TAIL_TOL * math.exp(10.0 * loglam0))
+        assert required_nmax(e, CASE_1B, 10.0) == 1
 
 
 class TestFiniteLEigenvalues:

@@ -67,7 +67,13 @@ class TestScaledValue:
 
     def test_zero_and_overflow(self):
         assert ScaledValue(-math.inf, 0.0).value == 0.0
-        assert abs(ScaledValue(1000.0, 0.0).value) == math.inf
+        # between 709 and ln(float max) = 709.78 the value is representable,
+        # its phase kept; beyond double range it is refused, not inf
+        assert ScaledValue(709.5, 0.3).value == pytest.approx(
+            cmath.rect(math.exp(709.5), 0.3), rel=1e-14)
+        for log_abs in (800.0, 1000.0):
+            with pytest.raises(DomainError, match="beyond double range"):
+                ScaledValue(log_abs, 0.3).value
 
     def test_ratio(self):
         a = ScaledValue(500.0, 0.2)

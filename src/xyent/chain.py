@@ -472,7 +472,7 @@ def _edge_nus(c: CorrelationMatrix) -> NuSpectrum:
     below = np.append(np.cumsum(sq[h:0:-1])[::-1], 0.0)  # sum over m = j+1 .. h
     above = np.insert(np.cumsum(sq[h + 1:]), 0, 0.0)  # sum over m = h+1 .. h+j
     d = below[:L] + above[n - L - h: n - h]
-    F = np.empty((16, L))  # rows: the factor's columns; doubled as needed
+    F = np.empty((_EDGE_RANK_BUDGET, L))  # rows: the factor's columns
     w = np.zeros(n)
     r = 0
     while True:
@@ -485,8 +485,6 @@ def _edge_nus(c: CorrelationMatrix) -> NuSpectrum:
                 f"_EDGE_RANK_BUDGET = {_EDGE_RANK_BUDGET}, with a residual diagonal "
                 f"{d[p]:.3e} over {_EDGE_TOL}: L = {L}, grid n = {n}"
             )
-        if r == F.shape[0]:
-            F = np.concatenate((F, np.empty_like(F)))
         w[L:] = coef[n + p - L: p: -1]  # row p of B: c_{(p - k) mod n}, k = L .. n-1
         col = np.fft.irfft(chat * np.fft.rfft(w), n)[:L]  # (C w)[:L] = B B^T e_p
         col -= F[:r, p] @ F[:r]

@@ -143,54 +143,20 @@ def renyi_exact(nus: NuSpectrum, alpha: float) -> EntropyResult:
 # XX asymptote
 # -----------------------------------------------------------------------------
 #
-# The universal constant is an integral whose three terms each diverge like
-# 1/t^3 at t -> 0 while their sum stays finite: evaluating the printed form
-# directly below t ~ 1 costs ~3|log10 t| digits to cancellation.  On [0, 1]
-# the combined integrand is therefore evaluated from its Taylor series
-# (exact rational coefficients, frozen below, truncation < 1e-20 at t = 1);
-# the raw form is safe on [1, 50] and the remaining tail is ~e^{-50}.  The
-# [1, 50] piece is Gauss-Legendre on panels that double in width, so each
-# panel sits at least half its width from the pole at t = 0.
-
-_UPSILON_SERIES = [
-    -0.3333333333333333, 0.2, -0.05555555555555555, 0.011904761904761904,
-    -0.002777777777777778, 0.0005555555555555556, -6.613756613756614e-05, 4.509379509379509e-06,
-    -9.185773074661964e-07, 2.3136035040796945e-07, -8.35070279514724e-09, -4.17535139757362e-09,
-    -5.3530146122738715e-11, 1.6652823608939388e-10, -2.5490545772732723e-13, -5.238738387334083e-12,
-    -9.371524181151737e-16, 1.6534208511364134e-13, -2.7402117488747765e-18, -5.090181602817408e-15,
-    -6.524313687797087e-21, 1.5405758669108334e-16,
-]
+# Upsilon1 is a universal number (Jin and Korepin, J. Stat. Phys. 116, 79
+# (2004)), 0.49501790813513705019... from a 40-digit mpmath quadrature of the
+# integral in upsilon1's docstring.  The integrand's three terms each diverge
+# like 1/t^3 at t -> 0 while their sum stays finite, so the quadrature carries
+# 3|log10 t| + 10 extra digits below t = 1.  The constant is the correctly
+# rounded double.
+_UPSILON1 = 0.4950179081351371
 
 
-_UPSILON_PANELS = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 50.0])
-_UPSILON_ORDER = 20
-
-
-def _upsilon_integrand(t: np.ndarray) -> np.ndarray:
-    sh = np.sinh(t / 2.0)
-    return np.exp(-t) / (3.0 * t) + 1.0 / (t * sh * sh) - np.cosh(t / 2.0) / (2.0 * sh ** 3)
-
-
-def _upsilon_tail(order: int) -> float:
-    """int_1^50 of the Upsilon1 integrand, order-point Gauss-Legendre per panel."""
-    from numpy.polynomial.legendre import leggauss  # here, to keep numpy.polynomial off import
-    x, w = leggauss(order)
-    a, b = _UPSILON_PANELS[:-1, None], _UPSILON_PANELS[1:, None]
-    half = (b - a) / 2.0
-    return float(np.sum(half * w * _upsilon_integrand(half * x + (a + b) / 2.0)))
-
-
-@functools.lru_cache(maxsize=1)
 def upsilon1() -> float:
     """The L-independent constant in the XX entropy asymptote,
-    Upsilon1 = -int_0^inf [e^-t/(3t) + 1/(t sinh^2(t/2)) - cosh(t/2)/(2 sinh^3(t/2))] dt.
-    """
-    head = sum(c / (j + 1) for j, c in enumerate(_UPSILON_SERIES))
-    tail = _upsilon_tail(2 * _UPSILON_ORDER)
-    err = abs(tail - _upsilon_tail(_UPSILON_ORDER))
-    if err > 1e-10:
-        raise ConvergenceError(f"tail quadrature error estimate {err:.3e} exceeds 1e-10")
-    return -(head + tail)
+    Upsilon1 = -int_0^inf [e^-t/(3t) + 1/(t sinh^2(t/2)) - cosh(t/2)/(2 sinh^3(t/2))] dt,
+    as the correctly rounded double of its value."""
+    return _UPSILON1
 
 
 def xx_entropy_asymptotic(h: float, L: int) -> EntropyResult:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -171,11 +172,13 @@ def zeta_function(spec: DensitySpectrum, alpha: float) -> float:
     growth envelope; if the bound exceeds 1e-12 relative to the sum
     (which happens for small alpha, where the series converges slowly),
     the truncation is refused rather than silently wrong, and an alpha
-    whose powers of the ladder leave double range raises DomainError.
+    whose powers of the ladder leave double range (the least exponent, or
+    the top one where ln lambda_0 has rounded above 0) raises DomainError.
     """
     alpha = _real("zeta order alpha", alpha, 0.0, math.inf, "()")
     loglam0, c = _ladder_params(spec.modulus, spec.sigma)
-    if not math.isfinite(alpha * (loglam0 - c * (spec.truncation + 1))):  # the least exponent
+    if not (math.isfinite(alpha * (loglam0 - c * (spec.truncation + 1)))
+            and alpha * loglam0 < math.log(sys.float_info.max)):
         raise DomainError(f"the ladder's powers at alpha = {alpha} lie beyond double range")
     value = float(
         sum(m * math.exp(alpha * ll) for m, ll in zip(spec.mults, spec.loglambdas))
@@ -193,21 +196,23 @@ def required_nmax(e: EllipticModulus, case: PhaseCase, alpha: float) -> int:
     """Smallest ladder truncation nmax >= 1 (never 0) whose zeta(alpha) tail
     bound clears the zeta_function tolerance relative to the leading term.
 
-    The bound is +inf until the ladder's decay overtakes the envelope's
-    growth, and falls from there on (both the first term and the ratio of
-    the geometric majorant fall), so whether nmax clears it is monotone in
-    nmax.  Without its factor 1/(1 - rho) >= 1 it clears from the root of
-    alpha c u^2 - E(u^2) = ln(C/tol), u^2 = nmax + 1: that nmax and the one
-    below are tried, and a boundary elsewhere (or past a root kept finite by
-    clamping alpha c) is bracketed by galloping and bisected, in O(log nmax)
-    bound evaluations.
+    The bound is C e^{E(n0) + alpha (ln lambda_0 - c n0)} / (1 - rho), and
+    lambda_0^alpha is a factor of it and of the leading term alike, so it
+    is tested at ln lambda_0 = 0 and lambda_0 never enters.  It is +inf
+    until the ladder's decay overtakes the envelope's growth, and falls
+    from there on (both the first term and the ratio of the geometric
+    majorant fall), so whether nmax clears it is monotone in nmax.  Without
+    its factor 1/(1 - rho) >= 1 it clears from the root of alpha c u^2 -
+    E(u^2) = ln(C/tol), u^2 = nmax + 1: that nmax and the one below are
+    tried, and a boundary elsewhere (or past a root kept finite by clamping
+    alpha c) is bracketed by galloping and bisected, in O(log nmax) bound
+    evaluations.
     """
     alpha = _real("zeta order alpha", alpha, 0.0, math.inf, "()")
-    loglam0, c = _ladder_params(e, case.sigma)
-    lead = math.exp(alpha * loglam0)
+    c = _ladder_params(e, case.sigma)[1]
 
     def clears(nmax: int) -> bool:
-        return _tail_bound(loglam0, c, alpha, case.sigma, nmax + 1) <= _ZETA_TAIL_TOL * lead
+        return _tail_bound(0.0, c, alpha, case.sigma, nmax + 1) <= _ZETA_TAIL_TOL
 
     a, b = min(max(alpha * c, 1e-300), 1e300), _envelope_exponent(1.0, case.sigma)
     u = (b + math.sqrt(b * b + 4.0 * a * math.log(_ENVELOPE_C / _ZETA_TAIL_TOL))) / (2.0 * a)

@@ -34,6 +34,7 @@ from xyent import (
     renyi_exact,
     renyi_limit_modular,
     renyi_limit_qproduct,
+    required_nmax,
     szego_asymptotic,
     theta_zero_ladder,
     toeplitz_det_exact,
@@ -105,6 +106,7 @@ VALID = {
     "e_func": (1.0, 0.5),
     "vn_entropy_exact": (XY,),
     "renyi_exact": (XY, 2.0),
+    "upsilon1": (),
     "xx_entropy_asymptotic": (1.0, 40),
     "theta_zero_ladder": (E, 1, 8),
     "vn_entropy_limit_series": (E, 1),
@@ -218,6 +220,11 @@ def test_swapped_field_fails_closed(name, data):
     _check(name, CLASSES[name], _swapped(VALID_FIELDS[name], i, v))
 
 
+# A point where ln lambda_0 rounds to +8.9e-16 (its true value is -5.0e-19),
+# so the top of the ladder rounds above 1; every modulus the sweep above
+# reaches has ln lambda_0 < 0.
+P_TOP = ModelParams(0.001, 1e6)
+
 # Calls that returned NaN or raised an untyped error before every public
 # argument went through the validators.
 _NAN_COEFFS = COEFFS.copy()
@@ -242,6 +249,7 @@ FORMER_LEAKS = {
     "xy_block_det_asymptotic(s, e, case, nan)": lambda: xy_block_det_asymptotic(S, E, CASE, math.nan),
     "e_func(1e308, 0.5)": lambda: e_func(1e308, 0.5),
     "zeta_function(spec, 1e308)": lambda: zeta_function(density_spectrum(P, 64), 1e308),
+    "zeta_function(top above 1, 1e300)": lambda: zeta_function(density_spectrum(P_TOP, 4), 1e300),
     "EllipticModulus(0.6, 0.8, nan)": lambda: EllipticModulus(0.6, 0.8, math.nan),
     "EllipticModulus(0.6, -0.8, 1.0)": lambda: EllipticModulus(0.6, -0.8, 1.0),
 }
@@ -256,12 +264,23 @@ def test_former_leak_is_typed(call):
 @pytest.mark.parametrize("name, refuse", [("e_func(1e308, 0.5)", "beyond double range"),
                                           ("multiplicity_asymptotic(153135)", "beyond double range"),
                                           ("zeta_function(spec, 1e308)", "beyond double range"),
+                                          ("zeta_function(top above 1, 1e300)",
+                                           "beyond double range"),
                                           ("build_xx_matrix(1.0, 2.5)", "block length L"),
                                           ("theta_zero_ladder(e, 1, nan)", "ladder length M"),
                                           ("EllipticModulus(0.6, 0.8, nan)", "tau0")])
 def test_refusal_names_its_cause(name, refuse):
     with pytest.raises(DomainError, match=refuse):
         FORMER_LEAKS[name]()
+
+
+def test_required_nmax_where_the_top_rounds_above_1():
+    # the truncation does not depend on lambda_0, so a rounded ln lambda_0 > 0
+    # cannot overflow it (it raised OverflowError at alpha = 1e300)
+    case, e = classify_case(P_TOP), modulus_k(P_TOP)
+    assert _ladder_params(e, case.sigma)[0] > 0.0
+    n = required_nmax(e, case, 1e300)
+    assert type(n) is int and n >= 1
 
 
 @pytest.mark.parametrize("value", [True, np.True_, 8.0, math.nan, math.inf, -math.inf, "8", 0, -1])

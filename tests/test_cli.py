@@ -265,8 +265,8 @@ def test_import_leaves_scipy_unloaded():
     # scipy costs most of a cold start, and the library needs none of it:
     # neither the import, nor an XY nu-spectrum on the dense route (L = 40)
     # or the edge route (L = 400), nor Barnes G (through both Fisher-Hartwig
-    # forms) may load it; nor may they load numpy.polynomial, which only
-    # the XX entropy asymptote's Upsilon1 quadrature reads
+    # forms), nor the XX entropy asymptote may load it; nor may they load
+    # numpy.polynomial
     src = os.path.dirname(os.path.dirname(os.path.abspath(xyent.__file__)))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
@@ -280,6 +280,8 @@ def test_import_leaves_scipy_unloaded():
         "xx_char_det_asymptotic(SpectralParameter(2.0), 1.0, 64)\n"
         "fisher_hartwig_asymptotic(SmoothSymbolFactorization.constant(0.0),\n"
         "                          [FHSingularity(1.0, 0.25, 0.1j)], 64)\n"
+        "from xyent import xx_entropy_asymptotic\n"
+        "xx_entropy_asymptotic(1.0, 64)\n"
         "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n"
         "print('numpy.polynomial' in sys.modules)"
     )

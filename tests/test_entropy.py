@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,9 +106,28 @@ class TestExactEntropies:
         assert renyi_exact(nus, 2.0).params["alpha"] == 2.0
 
 
+def _upsilon1_integrand(t):
+    # the three terms each diverge like t^-3 at t -> 0: carry 3|log10 t| + 10
+    # extra digits below t = 1 to absorb the cancellation
+    extra = int(3 * max(0.0, -float(mpmath.log10(t)))) + 10 if t < 1 else 0
+    with mpmath.workdps(mpmath.mp.dps + extra):
+        t = mpmath.mpf(t)
+        sh = mpmath.sinh(t / 2)
+        val = mpmath.exp(-t) / (3 * t) + 1 / (t * sh * sh) - mpmath.cosh(t / 2) / (2 * sh ** 3)
+    return +val
+
+
 class TestXXAsymptote:
     def test_upsilon1_reference(self):
         assert upsilon1() == pytest.approx(UPSILON1_REFERENCE, abs=5e-15)
+
+    def test_upsilon1_is_the_rounded_quadrature(self):
+        # bitwise the correctly rounded double of a 40-digit quadrature of
+        # the defining integral
+        with mpmath.workdps(40):
+            want = -mpmath.quad(_upsilon1_integrand, [0, 1, 10, mpmath.inf])
+            assert abs(want - mpmath.mpf("0.49501790813513705019")) < 1e-20
+        assert upsilon1() == float(want)
 
     def test_value_structure(self):
         s100 = xx_entropy_asymptotic(0.0, 100).value

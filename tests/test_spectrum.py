@@ -271,6 +271,22 @@ class TestRequiredNmaxSearch:
                             lambda *a: 0.0 if a[-1] - 1 >= boundary else math.inf)
         assert required_nmax(e, CASE_2, 1.0) == max(boundary, 1)
 
+    @pytest.mark.parametrize("alpha, want", [(56.2, 20), (100.0, 10)])
+    def test_lambda0_cancels_where_its_power_underflows(self, alpha, want):
+        # alpha ln lambda_0 < -745: lambda_0^alpha is 0.0 in double, yet the
+        # truncation is the one its tail needs (a test scaled by that power
+        # passed every nmax, and returned 1), and zeta_function on that
+        # ladder passes its own tail bound
+        e = EllipticModulus(math.nextafter(1.0, 0.0), 1e-43, 0.01)
+        loglam0, c = spectrum._ladder_params(e, 0)
+        assert alpha * loglam0 < -745.2
+        n = required_nmax(e, CASE_2, alpha)
+        assert n == want
+        logs = loglam0 - c * np.arange(n + 1)
+        spec = spectrum.DensitySpectrum(np.exp(logs), logs, multiplicities(CASE_2, n),
+                                        math.exp(-c), n, 0, e)
+        assert zeta_function(spec, alpha) == 0.0
+
     def test_never_zero(self):
         # a ladder whose bound clears already at nmax = 0 still gets one rung
         # past the top

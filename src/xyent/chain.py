@@ -13,12 +13,12 @@
 #     the block's two edges beyond (_edge_nus); build_correlation_matrix
 #     takes the g_l from one inverse real FFT of phi.
 #   * XX (gamma = 0): real symmetric Toeplitz L x L matrix with closed-form
-#     entries; its signed eigenvalues are kept (entropies are even in nu and
+#     coefficients; its signed eigenvalues are kept (entropies are even in nu and
 #     the signed values feed the characteristic-determinant oracle).
 #   * Every route returns a NuSpectrum: the nontrivial modes with their
 #     delta = 1 - nu^2, and the counts of trivial ones at exactly +-1.
 #   * A block is stored only as its coefficients; dense solves read it as a
-#     strided view of them (_toeplitz_view), and only entries copies it.
+#     strided view of them (_toeplitz_view), and nothing copies it out.
 
 from __future__ import annotations
 
@@ -130,8 +130,8 @@ CASE_2 = PhaseCase("2", 0)
 class CorrelationMatrix:
     """Finite-block correlation matrix: the real L x L Toeplitz block
     T_ij = c_{i-j}, held as its coefficients, c_l at index l mod n of a
-    vector of n >= 2L - 1 of them.  The block itself is copied out only on
-    demand, as entries.
+    vector of n >= 2L - 1 of them; the dense solves read the block as a
+    view of them.
 
     symmetric is True for the XX block (from build_xx_matrix), whose signed
     eigenvalues are its nu-spectrum; otherwise the block is the XY G, whose
@@ -152,11 +152,6 @@ class CorrelationMatrix:
         """The block, a read-only view of the 2L - 1 coefficients it holds."""
         c, L = self.coefficients, self.L
         return _toeplitz_view(np.concatenate((c[c.size - L + 1:], c[:L])))
-
-    @property
-    def entries(self) -> np.ndarray:
-        """The L x L block, an owned and writable copy, made anew on each call."""
-        return self._view().copy()
 
 
 @dataclass(frozen=True)

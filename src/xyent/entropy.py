@@ -25,7 +25,6 @@ from .spectrum import _ladder_params
 __all__ = [
     "EntropyResult",
     "ThetaZeroLadder",
-    "e_func",
     "vn_entropy_exact",
     "renyi_exact",
     "upsilon1",
@@ -86,20 +85,9 @@ def _mk(value: float, method: str, *, gamma=None, h=None, L=None, alpha=1.0) -> 
 # -----------------------------------------------------------------------------
 # Binary entropy kernel and exact finite-L sums
 # -----------------------------------------------------------------------------
-def e_func(x: float, nu: float) -> float:
-    """e(x, nu) = -((x+nu)/2) ln((x+nu)/2) - ((x-nu)/2) ln((x-nu)/2),
-    with the convention 0 ln 0 = 0.  Requires a finite nu and a finite
-    x >= |nu|; a value beyond double range raises DomainError."""
-    nu = _real("nu", nu)
-    x = _real("x", x, abs(nu) - 1e-12)
-    s = _e(x, nu)
-    if s == -math.inf:
-        raise DomainError(f"e(x, nu) at x = {x}, nu = {nu} lies beyond double range")
-    return s
-
-
 def _e(x: float, nu: float) -> float:
-    """e(x, nu) of e_func, unchecked, for the ladder series' terms."""
+    """e(x, nu) = -((x+nu)/2) ln((x+nu)/2) - ((x-nu)/2) ln((x-nu)/2), with the
+    convention 0 ln 0 = 0, unchecked, for the ladder series' terms."""
     p = (x + nu) / 2.0
     q = (x - nu) / 2.0
     return -((p * math.log(p) if p > 0.0 else 0.0)

@@ -11,7 +11,6 @@ import heapq
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Literal
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from .errors import ConvergenceError, DomainError, _count, _real
 from .special import EllipticModulus
 
 __all__ = [
-    "partition_counts",
     "multiplicities",
     "multiplicity_asymptotic",
     "DensitySpectrum",
@@ -48,26 +46,18 @@ def _slot_bits(nmax: int, sigma: int) -> int:
     return 8 * (int(bits) // 8 + 1)
 
 
-def _ladder_product(sigma: int, nmax: int, pair: bool) -> list[int]:
-    """Coefficients of x^0..x^nmax in prod (1 + x^k) over distinct odd (sigma = 0)
-    or distinct (sigma = 1) parts k, or in its square if `pair`, from one exact
-    integer with coefficient n in bits [n B, (n + 1) B) (Kronecker substitution):
-    a part costs a shift, add and mask, and no slot reaches 2^B to carry."""
+def _ladder_product(sigma: int, nmax: int) -> list[int]:
+    """Coefficients of x^0..x^nmax in the square of prod (1 + x^k) over distinct
+    odd (sigma = 0) or distinct (sigma = 1) parts k, from one exact integer with
+    coefficient n in bits [n B, (n + 1) B) (Kronecker substitution): a part
+    costs a shift, add and mask, and no slot reaches 2^B to carry."""
     slot = _slot_bits(nmax, sigma)
     mask = (1 << slot * (nmax + 1)) - 1
     packed = 1
     for part in range(1, nmax + 1, 2 - sigma):
         packed = (packed + (packed << slot * part)) & mask
-    raw = (packed * packed & mask if pair else packed).to_bytes(slot // 8 * (nmax + 1), "little")
+    raw = (packed * packed & mask).to_bytes(slot // 8 * (nmax + 1), "little")
     return [int.from_bytes(raw[i:i + slot // 8], "little") for i in range(0, len(raw), slot // 8)]
-
-
-def partition_counts(kind: Literal["Distinct", "DistinctOdd"], nmax: int) -> list[int]:
-    """Counts of partitions of 0..nmax into distinct positive parts
-    ("Distinct") or distinct odd parts ("DistinctOdd"), as exact integers."""
-    if kind not in ("Distinct", "DistinctOdd"):
-        raise DomainError(f"unknown partition kind {kind!r}")
-    return _ladder_product(int(kind == "Distinct"), _count("truncation nmax", nmax, 0), False)
 
 
 def multiplicities(case: PhaseCase, nmax: int) -> list[int]:
@@ -78,7 +68,7 @@ def multiplicities(case: PhaseCase, nmax: int) -> list[int]:
     the overall factor 2 is the exact double degeneracy carried by the zero
     mode of the nu ladder).
     """
-    pairs = _ladder_product(case.sigma, _count("truncation nmax", nmax, 0), True)
+    pairs = _ladder_product(case.sigma, _count("truncation nmax", nmax, 0))
     return [(1 + case.sigma) * m for m in pairs]
 
 

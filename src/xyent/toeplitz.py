@@ -27,9 +27,7 @@ __all__ = [
     "SpectralParameter",
     "FHSingularity",
     "SmoothSymbolFactorization",
-    "fourier_coeffs",
     "toeplitz_det_exact",
-    "toeplitz_matrix",
     "szego_asymptotic",
     "fisher_hartwig_asymptotic",
     "xx_char_det_asymptotic",
@@ -38,9 +36,7 @@ __all__ = [
     "xy_block_det_exact",
 ]
 
-# Largest |c_{+-n}| accepted from fourier_coeffs and from the log-symbol of
-# SmoothSymbolFactorization.from_symbol.
-_COEFF_TAIL_TOL = 1e-10
+# Largest |V_{+-n}| that SmoothSymbolFactorization.from_symbol accepts.
 _LOG_TAIL_TOL = 1e-12
 
 
@@ -121,27 +117,18 @@ def _symbol_grid(symbol: Callable[[float], complex], n: int) -> np.ndarray:
     return np.array([symbol(float(t)) for t in thetas], dtype=complex)
 
 
-def _two_sided(samples: np.ndarray, n: int, tail_tol: float, what: str) -> np.ndarray:
+def _two_sided(samples: np.ndarray, n: int) -> np.ndarray:
     """Coefficients c_k, |k| <= n, of equispaced samples by one FFT, with c_k
-    at index n+k.  |c_{+-n}| over tail_tol raises ResolutionError, since the
-    grid then aliases unresolved structure."""
+    at index n+k.  |c_{+-n}| over _LOG_TAIL_TOL raises ResolutionError, since
+    the grid then aliases unresolved structure."""
     c = np.fft.fft(samples) / samples.size  # c[k] = c_k for k >= 0, c[-k] at the top
     out = c[np.arange(-n, n + 1) % samples.size]
     tail = max(abs(out[0]), abs(out[-1]))
-    if not tail <= tail_tol:  # a NaN sample makes every coefficient NaN
+    if not tail <= _LOG_TAIL_TOL:  # a non-finite sample makes every coefficient NaN
         raise ResolutionError(
-            f"{what} coefficients at |k| = {n} still {tail:.3e} > {tail_tol:.0e}; raise n"
+            f"log-symbol coefficients at |k| = {n} still {tail:.3e} > {_LOG_TAIL_TOL:.0e}; raise n"
         )
     return out
-
-
-def fourier_coeffs(symbol: Callable[[float], complex], n: int) -> np.ndarray:
-    """Fourier coefficients c_k = (1/2 pi) int_0^2pi symbol(t) e^{-ikt} dt for
-    |k| <= n, returned as an array of length 2n+1 with c_k at index n+k.
-
-    The symbol must be smooth: |c_{+-n}| > 1e-10 raises ResolutionError.
-    """
-    return _two_sided(_symbol_grid(symbol, n), n, _COEFF_TAIL_TOL, "symbol")
 
 
 def _window(coeffs: np.ndarray, L: int) -> np.ndarray:
@@ -159,12 +146,6 @@ def _window(coeffs: np.ndarray, L: int) -> np.ndarray:
     if not np.isfinite(v).all():
         raise DomainError(f"coefficients out to |k| = {L - 1} must be finite")
     return v
-
-
-def toeplitz_matrix(coeffs: np.ndarray, L: int) -> np.ndarray:
-    """L x L Toeplitz matrix T[j, k] = c_{j-k} from a two-sided coefficient
-    array (length 2n+1, c_k at index n+k, n >= L-1), as an owned copy."""
-    return _toeplitz_view(_window(coeffs, L)).copy()
 
 
 def toeplitz_det_exact(coeffs: np.ndarray, L: int) -> ScaledValue:
@@ -222,7 +203,7 @@ class SmoothSymbolFactorization:
             raise DomainError(
                 f"symbol has index {winding} != 0; the smooth-limit form does not apply"
             )
-        vk = _two_sided(np.log(np.abs(vals)) + 1j * ph, n, _LOG_TAIL_TOL, "log-symbol")
+        vk = _two_sided(np.log(np.abs(vals)) + 1j * ph, n)
         return cls(Vk=vk, V0=complex(vk[n]))
 
     @classmethod

@@ -1,7 +1,8 @@
 # Independent reference implementations used to check the package.  These
 # are deliberately slow and simple: brute-force enumeration, adaptive
-# quadrature and the 2L x 2L Majorana layout of the XY block, no shared code
-# with the library under test.  The exceptions are xx_entropy_contour,
+# quadrature, a plain FFT of samples, the index gather of a Toeplitz block
+# and the 2L x 2L Majorana layout of the XY block, with no code shared with
+# the library under test.  The exceptions are xx_entropy_contour,
 # which takes the library's Fisher-Hartwig asymptote as given and checks
 # the step from that determinant to the entropy, and doubling_required_nmax,
 # which searches over a predicate the caller builds from the library's
@@ -79,6 +80,22 @@ def quad_fourier_coeff(symbol, k: int) -> complex:
     im, _ = quad(lambda t: (symbol(t) * np.exp(-1j * k * t)).imag, 0.0, 2.0 * math.pi,
                  limit=400, epsabs=1e-13)
     return complex(re, im) / (2.0 * math.pi)
+
+
+def fft_coeffs(symbol, n: int, size: int = 1 << 12) -> np.ndarray:
+    """Fourier coefficients c_k, |k| <= n, of symbol by a plain FFT of `size`
+    equispaced samples, as a two-sided array: c_k at index n+k."""
+    c = np.fft.fft([symbol(2.0 * math.pi * j / size) for j in range(size)]) / size
+    return c[np.arange(-n, n + 1) % size]
+
+
+def toeplitz_gather(c: np.ndarray, L: int, zero: int = 0) -> np.ndarray:
+    """The L x L Toeplitz matrix T[i, j] = c_{i-j} as an owned array, by an
+    index gather with c_l read at index (zero + l) mod c.size: zero = 0 for
+    a periodic vector (c_l at index l mod n), and zero = n for a two-sided
+    one (length 2n+1, c_k at index n+k)."""
+    idx = np.arange(L)
+    return c[(zero + idx[:, None] - idx[None, :]) % c.size]
 
 
 def xy_coefficients(gamma: float, h: float, n_grid: int = 1 << 18) -> np.ndarray:

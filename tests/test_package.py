@@ -10,16 +10,16 @@ PUBLIC = {
     "CASE_1A", "CASE_1B", "CASE_2",
     "classify_case", "complete_elliptic_K", "ConfigError", "ConvergenceError",
     "CorrelationMatrix", "critical_entropy_approx", "CutError", "density_spectrum",
-    "DensitySpectrum", "DomainError", "e_func", "EllipticModulus", "EntropyResult",
+    "DensitySpectrum", "DomainError", "EllipticModulus", "EntropyResult",
     "FHSingularity", "finite_l_eigenvalues", "fisher_hartwig_asymptotic",
-    "fourier_coeffs", "log_barnes_g", "ModelParams",
+    "log_barnes_g", "ModelParams",
     "modular_lambda", "modulus_k", "multiplicities", "multiplicity_asymptotic",
-    "nu_spectrum", "NuSpectrum", "partition_counts", "PhaseCase", "ProximityError",
+    "nu_spectrum", "NuSpectrum", "PhaseCase", "ProximityError",
     "RegimeError", "renyi_exact", "renyi_limit_modular", "renyi_limit_qproduct",
     "required_nmax", "ResolutionError", "ScaledValue", "SmoothSymbolFactorization",
     "SpectralParameter", "SpectrumRangeError", "szego_asymptotic", "tau0_from_modulus",
     "theta", "theta_zero_ladder", "ThetaZeroLadder", "toeplitz_det_exact",
-    "toeplitz_matrix", "upsilon1", "vn_entropy_closed", "vn_entropy_exact",
+    "upsilon1", "vn_entropy_closed", "vn_entropy_exact",
     "vn_entropy_limit_integral", "vn_entropy_limit_series", "xx_char_det_asymptotic",
     "xx_char_det_exact", "xx_entropy_asymptotic", "xy_block_det_asymptotic",
     "xy_block_det_exact", "XyentError", "zeta_function",

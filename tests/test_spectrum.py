@@ -21,7 +21,6 @@ from xyent import (
     multiplicities,
     multiplicity_asymptotic,
     nu_spectrum,
-    partition_counts,
     renyi_limit_qproduct,
     required_nmax,
     vn_entropy_limit_series,
@@ -41,28 +40,31 @@ PACKED_NMAX = [*range(81), 500, 1000, 2000]
 
 
 class TestPartitions:
+    # the partition counts enter only through the multiplicities, the pair
+    # sums (1 + sigma) sum_l p(l) p(n - l)
     @pytest.mark.parametrize("kind", ["Distinct", "DistinctOdd"])
     def test_against_enumeration(self, kind):
-        counts = partition_counts(kind, 30)
-        for n in range(31):
-            assert counts[n] == brute_partition_count(kind, n)
+        sigma = int(kind == "Distinct")
+        p = [brute_partition_count(kind, n) for n in range(31)]
+        want = [(1 + sigma) * sum(p[l] * p[n - l] for l in range(n + 1)) for n in range(31)]
+        assert multiplicities(CASE_1B if sigma else CASE_2, 30) == want
 
     def test_known_values(self):
-        # distinct partitions of 6: 6, 5+1, 4+2, 3+2+1
-        assert partition_counts("Distinct", 6)[6] == 4
-        # distinct odd partitions of 8: 7+1, 5+3
-        assert partition_counts("DistinctOdd", 8)[8] == 2
+        # distinct odd partitions of 0..4: 1, 1, 0, 1, 1 (4 = 3 + 1), so
+        # m_4 = 1 + 1 + 0 + 1 + 1 pairs
+        assert multiplicities(CASE_2, 4) == [1, 2, 1, 2, 4]
+        # distinct partitions of 0..3: 1, 1, 1, 2 (3 and 2 + 1), each pair doubled
+        assert multiplicities(CASE_1B, 3) == [2, 4, 6, 12]
 
     def test_exact_integers(self):
-        c = partition_counts("Distinct", 400)[400]
-        assert isinstance(c, int)
-        assert c == 11962163400706  # exact, no float rounding anywhere
+        m = multiplicities(CASE_1B, 400)[400]
+        assert isinstance(m, int)
+        assert m == 67937091427596141060  # exact: 66 bits, which no float holds
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            partition_counts("odd", 5)
-        with pytest.raises(DomainError):
-            partition_counts("Distinct", -1)
+        for nmax in (-1, 2.5):
+            with pytest.raises(DomainError):
+                multiplicities(CASE_1B, nmax)
 
 
 @functools.lru_cache(maxsize=None)
@@ -76,10 +78,8 @@ def _oracle_counts(sigma: int) -> tuple[list[int], list[int]]:
 class TestPackedProduct:
     @pytest.mark.parametrize("case", [CASE_2, CASE_1B], ids=["sigma0", "sigma1"])
     def test_equals_knapsack_and_convolution(self, case):
-        counts, mults = _oracle_counts(case.sigma)
-        kind = "Distinct" if case.sigma == 1 else "DistinctOdd"
+        mults = _oracle_counts(case.sigma)[1]
         for nmax in PACKED_NMAX:
-            assert partition_counts(kind, nmax) == counts[:nmax + 1], nmax
             assert multiplicities(case, nmax) == mults[:nmax + 1], nmax
 
     @pytest.mark.parametrize("sigma", [0, 1])

@@ -19,21 +19,22 @@ from xyent import (
     build_xx_matrix,
     classify_case,
     fisher_hartwig_asymptotic,
-    fourier_coeffs,
     modulus_k,
     nu_spectrum,
     szego_asymptotic,
     toeplitz_det_exact,
-    toeplitz_matrix,
     xx_char_det_asymptotic,
     xx_char_det_exact,
     xy_block_det_asymptotic,
     xy_block_det_exact,
 )
+from xyent.chain import _toeplitz_view
 from oracles import (
+    fft_coeffs,
     log_gap,
     majorana_matrix,
     quad_fourier_coeff,
+    toeplitz_gather,
     xx_char_det_log_mp,
     xy_block_det_log_mp,
 )
@@ -109,29 +110,28 @@ class TestSpectralParameter:
 
 
 class TestFourierCoeffs:
+    # the log-symbol coefficients SmoothSymbolFactorization.from_symbol takes
+    # by one FFT of its samples
     def test_bessel_symbol(self):
+        # log exp(e^{a cos t}) = e^{a cos t}, whose coefficients are I_k(a)
         a = 0.7
-        c = fourier_coeffs(lambda t: cmath.exp(a * math.cos(t)), 16)
+        f = SmoothSymbolFactorization.from_symbol(lambda t: math.exp(math.exp(a * math.cos(t))), 16)
         for k in (-3, 0, 1, 5):
-            assert c[16 + k] == pytest.approx(iv(k, a), rel=1e-13)
+            assert f.Vk[16 + k] == pytest.approx(iv(k, a), rel=1e-13)
 
     def test_matches_quadrature(self):
-        # coefficients decay like (2 - sqrt(3))^|k|, so the smooth-tail guard
-        # needs n = 24 before |c_n| drops under its threshold
+        # the log-coefficients fall to 3.8e-11 at n = 24, so the smooth-tail
+        # guard needs n = 32 before |V_n| drops under its threshold
         sym = lambda t: 1.0 / (2.0 + math.cos(t)) + 0.3j * math.sin(t)
-        c = fourier_coeffs(sym, 24)
+        f = SmoothSymbolFactorization.from_symbol(sym, 32)
         for k in (-2, 0, 3):
-            assert c[24 + k] == pytest.approx(quad_fourier_coeff(sym, k), abs=1e-11)
+            want = quad_fourier_coeff(lambda t: cmath.log(sym(t)), k)
+            assert f.Vk[32 + k] == pytest.approx(want, abs=1e-13)
 
     def test_resolution_guard(self):
-        rough = lambda t: abs(2.0 * math.sin(t / 2.0)) ** 0.6
+        rough = lambda t: 2.0 + abs(2.0 * math.sin(t / 2.0)) ** 0.6
         with pytest.raises(ResolutionError):
-            fourier_coeffs(rough, 32)
-
-    def test_nan_sample_refused(self):
-        # one NaN sample makes every coefficient NaN, which used to be returned
-        with pytest.raises(ResolutionError):
-            fourier_coeffs(_NAN_NEAR_1, 8)
+            SmoothSymbolFactorization.from_symbol(rough, 32)
 
 
 class TestToeplitzDet:
@@ -142,8 +142,8 @@ class TestToeplitzDet:
         assert got == pytest.approx(want, rel=1e-14)
 
     def test_matrix_layout(self):
-        c = np.array([3.0, 1.0, 2.0], dtype=complex)
-        t = toeplitz_matrix(c, 2)
+        # the strided view every dense solve reads holds T[j, k] = c_{j-k}
+        t = _toeplitz_view(np.array([3.0, 1.0, 2.0]))
         assert t[0, 1] == 3.0  # c_{-1}
         assert t[1, 0] == 2.0  # c_{+1}
 
@@ -157,7 +157,7 @@ class TestToeplitzDet:
         c[L + 2] += 3.0 * math.sqrt(L)
         if imag is not None:
             c = c + 1j * imag * rng.standard_normal(c.size)
-        t = toeplitz_matrix(c, L)
+        t = toeplitz_gather(c, L, zero=c.size // 2)
         sign, logdet = np.linalg.slogdet(t if imag else t.real)
         got = toeplitz_det_exact(c, L)
         assert got == ScaledValue(float(logdet), float(cmath.phase(complex(sign))))
@@ -186,7 +186,7 @@ class TestSzego:
         a = 0.7
         sym = lambda t: cmath.exp(a * math.cos(t))
         f = SmoothSymbolFactorization.from_symbol(sym, n=32)
-        c = fourier_coeffs(sym, 40)
+        c = fft_coeffs(sym, 40)
         ex = toeplitz_det_exact(c, 32)
         asym = szego_asymptotic(f, 32)
         assert abs(asym.ratio(ex) - 1.0) < 1e-12
@@ -287,7 +287,7 @@ class TestXXDet:
         L = 12
         c = build_xx_matrix(h, L)
         via_nus = xx_char_det_exact(nu_spectrum(c), s)
-        sign, logdet = np.linalg.slogdet(s.lam * np.eye(L) - c.entries)
+        sign, logdet = np.linalg.slogdet(s.lam * np.eye(L) - toeplitz_gather(c.coefficients, L))
         via_det = ScaledValue(float(logdet), float(cmath.phase(sign)))
         assert abs(via_det.ratio(via_nus) - 1.0) < 1e-10
 

@@ -126,7 +126,7 @@ CASE_1B = PhaseCase("1b", 1)
 CASE_2 = PhaseCase("2", 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationMatrix:
     """Finite-block correlation matrix: the real L x L Toeplitz block
     T_ij = c_{i-j}, held as its coefficients, c_l at index l mod n of a
@@ -154,7 +154,7 @@ class CorrelationMatrix:
         return _toeplitz_view(np.concatenate((c[c.size - L + 1:], c[:L])))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NuSpectrum:
     """nu-spectrum of a block as its routes resolve it: the nontrivial modes,
     descending (XY ones in [0, 1], XX ones signed, since the entropies are

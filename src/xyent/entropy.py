@@ -64,7 +64,7 @@ class EntropyResult:
     params: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThetaZeroLadder:
     """Zeros lambda_m = tanh((m + (1-sigma)/2) pi tau0) of the theta
     prefactor, m = 0..M; strictly increasing, inside [0, 1)."""

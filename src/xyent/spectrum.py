@@ -16,7 +16,7 @@ import numpy as np
 
 from .chain import ModelParams, PhaseCase, classify_case, modulus_k
 from .errors import ConvergenceError, DomainError, _count, _real
-from .special import EllipticModulus
+from .special import EllipticModulus, _nome_log_sum
 
 __all__ = [
     "multiplicities",
@@ -83,7 +83,7 @@ def multiplicity_asymptotic(n: int) -> float:
         raise DomainError(f"multiplicity at n = {n} lies beyond double range") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensitySpectrum:
     """Limit spectrum of the reduced density matrix: a geometric ladder
     lambda_n with integer multiplicities.
@@ -102,11 +102,23 @@ class DensitySpectrum:
 
 
 def _ladder_params(e: EllipticModulus, sigma: int) -> tuple[float, float]:
-    """(ln lambda_0, step c) with ln lambda_n = ln lambda_0 - c n."""
+    """(ln lambda_0, step c) with ln lambda_n = ln lambda_0 - c n.
+
+    ln lambda_0 is pi tau0/12 + ln(k k'/4)/6 (sigma = 0) or
+    -pi tau0/6 + ln(k'/(4k^2))/6 (sigma = 1), whose two terms cancel as
+    k -> 0.  For tau0 >= 1 (k^2 <= 1/2) ln k^2 is taken as its nome product
+    ln 16 - pi tau0 + N, N = _nome_log_sum(e^{-pi tau0}), and pi tau0 drops
+    out: ln lambda_0 = (ln(1 - k^2) + N)/12 or ln(1 - k^2)/12 - ln 2 - N/6.
+    """
     k, kp, tau0 = e.k, e.kprime, e.tau0
-    if sigma == 0:
-        return math.pi * tau0 / 12.0 + math.log(k * kp / 4.0) / 6.0, math.pi * tau0
-    return -math.pi * tau0 / 6.0 + math.log(kp / (4.0 * k * k)) / 6.0, 2.0 * math.pi * tau0
+    if tau0 >= 1.0:
+        n, lk = _nome_log_sum(math.exp(-math.pi * tau0)), math.log1p(-k * k)
+        lead = (lk + n) / 12.0 if sigma == 0 else lk / 12.0 - math.log(2.0) - n / 6.0
+    elif sigma == 0:
+        lead = math.pi * tau0 / 12.0 + math.log(k * kp / 4.0) / 6.0
+    else:
+        lead = -math.pi * tau0 / 6.0 + math.log(kp / (4.0 * k * k)) / 6.0
+    return lead, (1 + sigma) * math.pi * tau0
 
 
 def density_spectrum(p: ModelParams, nmax: int = 64) -> DensitySpectrum:
@@ -163,7 +175,7 @@ def zeta_function(spec: DensitySpectrum, alpha: float) -> float:
     (which happens for small alpha, where the series converges slowly),
     the truncation is refused rather than silently wrong, and an alpha
     whose powers of the ladder leave double range (the least exponent, or
-    the top one where ln lambda_0 has rounded above 0) raises DomainError.
+    the top one should ln lambda_0 round above 0) raises DomainError.
     """
     alpha = _real("zeta order alpha", alpha, 0.0, math.inf, "()")
     loglam0, c = _ladder_params(spec.modulus, spec.sigma)

@@ -165,7 +165,7 @@ def toeplitz_det_exact(coeffs: np.ndarray, L: int) -> ScaledValue:
 # -----------------------------------------------------------------------------
 # Smooth (Szego) part
 # -----------------------------------------------------------------------------
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SmoothSymbolFactorization:
     """Wiener-Hopf data of a smooth nonvanishing index-zero symbol phi.
 

@@ -130,21 +130,38 @@ def quad_elliptic_K(k: float) -> float:
     return val
 
 
+def _moduli_squared_mp(gamma: float, h: float):
+    """(k^2, k'^2, sigma) of the point (gamma, h) at the working precision:
+    by phase case from q = (h/2)^2 + gamma^2 - 1 and r = 1 - (h/2)^2,
+    formed exactly from the double inputs; sigma = 0 for h > 2."""
+    g, h2 = mpmath.mpf(gamma), mpmath.mpf(h) / 2
+    q, r = h2 ** 2 + g ** 2 - 1, 1 - h2 ** 2
+    if r < 0:
+        return g ** 2 / q, -r / q, 0
+    if q > 0:
+        return q / g ** 2, r / g ** 2, 1
+    return -q / r, g ** 2 / r, 1
+
+
 def elliptic_modulus_mp(gamma: float, h: float) -> tuple[float, float, float]:
-    """(k, k', tau0) of the point (gamma, h) at 40 digits: k^2 and k'^2 by
-    phase case from q = (h/2)^2 + gamma^2 - 1 and r = 1 - (h/2)^2, formed
-    exactly from the double inputs, and tau0 = K(k')/K(k)."""
+    """(k, k', tau0) of the point (gamma, h) at 40 digits, with
+    tau0 = K(k')/K(k)."""
     with mpmath.workdps(40):
-        g, h2 = mpmath.mpf(gamma), mpmath.mpf(h) / 2
-        q, r = h2 ** 2 + g ** 2 - 1, 1 - h2 ** 2
-        if r < 0:
-            k2, kp2 = g ** 2 / q, -r / q
-        elif q > 0:
-            k2, kp2 = q / g ** 2, r / g ** 2
-        else:
-            k2, kp2 = -q / r, g ** 2 / r
+        k2, kp2, _ = _moduli_squared_mp(gamma, h)
         return (float(mpmath.sqrt(k2)), float(mpmath.sqrt(kp2)),
                 float(mpmath.ellipk(kp2) / mpmath.ellipk(k2)))
+
+
+def ln_lambda0_mp(gamma: float, h: float) -> float:
+    """ln lambda_0, the log of the top of the limit density-matrix ladder at
+    (gamma, h), at 60 digits: pi tau0/12 + ln(k k'/4)/6 for sigma = 0 and
+    -pi tau0/6 + ln(k'/(4k^2))/6 for sigma = 1, summed as written."""
+    with mpmath.workdps(60):
+        k2, kp2, sigma = _moduli_squared_mp(gamma, h)
+        tau0 = mpmath.ellipk(kp2) / mpmath.ellipk(k2)
+        if sigma == 0:
+            return float(mpmath.pi * tau0 / 12 + mpmath.log(k2 * kp2 / 16) / 12)
+        return float(-mpmath.pi * tau0 / 6 + mpmath.log(kp2 / (16 * k2 ** 2)) / 12)
 
 
 def log_gap(got: complex, want) -> float:

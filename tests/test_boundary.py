@@ -1,4 +1,5 @@
 import cmath
+import copy
 import dataclasses
 import math
 
@@ -214,9 +215,9 @@ def test_swapped_field_fails_closed(name, data):
     _check(name, CLASSES[name], _swapped(VALID_FIELDS[name], i, v))
 
 
-# A point where ln lambda_0 rounds to +8.9e-16 (its true value is -5.0e-19),
-# so the top of the ladder rounds above 1; every modulus the sweep above
-# reaches has ln lambda_0 < 0.
+# A point at k = 2e-9, where ln lambda_0 = -5.0e-19 is what is left of two
+# terms near 3.57 that cancel; summed as written, it rounded to +8.9e-16 and
+# put the top of the ladder above 1.
 P_TOP = ModelParams(0.001, 1e6)
 
 # Calls that returned NaN or raised an untyped error before every public
@@ -241,7 +242,7 @@ FORMER_LEAKS = {
     "xx_char_det_asymptotic(s, 1.0, nan)": lambda: xx_char_det_asymptotic(S, 1.0, math.nan),
     "xy_block_det_asymptotic(s, e, case, nan)": lambda: xy_block_det_asymptotic(S, E, CASE, math.nan),
     "zeta_function(spec, 1e308)": lambda: zeta_function(density_spectrum(P, 64), 1e308),
-    "zeta_function(top above 1, 1e300)": lambda: zeta_function(density_spectrum(P_TOP, 4), 1e300),
+    "zeta_function(k -> 0 spec, 1e308)": lambda: zeta_function(density_spectrum(P_TOP, 4), 1e308),
     "EllipticModulus(0.6, 0.8, nan)": lambda: EllipticModulus(0.6, 0.8, math.nan),
     "EllipticModulus(0.6, -0.8, 1.0)": lambda: EllipticModulus(0.6, -0.8, 1.0),
 }
@@ -255,7 +256,7 @@ def test_former_leak_is_typed(call):
 
 @pytest.mark.parametrize("name, refuse", [("multiplicity_asymptotic(153135)", "beyond double range"),
                                           ("zeta_function(spec, 1e308)", "beyond double range"),
-                                          ("zeta_function(top above 1, 1e300)",
+                                          ("zeta_function(k -> 0 spec, 1e308)",
                                            "beyond double range"),
                                           ("build_xx_matrix(1.0, 2.5)", "block length L"),
                                           ("theta_zero_ladder(e, 1, nan)", "ladder length M"),
@@ -266,12 +267,23 @@ def test_refusal_names_its_cause(name, refuse):
 
 
 def test_required_nmax_where_the_top_rounds_above_1():
-    # the truncation does not depend on lambda_0, so a rounded ln lambda_0 > 0
-    # cannot overflow it (it raised OverflowError at alpha = 1e300)
+    # ln lambda_0 keeps its value at P_TOP, and the truncation, which does not
+    # depend on lambda_0, stays finite at alpha = 1e300 (it raised
+    # OverflowError there while ln lambda_0 rounded above 0)
     case, e = classify_case(P_TOP), modulus_k(P_TOP)
-    assert _ladder_params(e, case.sigma)[0] > 0.0
+    assert _ladder_params(e, case.sigma)[0] == pytest.approx(-5.00000000002e-19, rel=1e-14)
     n = required_nmax(e, case, 1e300)
     assert type(n) is int and n >= 1
+
+
+@pytest.mark.parametrize("value", [BLOCK, XY, F, theta_zero_ladder(E, 1, 8), density_spectrum(P, 16)],
+                         ids=lambda x: type(x).__name__)
+def test_array_holders_compare_and_hash_by_identity(value):
+    # the value types with array fields compare by identity; generated
+    # field-wise, == raised ValueError on the arrays and hash() TypeError
+    assert value == value
+    assert value != copy.copy(value) and value != copy.deepcopy(value)
+    assert isinstance(hash(value), int)
 
 
 @pytest.mark.parametrize("value", [True, np.True_, 8.0, math.nan, math.inf, -math.inf, "8", 0, -1])

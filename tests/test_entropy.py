@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import xyent.entropy as entropy_mod
 from xyent import (
     CASE_1A,
+    CASE_1B,
     CASE_2,
     ConvergenceError,
     DomainError,
@@ -33,6 +34,7 @@ from xyent import (
     xx_entropy_asymptotic,
     XyentError,
 )
+from xyent.special import _log_lambda_imag
 from oracles import (
     UPSILON1_REFERENCE,
     brute_renyi_entropy,
@@ -243,6 +245,39 @@ def test_limit_forms_agree_over_plane(point):
         qp = renyi_limit_qproduct(alpha, e, c).value
         md = renyi_limit_modular(alpha, e, c).value
         assert abs(md - qp) <= 1e-10 * max(1.0, abs(qp))
+
+
+# Bounds of the Landen sweep, about twice the worst gap over 300 draws of
+# tau0, relative to max(1, |S|): series 1.4e-15, integral 1.6e-14, closed
+# 2.1e-15, modular 2.9e-15 and q-product 1.6e-15.
+_LANDEN_TOL = {"series": 3e-15, "integral": 3.2e-14, "closed": 4.2e-15,
+               "modular": 6e-15, "qproduct": 3.3e-15}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.floats(0.2, 8.0))
+def test_landen_duplication(tau0):
+    # the sigma = 1 ladder at tau0/2 is the union of the sigma = 1 and
+    # sigma = 0 ladders at tau0, so S_1(tau0/2) = S_1(tau0) + S_0(tau0) and
+    # (1 - a) S_a adds the same way; the modulus at tau0/2 is the ascending
+    # Landen k1 = 2 sqrt(k)/(1 + k), k1' = k'^2/(1 + k)^2, free of cancellation
+    log_lam, log_co = _log_lambda_imag(tau0)  # ln k^2 and ln k'^2 at tau0
+    e = EllipticModulus(math.exp(log_lam / 2.0), math.exp(log_co / 2.0))
+    k, kp = e.k, e.kprime
+    half = EllipticModulus(2.0 * math.sqrt(k) / (1.0 + k), kp * kp / (1.0 + k) ** 2)
+    assert half.tau0 == pytest.approx(e.tau0 / 2.0, rel=1.2e-15)
+    forms = {
+        "series": lambda m, c: vn_entropy_limit_series(m, c.sigma).value,
+        "integral": lambda m, c: vn_entropy_limit_integral(m, c.sigma).value,
+        "closed": lambda m, c: vn_entropy_closed(m, c).value,
+    }
+    for a in (0.5, 2.0, 3.0):
+        forms[f"modular {a}"] = lambda m, c, a=a: (1.0 - a) * renyi_limit_modular(a, m, c).value
+        forms[f"qproduct {a}"] = lambda m, c, a=a: (1.0 - a) * renyi_limit_qproduct(a, m, c).value
+    for name, f in forms.items():
+        lhs = f(half, CASE_1B)
+        gap = abs(lhs - f(e, CASE_1B) - f(e, CASE_2)) / max(1.0, abs(lhs))
+        assert gap <= _LANDEN_TOL[name.split()[0]], (name, gap)
 
 
 class TestRenyiLimits:

@@ -124,7 +124,7 @@ def _two_sided(samples: np.ndarray, n: int) -> np.ndarray:
     c = np.fft.fft(samples) / samples.size  # c[k] = c_k for k >= 0, c[-k] at the top
     out = c[np.arange(-n, n + 1) % samples.size]
     tail = max(abs(out[0]), abs(out[-1]))
-    if not tail <= _LOG_TAIL_TOL:  # a non-finite sample makes every coefficient NaN
+    if not tail <= _LOG_TAIL_TOL:
         raise ResolutionError(
             f"log-symbol coefficients at |k| = {n} still {tail:.3e} > {_LOG_TAIL_TOL:.0e}; raise n"
         )
@@ -188,15 +188,16 @@ class SmoothSymbolFactorization:
     ) -> "SmoothSymbolFactorization":
         """Factorize from samples of phi.
 
-        The symbol must not vanish on the circle and must have winding
-        number zero; a nonzero index is a domain error (no Szego limit),
+        The symbol must be finite and nonvanishing on the circle, with
+        winding number zero; a nonzero index is a domain error (no Szego limit),
         and a log-coefficient tail above 1e-12 at |k| = n is a
         resolution error.
         """
         vals = _symbol_grid(symbol, n)
-        amin = np.min(np.abs(vals))
-        if not amin >= 1e-13:
-            raise DomainError(f"symbol vanishes or is not finite: min |phi| = {amin:.3e}")
+        mags = np.abs(vals)
+        if not (mags.min() >= 1e-13 and mags.max() < math.inf):
+            raise DomainError(f"symbol vanishes or is not finite: |phi| in "
+                              f"[{mags.min():.3e}, {mags.max():.3e}]")
         ph = np.unwrap(np.angle(vals))
         winding = round((np.unwrap(np.append(ph, ph[0]))[-1] - ph[0]) / (2.0 * math.pi))
         if winding != 0:

@@ -133,6 +133,13 @@ class TestFourierCoeffs:
         with pytest.raises(ResolutionError):
             SmoothSymbolFactorization.from_symbol(rough, 32)
 
+    def test_nan_sample_refused(self):
+        # a NaN or an infinite sample is refused before the transform (an
+        # infinite one used to reach the FFT, which warned and gave NaN)
+        for sym in (_NAN_NEAR_1, lambda t: math.inf if abs(t - 1.0) < 0.05 else 2.0):
+            with pytest.raises(DomainError, match="not finite"):
+                SmoothSymbolFactorization.from_symbol(sym, 8)
+
 
 class TestToeplitzDet:
     def test_two_by_two(self):

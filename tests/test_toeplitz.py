@@ -134,8 +134,8 @@ class TestFourierCoeffs:
             SmoothSymbolFactorization.from_symbol(rough, 32)
 
     def test_nan_sample_refused(self):
-        # a NaN or an infinite sample is refused before the transform (an
-        # infinite one used to reach the FFT, which warned and gave NaN)
+        # a NaN or an infinite sample is refused before the transform, which
+        # would turn either into NaN coefficients
         for sym in (_NAN_NEAR_1, lambda t: math.inf if abs(t - 1.0) < 0.05 else 2.0):
             with pytest.raises(DomainError, match="not finite"):
                 SmoothSymbolFactorization.from_symbol(sym, 8)

@@ -226,6 +226,13 @@ class NuSpectrum:
 # -----------------------------------------------------------------------------
 # Phase classification and elliptic data
 # -----------------------------------------------------------------------------
+def _refuse_h2(h: float) -> None:
+    """BoundaryError on the critical manifold h = 2, within relative
+    tolerance _BOUNDARY_TOL (relative to max(1, h))."""
+    if abs(h - 2.0) <= _BOUNDARY_TOL * max(1.0, h):
+        raise BoundaryError("on the critical manifold h = 2")
+
+
 def classify_case(p: ModelParams) -> PhaseCase:
     """Assign the phase case, rejecting the critical boundaries.
 
@@ -234,11 +241,9 @@ def classify_case(p: ModelParams) -> PhaseCase:
     """
     if p.gamma == 0.0:
         raise BoundaryError("gamma = 0 is the XX line; no XY phase case is defined there")
-    scale = max(1.0, p.h)
-    if abs(p.h - 2.0) <= _BOUNDARY_TOL * scale:
-        raise BoundaryError("on the critical manifold h = 2")
+    _refuse_h2(p.h)
     thr = 2.0 * math.sqrt(max(0.0, 1.0 - p.gamma * p.gamma))
-    if abs(p.h - thr) <= _BOUNDARY_TOL * scale:
+    if abs(p.h - thr) <= _BOUNDARY_TOL * max(1.0, p.h):
         raise BoundaryError("on the critical manifold h^2 = 4(1 - gamma^2)")
     if p.h > 2.0:
         return CASE_2
@@ -301,7 +306,11 @@ def modulus_k(p: ModelParams) -> EllipticModulus:
     summed from the exact squares (h/2)^2 and gamma^2 with every rounding
     error carried.  A k that still rounds to 1 raises DomainError.
     """
-    case = classify_case(p)
+    return _modulus(p, classify_case(p))
+
+
+def _modulus(p: ModelParams, case: PhaseCase) -> EllipticModulus:
+    """modulus_k at a point already classified as case."""
     g, h2 = p.gamma, p.h / 2.0
     a, da = _exact_square(h2)
     b, db = _exact_square(g)
@@ -385,9 +394,7 @@ def build_correlation_matrix(p: ModelParams, L: int) -> CorrelationMatrix:
     L = _count("block length L", L, 1)
     if p.gamma == 0.0:
         raise BoundaryError("gamma = 0 is the XX line; use build_xx_matrix(h, L)")
-    scale = max(1.0, p.h)
-    if abs(p.h - 2.0) <= _BOUNDARY_TOL * scale:
-        raise BoundaryError("on the critical manifold h = 2")
+    _refuse_h2(p.h)
 
     rho = _branch_rho(p.gamma, p.h)
     decay = -math.log(rho) if rho > 0.0 else math.inf

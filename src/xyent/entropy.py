@@ -49,14 +49,15 @@ _TANH_ONE = 20.0
 _ALPHA_INF = 1e300
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EntropyResult:
     """An entropy value tagged with how it was computed.
 
     method is one of: ExactFiniteL, XXAsymptotic, LimitSeries,
     LimitIntegral, ClosedFormElliptic, RenyiQProduct, RenyiModular,
     CriticalApprox.  params records (gamma, h, L, alpha); L is None for a
-    block-length limit and alpha is 1 for von Neumann.
+    block-length limit and alpha is 1 for von Neumann.  Results compare and
+    hash by identity (params is a dict).
     """
 
     value: float
@@ -207,14 +208,12 @@ _INTEGRAL_STEP = 0.1
 @functools.lru_cache(maxsize=None)
 def _midpoint_rules(step: float, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes x of the midpoint rules on (0, cutoff] at step and step/2,
-    concatenated and held as the prefactor arguments i x, with their
-    weights (pi/2) step_i / sinh^2(pi x)."""
+    concatenated, with their weights (pi/2) step_i / sinh^2(pi x)."""
     m = round(cutoff / step)
     x = np.concatenate(((np.arange(m) + 0.5) * step, (np.arange(2 * m) + 0.5) * (step / 2.0)))
     w = np.repeat([step, step / 2.0], [m, 2 * m]) * (math.pi / 2.0) / np.sinh(math.pi * x) ** 2
-    ix = 1j * x
-    ix.flags.writeable = w.flags.writeable = False
-    return ix, w
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def vn_entropy_limit_integral(e: EllipticModulus, sigma: int) -> EntropyResult:
@@ -227,13 +226,13 @@ def vn_entropy_limit_integral(e: EllipticModulus, sigma: int) -> EntropyResult:
     step 0.1 and 0.05 in one pass over all nodes, and the finer value is
     returned.  A difference above both 1e-13 and 1e-12 |S| raises
     ConvergenceError.  The integrand is ln P(i x) of _log_theta_prefactor,
-    the prefactor of xy_block_det_asymptotic.
+    the prefactor of xy_block_det_asymptotic, passed the real nodes x.
     """
     sigma = _count("sigma", sigma, 0, 1)
     h = _INTEGRAL_STEP
-    ix, w = _midpoint_rules(h, _INTEGRAL_CUTOFF)
-    num = _log_theta_prefactor(ix, e.tau0, sigma).real
-    m = ix.size // 3
+    x, w = _midpoint_rules(h, _INTEGRAL_CUTOFF)
+    num = _log_theta_prefactor(x, e.tau0, sigma)
+    m = x.size // 3
     coarse = float(num[:m] @ w[:m])
     fine = float(num[m:] @ w[m:])
     diff = abs(fine - coarse)
@@ -293,16 +292,29 @@ def renyi_limit_modular(alpha: float, e: EllipticModulus, case: PhaseCase) -> En
     with lam = lambda(i alpha tau0) in (0, 1).  ln lam and ln(1 - lam) are
     read from the nome product on whichever side of lambda(i) = 1/2 it
     converges fastest, so neither is formed by subtraction as alpha tau0 -> 0.
+    Where tau0 >= 1 and alpha tau0 >= 1, ln k^2 and ln lam are their nome
+    products ln 16 - pi t + N(t) (N(tau0) the modulus' nome sum), and the
+    terms pi tau0 and ln 16, which cancel as k -> 0, drop out:
+    (a (N(tau0) + ln k'^2) - N(a tau0) - ln(1 - lam)) / (12 (1 - a)) for
+    sigma = 0 and (a (ln k'^2 - 2 N(tau0)) + 2 N(a tau0) - ln(1 - lam))
+    / (12 (1 - a)) + ln 2 for sigma = 1.
     Past alpha max(tau0, 1) = _ALPHA_INF it is its alpha -> inf limit
     -ln lambda_0.  A value beyond double range raises DomainError.
     """
     _check_alpha(alpha)
     if alpha * max(e.tau0, 1.0) > _ALPHA_INF:
         return _mk(-_ladder_params(e, case.sigma)[0], "RenyiModular", L=None, alpha=alpha)
-    log_lam, log_co = _log_lambda_imag(alpha * e.tau0)
+    log_lam, log_co, n_lam = _log_lambda_imag(alpha * e.tau0)
     k, kp = e.k, e.kprime
     third_ln2 = math.log(2.0) / 3.0
-    if case.sigma == 0:
+    if e.tau0 >= 1.0 and alpha * e.tau0 >= 1.0:
+        lk = math.log1p(-k * k)
+        if case.sigma == 0:
+            s = (alpha * (e._nome_sum + lk) - n_lam - log_co) / (12.0 * (1.0 - alpha))
+        else:
+            s = ((alpha * (lk - 2.0 * e._nome_sum) + 2.0 * n_lam - log_co) / (12.0 * (1.0 - alpha))
+                 + math.log(2.0))
+    elif case.sigma == 0:
         s = (
             alpha / (1.0 - alpha) * math.log(k * kp) / 6.0
             - (log_lam + log_co) / (12.0 * (1.0 - alpha))

@@ -15,6 +15,7 @@
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -49,7 +50,8 @@ class EllipticModulus:
     k lies in (0, 1), whose ends are degenerations (tau0 = infinity / 0),
     refused also where k got there by rounding.  A k' or tau0 left out is
     computed once k has passed, tau0 = AGM(1, k') / AGM(1, k) from both as
-    held, so no complement is rebuilt from a rounded one.
+    held, so no complement is rebuilt from a rounded one.  Its nome sum
+    N = _nome_log_sum(e^{-pi tau0}) is summed on first read (_nome_sum).
     """
 
     k: float
@@ -66,6 +68,12 @@ class EllipticModulus:
         if self.tau0 is None:
             object.__setattr__(self, "tau0", _agm(1.0, kp) / _agm(1.0, k))
         _real("tau0", self.tau0, 0.0, math.inf, "()")
+
+    @functools.cached_property
+    def _nome_sum(self) -> float:
+        """N = _nome_log_sum(e^{-pi tau0}), so that ln k^2 = ln 16 - pi tau0 + N
+        (k^2 = lambda(i tau0)); read where tau0 >= 1, and summed once."""
+        return _nome_log_sum(math.exp(-math.pi * self.tau0))
 
 
 def _as_tau(tau: complex) -> complex:
@@ -164,9 +172,39 @@ def complete_elliptic_K(k: float) -> float:
 # -----------------------------------------------------------------------------
 # Jacobi theta series
 # -----------------------------------------------------------------------------
+def _theta3_moduli(y: np.ndarray, t: float):
+    """The moduli of the theta3 terms at Im s = y, Im tau = t > 0, for
+    _log_theta3: (a, y0, n, F_n, G_n, P) as described there."""
+    c = math.log(1e17) / (math.pi * t)
+    n_least = (math.sqrt(1.0 + 4.0 * c) - 1.0) / 2.0
+    # the cap keeps the count finite where a subnormal t makes c infinite
+    N = max(1, math.ceil(min(n_least, _TERM_BUDGET + 1)))
+    if y.size * N > _TERM_BUDGET:
+        raise ConvergenceError(
+            f"theta series at Im tau = {t:.3e} needs {n_least:.4g} terms at each of "
+            f"{y.size} points, over the budget of _TERM_BUDGET = {_TERM_BUDGET} terms"
+        )
+    a = np.rint(y / t)
+    y0 = y - a * t
+    n = np.arange(1.0, N + 1.0)
+    f = np.exp(-math.pi * t * n * (n - 1.0))
+    g = np.exp(-math.pi * t * n * (n + 1.0))
+    # P reaches 0 only where pi t > 745, and there G_n is 0 as well
+    p = np.exp(np.outer(np.abs(y0) - t / 2.0, 2.0 * math.pi * n))
+    np.maximum(p, sys.float_info.min, out=p)
+    return a, y0, n, f, g, p
+
+
+def _log_theta3_axis(y: np.ndarray, t: float) -> np.ndarray:
+    """ln theta3(i y | i t) for an array of real y and t > 0, in float
+    arithmetic: on the imaginary axis every term is real and positive."""
+    a, y0, _, f, g, p = _theta3_moduli(y, t)
+    return math.pi * a * (y + y0) + np.log1p(p @ f + (1.0 / p) @ g)
+
+
 def _log_theta3(s: np.ndarray, tau: complex) -> np.ndarray:
     """ln theta3(s | tau) for an array of complex s and Im tau > 0, reduced by
-    quasi-periodicity; real where Re s = Re tau = 0.
+    quasi-periodicity; real where Re s = Re tau = 0 (_log_theta3_axis).
 
     theta3(s + a tau) picks up exp(-i pi a^2 tau - 2 pi i a s); shifting by
     a = round(Im s / t), t = Im tau, leaves s0 = s - a tau with |Im s0| <= t/2,
@@ -183,28 +221,10 @@ def _log_theta3(s: np.ndarray, tau: complex) -> np.ndarray:
     axis, one phase factor e^{+-2 pi i n Re s0} per (point, n) and
     e^{i pi Re(tau) n^2} per n turn the moduli into the terms.
     """
-    t = tau.imag
-    c = math.log(1e17) / (math.pi * t)
-    n_least = (math.sqrt(1.0 + 4.0 * c) - 1.0) / 2.0
-    # the cap keeps the count finite where a subnormal t makes c infinite
-    N = max(1, math.ceil(min(n_least, _TERM_BUDGET + 1)))
-    if s.size * N > _TERM_BUDGET:
-        raise ConvergenceError(
-            f"theta series at Im tau = {t:.3e} needs {n_least:.4g} terms at each of "
-            f"{s.size} points, over the budget of _TERM_BUDGET = {_TERM_BUDGET} terms"
-        )
-    y = s.imag
-    a = np.rint(y / t)
-    y0 = y - a * t
-    n = np.arange(1.0, N + 1.0)
-    f = np.exp(-math.pi * t * n * (n - 1.0))
-    g = np.exp(-math.pi * t * n * (n + 1.0))
-    # P reaches 0 only where pi t > 745, and there G_n is 0 as well
-    p = np.exp(np.outer(np.abs(y0) - t / 2.0, 2.0 * math.pi * n))
-    np.maximum(p, sys.float_info.min, out=p)
-    shift = math.pi * a * (y + y0)
     if tau.real == 0.0 and not np.count_nonzero(s.real):
-        return shift + np.log1p(p @ f + (1.0 / p) @ g)
+        return _log_theta3_axis(s.imag, tau.imag)
+    y = s.imag
+    a, y0, n, f, g, p = _theta3_moduli(y, tau.imag)
     x0 = s.real - a * tau.real
     # the larger term of each pair turns the other way from Im s0
     phase = np.exp(np.outer(np.where(y0 < 0.0, x0, -x0), 2j * math.pi * n))
@@ -212,7 +232,7 @@ def _log_theta3(s: np.ndarray, tau: complex) -> np.ndarray:
     tail = (p * phase) @ (cn * f) + (phase.conj() / p) @ (cn * g)
     # an exact zero of theta3 is ln 0 = -inf
     with np.errstate(divide="ignore"):
-        return shift - 1j * math.pi * a * (s.real + x0) + np.log1p(tail)
+        return math.pi * a * (y + y0) - 1j * math.pi * a * (s.real + x0) + np.log1p(tail)
 
 
 def theta(j: int, s: complex, tau: complex) -> complex:
@@ -242,17 +262,25 @@ def _log_theta_prefactor(beta: np.ndarray, tau0: float, sigma: int) -> np.ndarra
     """ln P(beta) for an array of complex beta, where
     P = theta3(beta + sigma tau/2) theta3(beta - sigma tau/2) / theta3(sigma tau/2)^2
     at tau = i tau0 is the prefactor of the XY block determinant; at
-    beta = i x it is the kernel of the limit-entropy integral.  Both sigma
+    beta = i x it is the kernel of the limit-entropy integral, and a real
+    array stands for those points i x, where P is real and positive and the
+    whole pass runs in float arithmetic (_log_theta3_axis).  Both sigma
     read one theta3 pass over beta - sigma tau/2 and sigma tau/2: theta3 is
     even and theta3(beta + tau/2) = e^{-2 pi i beta} theta3(beta - tau/2), so
     ln P = 2 (ln theta3(beta - sigma tau/2) - ln theta3(sigma tau/2))
     - 2 pi i sigma beta, up to a multiple of 2 pi i.
     """
-    tau = 1j * tau0
-    off = sigma * tau / 2.0
-    logs = _log_theta3(np.append(beta - off, off), tau)
+    if np.isrealobj(beta):
+        off = sigma * tau0 / 2.0
+        logs = _log_theta3_axis(np.append(beta - off, off), tau0)
+        twist = -2.0 * math.pi * beta  # 2 pi i beta at beta = i x
+    else:
+        tau = 1j * tau0
+        off = sigma * tau / 2.0
+        logs = _log_theta3(np.append(beta - off, off), tau)
+        twist = 2j * math.pi * beta
     logp = 2.0 * (logs[:-1] - logs[-1])
-    return logp - 2j * math.pi * beta if sigma else logp
+    return logp - twist if sigma else logp
 
 
 def _log1p_series(z: complex, r: complex, sign: float, what: Callable[[], str]) -> complex:
@@ -262,22 +290,24 @@ def _log1p_series(z: complex, r: complex, sign: float, what: Callable[[], str]) 
 
     The powers come by repeated multiplication, and the sum stops once the
     rest of it, at most |z r^{j+1}| / (1 - |r|) to first order, is below
-    eps/64: at the first j past ln(bound/|z|) / ln|r|.  A count over
+    eps/64: at the first j past ln(bound/|z|) / ln|r|.  |z r^{j+1}| is
+    carried as a product of moduli beside the powers.  A count over
     _TERM_BUDGET is refused before any term is summed; what() names the
     series in that refusal.
     """
     log1p = math.log1p if isinstance(z, float) else (lambda w: cmath.log(1.0 + w))
-    bound = _EPS * (1.0 - abs(r)) / 64.0
-    if abs(z * r) < bound or (
-        bound > 0.0 and math.log(bound / abs(z)) / math.log(abs(r)) < _TERM_BUDGET + 1
-    ):
+    ar = abs(r)
+    bound = _EPS * (1.0 - ar) / 64.0
+    mag = abs(z) * ar
+    if mag < bound or (bound > 0.0 and math.log(bound / abs(z)) / math.log(ar) < _TERM_BUDGET + 1):
         total = 0.0
         w = 1.0
         for _ in range(1, _TERM_BUDGET):
             total += w * log1p(z)
-            if abs(z * r) < bound:
+            if mag < bound:
                 return total
             z *= r
+            mag *= ar
             w *= sign
     raise ConvergenceError(f"{what()} exhausted its budget of _TERM_BUDGET = {_TERM_BUDGET} terms")
 
@@ -290,18 +320,21 @@ def _nome_log_sum(q: complex) -> complex:
     return -8.0 * _log1p_series(q, q, -1.0, lambda: f"nome product at |q| = {abs(q):.15g}")
 
 
-def _log_lambda_imag(t: float) -> tuple[float, float]:
-    """(ln lambda(i t), ln(1 - lambda(i t))) for real t > 0.
+def _log_lambda_imag(t: float) -> tuple[float, float, float]:
+    """(ln lambda(i t), ln(1 - lambda(i t)), N) for real t > 0.
 
     The nome product is summed in log space at q = e^{-pi s}, s = max(t, 1/t),
-    so q <= e^{-pi} and lambda(i s) <= 1/2 is the small side; ln(1 - lambda(i s))
-    is log1p(-lambda(i s)).  The far side follows from lambda(i/t) = 1 - lambda(i t),
-    so neither log is formed from a difference near 1.
+    so q <= e^{-pi} and lambda(i s) <= 1/2 is the small side:
+    ln lambda(i s) = ln 16 - pi s + N, N = _nome_log_sum(q), and
+    ln(1 - lambda(i s)) is log1p(-lambda(i s)).  The far side follows from
+    lambda(i/t) = 1 - lambda(i t), so neither log is formed from a
+    difference near 1.
     """
     s = max(t, 1.0 / t)
-    log_small = math.log(16.0) - math.pi * s + _nome_log_sum(math.exp(-math.pi * s))
+    n = _nome_log_sum(math.exp(-math.pi * s))
+    log_small = math.log(16.0) - math.pi * s + n
     log_large = math.log1p(-math.exp(log_small))
-    return (log_small, log_large) if t >= 1.0 else (log_large, log_small)
+    return (log_small, log_large, n) if t >= 1.0 else (log_large, log_small, n)
 
 
 def modular_lambda(tau: complex) -> complex:

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ModelParams, PhaseCase, classify_case, modulus_k
+from .chain import ModelParams, PhaseCase, _modulus, classify_case
 from .errors import ConvergenceError, DomainError, _count, _real
-from .special import EllipticModulus, _nome_log_sum
+from .special import EllipticModulus
 
 __all__ = [
     "multiplicities",
@@ -107,12 +107,13 @@ def _ladder_params(e: EllipticModulus, sigma: int) -> tuple[float, float]:
     ln lambda_0 is pi tau0/12 + ln(k k'/4)/6 (sigma = 0) or
     -pi tau0/6 + ln(k'/(4k^2))/6 (sigma = 1), whose two terms cancel as
     k -> 0.  For tau0 >= 1 (k^2 <= 1/2) ln k^2 is taken as its nome product
-    ln 16 - pi tau0 + N, N = _nome_log_sum(e^{-pi tau0}), and pi tau0 drops
-    out: ln lambda_0 = (ln(1 - k^2) + N)/12 or ln(1 - k^2)/12 - ln 2 - N/6.
+    ln 16 - pi tau0 + N, N the modulus' nome sum (EllipticModulus._nome_sum),
+    and pi tau0 drops out: ln lambda_0 = (ln(1 - k^2) + N)/12 or
+    ln(1 - k^2)/12 - ln 2 - N/6.
     """
     k, kp, tau0 = e.k, e.kprime, e.tau0
     if tau0 >= 1.0:
-        n, lk = _nome_log_sum(math.exp(-math.pi * tau0)), math.log1p(-k * k)
+        n, lk = e._nome_sum, math.log1p(-k * k)
         lead = (lk + n) / 12.0 if sigma == 0 else lk / 12.0 - math.log(2.0) - n / 6.0
     elif sigma == 0:
         lead = math.pi * tau0 / 12.0 + math.log(k * kp / 4.0) / 6.0
@@ -129,7 +130,7 @@ def density_spectrum(p: ModelParams, nmax: int = 64) -> DensitySpectrum:
     """
     nmax = _count("truncation nmax", nmax, 0)
     case = classify_case(p)
-    e = modulus_k(p)
+    e = _modulus(p, case)
     loglam0, c = _ladder_params(e, case.sigma)
     n = np.arange(nmax + 1, dtype=float)
     loglams = loglam0 - c * n
@@ -183,7 +184,7 @@ def zeta_function(spec: DensitySpectrum, alpha: float) -> float:
             and alpha * loglam0 < math.log(sys.float_info.max)):
         raise DomainError(f"the ladder's powers at alpha = {alpha} lie beyond double range")
     value = float(
-        sum(m * math.exp(alpha * ll) for m, ll in zip(spec.mults, spec.loglambdas))
+        sum(m * math.exp(alpha * ll) for m, ll in zip(spec.mults, spec.loglambdas.tolist()))
     )
     bound = _tail_bound(loglam0, c, alpha, spec.sigma, spec.truncation + 1)
     if not (bound <= _ZETA_TAIL_TOL * max(abs(value), 1e-300)):

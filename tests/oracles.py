@@ -164,6 +164,25 @@ def ln_lambda0_mp(gamma: float, h: float) -> float:
         return float(-mpmath.pi * tau0 / 6 + mpmath.log(kp2 / (16 * k2 ** 2)) / 12)
 
 
+def renyi_limit_mp(gamma: float, h: float, alpha: float) -> float:
+    """The block-limit Renyi entropy of order alpha at (gamma, h), at 60
+    digits, summed over the nu-ladder |nu| = tanh x, x = (m + (1 - sigma)/2)
+    pi tau0, m in Z: (1/(1 - a)) sum ln(p^a + q^a), p, q = (1 +- |nu|)/2.
+    Each term is log1p(t^a) - a log1p(t), t = q/p = e^{-2x}, so nothing
+    cancels as k -> 0; the sum stops once the terms have fallen by 1e-61."""
+    with mpmath.workdps(60):
+        k2, kp2, sigma = _moduli_squared_mp(gamma, h)
+        tau0 = mpmath.ellipk(kp2) / mpmath.ellipk(k2)
+        a = mpmath.mpf(alpha)
+        total = (1 - a) * mpmath.log(2) if sigma == 1 else mpmath.mpf(0)
+        j = sigma
+        while 2 * min(a, 1) * (j - sigma) * mpmath.pi * tau0 < 140:
+            t = mpmath.exp(-2 * (j + mpmath.mpf(1 - sigma) / 2) * mpmath.pi * tau0)
+            total += 2 * (mpmath.log1p(t ** a) - a * mpmath.log1p(t))  # rungs m and -m - 1 + sigma
+            j += 1
+        return float(total / (1 - a))
+
+
 def log_gap(got: complex, want) -> float:
     """|got - want| between two logs of one complex number, the imaginary
     parts (phases) compared modulo 2 pi."""

@@ -36,6 +36,7 @@ from xyent import (
     szego_asymptotic,
     theta_zero_ladder,
     toeplitz_det_exact,
+    vn_entropy_closed,
     xx_char_det_asymptotic,
     xx_entropy_asymptotic,
     xy_block_det_asymptotic,
@@ -273,11 +274,13 @@ def test_required_nmax_where_the_top_rounds_above_1():
     assert type(n) is int and n >= 1
 
 
-@pytest.mark.parametrize("value", [BLOCK, XY, F, theta_zero_ladder(E, 1, 8), density_spectrum(P, 16)],
+@pytest.mark.parametrize("value", [BLOCK, XY, F, theta_zero_ladder(E, 1, 8), density_spectrum(P, 16),
+                                   vn_entropy_closed(E, CASE)],
                          ids=lambda x: type(x).__name__)
 def test_array_holders_compare_and_hash_by_identity(value):
-    # the value types with array fields compare by identity: field-wise, ==
-    # would compare their arrays (ValueError) and hash() hash them (TypeError)
+    # the value types with array or dict fields (EntropyResult.params)
+    # compare by identity: field-wise, == would compare their arrays
+    # (ValueError) and hash() hash them (TypeError)
     assert value == value
     assert value != copy.copy(value) and value != copy.deepcopy(value)
     assert isinstance(hash(value), int)

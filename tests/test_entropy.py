@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import xyent.entropy as entropy_mod
@@ -41,9 +41,11 @@ from oracles import (
     brute_vn_entropy,
     elliptic_modulus_mp,
     plane,
+    renyi_limit_mp,
     renyi_sum_mp,
     xx_entropy_contour,
 )
+from test_spectrum import _LADDER_TOPS
 
 
 class TestEFunc:
@@ -261,7 +263,7 @@ def test_landen_duplication(tau0):
     # sigma = 0 ladders at tau0, so S_1(tau0/2) = S_1(tau0) + S_0(tau0) and
     # (1 - a) S_a adds the same way; the modulus at tau0/2 is the ascending
     # Landen k1 = 2 sqrt(k)/(1 + k), k1' = k'^2/(1 + k)^2, free of cancellation
-    log_lam, log_co = _log_lambda_imag(tau0)  # ln k^2 and ln k'^2 at tau0
+    log_lam, log_co, _ = _log_lambda_imag(tau0)  # ln k^2 and ln k'^2 at tau0
     e = EllipticModulus(math.exp(log_lam / 2.0), math.exp(log_co / 2.0))
     k, kp = e.k, e.kprime
     half = EllipticModulus(2.0 * math.sqrt(k) / (1.0 + k), kp * kp / (1.0 + k) ** 2)
@@ -278,6 +280,39 @@ def test_landen_duplication(tau0):
         lhs = f(half, CASE_1B)
         gap = abs(lhs - f(e, CASE_1B) - f(e, CASE_2)) / max(1.0, abs(lhs))
         assert gap <= _LANDEN_TOL[name.split()[0]], (name, gap)
+
+
+# Bound of the modular sweep: twice the worst relative gap over 1500 draws
+# (823 at tau0 >= 1), 6.2e-10 at tau0 = 6.4.  The q-product form has the
+# same gap there: it is the nome sum's stop, below eps/64 absolute, which
+# leaves about 3e-17 of N = -8q + 12q^2 - ... behind at q = 1.9e-9, where
+# the entropy is only 7e-9.  Below tau0 = 4 the worst gap was 1.7e-14.
+_MODULAR_TOL = 1.2e-9
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_LADDER_TOPS)
+@example((0.001, 1e6))  # k = 2e-9: the form read -1.5e-15 at alpha = 2, for +1.0e-18
+@example((0.05, 30.0))
+@example((0.5, 50.0))
+def test_modular_renyi_matches_mpmath_where_k_is_small(point):
+    # at tau0 >= 1 (k^2 <= 1/2) the modular form takes ln k^2 and ln lambda
+    # as nome products, so their pi tau0 terms cancel before any rounding:
+    # relative to a 60-digit ladder sum it keeps its digits as k -> 0, and
+    # it is never below 0
+    try:
+        p = ModelParams(*point)
+        c = classify_case(p)
+        e = modulus_k(p)
+    except XyentError:
+        return
+    if e.tau0 < 1.0:
+        return
+    for alpha in (0.5, 2.0, 3.0, 10.0):
+        got = renyi_limit_modular(alpha, e, c).value
+        want = renyi_limit_mp(*point, alpha)
+        assert got >= 0.0
+        assert abs(got - want) <= _MODULAR_TOL * want, (alpha, got, want)
 
 
 class TestRenyiLimits:

@@ -17,7 +17,7 @@ from xyent import (
     tau0_from_modulus,
     theta,
 )
-from xyent import special
+from xyent import entropy, special
 from oracles import log_gap, quad_elliptic_K
 
 mpmath.mp.dps = 30
@@ -209,6 +209,18 @@ class TestTheta:
         assert np.all(np.abs(got.real - want.real) <= 2e-15 * scale)
         turns = (got.imag - want.imag) / (2.0 * math.pi)
         assert np.all(np.abs(turns - np.round(turns)) * 2.0 * math.pi <= 2e-15 * scale)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.floats(0.08, 30.0), st.sampled_from((0, 1)))
+    def test_prefactor_real_axis_matches_complex(self, tau0, sigma):
+        # the limit integral passes its nodes as real x, read as i x: the
+        # float pass equals the complex one's real part within 2 ulp at every
+        # node of both midpoint rules
+        x, _ = entropy._midpoint_rules(entropy._INTEGRAL_STEP, entropy._INTEGRAL_CUTOFF)
+        got = special._log_theta_prefactor(x, tau0, sigma)
+        want = special._log_theta_prefactor(1j * x, tau0, sigma)
+        assert got.dtype == np.float64
+        assert np.all(np.abs(got - want.real) <= 2.0 * np.spacing(np.abs(want.real)))
 
     def test_subnormal_im_tau_refused(self):
         # ln(1e17) / (pi Im tau) is infinite: refused by the budget, not by

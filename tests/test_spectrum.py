@@ -23,13 +23,16 @@ from xyent import (
     multiplicities,
     multiplicity_asymptotic,
     nu_spectrum,
+    renyi_limit_modular,
     renyi_limit_qproduct,
     required_nmax,
+    vn_entropy_closed,
+    vn_entropy_limit_integral,
     vn_entropy_limit_series,
     XyentError,
     zeta_function,
 )
-from xyent import EllipticModulus, spectrum
+from xyent import EllipticModulus, special, spectrum
 from oracles import (
     brute_density_probs,
     brute_partition_count,
@@ -191,6 +194,34 @@ def test_ln_lambda0_matches_mpmath_over_plane(point):
     want = ln_lambda0_mp(*point)
     assert got <= 0.0
     assert abs(got - want) <= 4.4e-16 * max(1.0, abs(want))
+
+
+def test_ladder_nome_summed_once_per_modulus(monkeypatch):
+    # a limit point's calls as the bench makes them, at tau0 = 1.05: every
+    # reader of ln lambda_0 or ln k^2 takes the nome sum at e^{-pi tau0} from
+    # its modulus, summed once each for the point's modulus and the one
+    # density_spectrum builds; the modular form sums its own nome, at
+    # alpha tau0 or its inverse, once per order
+    sums = []
+    nome_log_sum = special._nome_log_sum
+    monkeypatch.setattr(special, "_nome_log_sum", lambda q: sums.append(q) or nome_log_sum(q))
+    p = ModelParams(1.0, 3.0)
+    case, e = classify_case(p), modulus_k(p)
+    assert e.tau0 >= 1.0
+    vn_entropy_limit_series(e, case.sigma)
+    vn_entropy_limit_integral(e, case.sigma)
+    vn_entropy_closed(e, case)
+    alphas = (0.5, 2.0, 3.0, 10.0)
+    for a in alphas:
+        renyi_limit_qproduct(a, e, case)
+        renyi_limit_modular(a, e, case)
+    spec = density_spectrum(p, required_nmax(e, case, 1.0))
+    zeta_function(spec, 1.0)
+    zeta_function(spec, 2.0)
+    q0 = math.exp(-math.pi * e.tau0)
+    assert sums.count(q0) == 2
+    assert sorted(q for q in sums if q != q0) == sorted(
+        math.exp(-math.pi * max(a * e.tau0, 1.0 / (a * e.tau0))) for a in alphas)
 
 
 class TestZeta:

@@ -15,7 +15,6 @@
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -50,8 +49,12 @@ class EllipticModulus:
     k lies in (0, 1), whose ends are degenerations (tau0 = infinity / 0),
     refused also where k got there by rounding.  A k' or tau0 left out is
     computed once k has passed, tau0 = AGM(1, k') / AGM(1, k) from both as
-    held, so no complement is rebuilt from a rounded one.  Its nome sum
-    N = _nome_log_sum(e^{-pi tau0}) is summed on first read (_nome_sum).
+    held, so no complement is rebuilt from a rounded one.  Where tau0 >= 1
+    (k^2 <= 1/2) it also holds _nome_sum, N = _nome_log_sum(e^{-pi tau0}),
+    so that ln k^2 = ln 16 - pi tau0 + N (k^2 = lambda(i tau0)) for every
+    form that reads it there.  It is summed here rather than on first read:
+    a first read through functools.cached_property costs more than the sum
+    at these nomes (q <= e^{-pi}).
     """
 
     k: float
@@ -68,12 +71,8 @@ class EllipticModulus:
         if self.tau0 is None:
             object.__setattr__(self, "tau0", _agm(1.0, kp) / _agm(1.0, k))
         _real("tau0", self.tau0, 0.0, math.inf, "()")
-
-    @functools.cached_property
-    def _nome_sum(self) -> float:
-        """N = _nome_log_sum(e^{-pi tau0}), so that ln k^2 = ln 16 - pi tau0 + N
-        (k^2 = lambda(i tau0)); read where tau0 >= 1, and summed once."""
-        return _nome_log_sum(math.exp(-math.pi * self.tau0))
+        if self.tau0 >= 1.0:
+            object.__setattr__(self, "_nome_sum", _nome_log_sum(math.exp(-math.pi * self.tau0)))
 
 
 def _as_tau(tau: complex) -> complex:
@@ -187,8 +186,7 @@ def _theta3_moduli(y: np.ndarray, t: float):
     a = np.rint(y / t)
     y0 = y - a * t
     n = np.arange(1.0, N + 1.0)
-    f = np.exp(-math.pi * t * n * (n - 1.0))
-    g = np.exp(-math.pi * t * n * (n + 1.0))
+    f, g = np.exp(-math.pi * t * n * np.array((n - 1.0, n + 1.0)))
     # P reaches 0 only where pi t > 745, and there G_n is 0 as well
     p = np.exp(np.outer(np.abs(y0) - t / 2.0, 2.0 * math.pi * n))
     np.maximum(p, sys.float_info.min, out=p)
@@ -270,9 +268,9 @@ def _log_theta_prefactor(beta: np.ndarray, tau0: float, sigma: int) -> np.ndarra
     ln P = 2 (ln theta3(beta - sigma tau/2) - ln theta3(sigma tau/2))
     - 2 pi i sigma beta, up to a multiple of 2 pi i.
     """
-    if np.isrealobj(beta):
+    if beta.dtype.kind == "f":
         off = sigma * tau0 / 2.0
-        logs = _log_theta3_axis(np.append(beta - off, off), tau0)
+        logs = _log_theta3_axis(np.concatenate((beta - off, [off])), tau0)
         twist = -2.0 * math.pi * beta  # 2 pi i beta at beta = i x
     else:
         tau = 1j * tau0

@@ -19,8 +19,8 @@ import numpy as np
 
 from .chain import NuSpectrum, ModelParams, PhaseCase, _ladder_node
 from .errors import ConvergenceError, DomainError, RegimeError, _count, _real
-from .special import EllipticModulus, _agm, _log1p_series, _log_lambda_imag, _log_theta_prefactor
-from .spectrum import _ladder_params
+from .special import (EllipticModulus, _agm, _ladder_params, _log1p_series, _log_lambda_imag,
+                      _log_theta_prefactor)
 
 __all__ = [
     "EntropyResult",
@@ -98,9 +98,9 @@ def _e(x: float, nu: float) -> float:
 def vn_entropy_exact(nus: NuSpectrum) -> EntropyResult:
     """Block von Neumann entropy S = sum_m e(1, nu_m) = -sum (p ln p + q ln q)
     over the nontrivial modes, with q = (1 - |nu|)/2 from their delta (a
-    trivial mode adds 0)."""
+    trivial mode adds 0; with none nontrivial, S = +0.0)."""
     q, lnp = nus._halves
-    s = -float(np.sum((1.0 - q) * lnp + q * np.log(q)))
+    s = 0.0 - float(np.sum((1.0 - q) * lnp + q * np.log(q)))
     return _mk(s, "ExactFiniteL", L=len(nus))
 
 
@@ -117,15 +117,15 @@ def renyi_exact(nus: NuSpectrum, alpha: float) -> EntropyResult:
     there; its alpha -> 1 limit is the von Neumann value).  Each log is
     taken as a ln p + ln(1 + (q/p)^a), p = (1 + |nu|)/2 >= q, so it stays
     finite where both powers underflow (a past about 1075 at nu = 0); q
-    comes from the modes' delta, and a trivial mode adds 0.  Past
-    _ALPHA_INF it is its alpha -> inf limit -sum ln p.
+    comes from the modes' delta, and a trivial mode adds 0 (+0.0 in all).
+    Past _ALPHA_INF it is its alpha -> inf limit -sum ln p.
     """
     _check_alpha(alpha)
     q, lnp = nus._halves
     if alpha > _ALPHA_INF:
-        return _mk(-float(np.sum(lnp)), "ExactFiniteL", L=len(nus), alpha=alpha)
+        return _mk(0.0 - float(np.sum(lnp)), "ExactFiniteL", L=len(nus), alpha=alpha)
     s = float(np.sum(alpha * lnp + np.log1p(np.power(q / (1.0 - q), alpha))))
-    return _mk(s / (1.0 - alpha), "ExactFiniteL", L=len(nus), alpha=alpha)
+    return _mk(s / (1.0 - alpha) + 0.0, "ExactFiniteL", L=len(nus), alpha=alpha)
 
 
 # -----------------------------------------------------------------------------
@@ -248,9 +248,10 @@ def vn_entropy_closed(e: EllipticModulus, case: PhaseCase) -> EntropyResult:
 
     sigma = 1:  (1/6)[ln(k^2/(16 k')) + (1 - k^2/2) 4 K(k) K(k')/pi] + ln 2
     sigma = 0:  (1/12)[ln(16/(k^2 k'^2)) + (k^2 - k'^2) 4 K(k) K(k')/pi]
+    with 4 K(k) K(k')/pi = pi tau0 / AGM(1, k')^2 from the modulus' tau0.
     """
     k, kp = e.k, e.kprime
-    kk = math.pi / (_agm(1.0, kp) * _agm(1.0, k))  # 4 K(k) K(k') / pi
+    kk = math.pi * e.tau0 / _agm(1.0, kp) ** 2  # 4 K(k) K(k') / pi
     if case.sigma == 1:
         s = (math.log(k * k / (16.0 * kp)) + (1.0 - k * k / 2.0) * kk) / 6.0 + math.log(2.0)
     else:
@@ -267,10 +268,7 @@ def renyi_limit_qproduct(alpha: float, e: EllipticModulus, case: PhaseCase) -> E
     sigma = 0:  a/(1-a) ln lambda_0 + (2/(1-a)) sum_{n>=0} ln(1+q_a^{2n+1})
     sigma = 1:  a/(1-a) ln lambda_0 + (1/(1-a)) [2 sum_{n>=1} ln(1+q_a^{2n}) + ln 2]
 
-    with lambda_0 the top of the density-matrix ladder (see density_spectrum):
-    ln lambda_0 = pi tau0/12 + (1/6) ln(k k'/4) for sigma = 0 and
-    -pi tau0/6 + (1/6) ln(k'/(4k^2)) for sigma = 1.
-
+    with lambda_0 the top of the density-matrix ladder (_ladder_params).
     Both sums are _log1p_series over the powers q_a^{1+sigma} q_a^{2j}.
     """
     _check_alpha(alpha)
@@ -285,47 +283,23 @@ def renyi_limit_qproduct(alpha: float, e: EllipticModulus, case: PhaseCase) -> E
 
 
 def renyi_limit_modular(alpha: float, e: EllipticModulus, case: PhaseCase) -> EntropyResult:
-    """Renyi limit entropy through the modular lambda function at alpha*i*tau0.
+    """Renyi limit entropy through the modular lambda function at alpha*i*tau0,
+    in the q-product form's frame a/(1-a) ln lambda_0 + T/(1-a), with
+    lambda_0 the ladder top (_ladder_params) and, at t = alpha tau0,
 
-    sigma = 0:  (1/6)(a/(1-a)) ln(k k') - (1/12)(1/(1-a)) ln[lam (1-lam)] + (1/3) ln 2
-    sigma = 1:  (1/6)(a/(1-a)) ln(k'/k^2) + (1/12)(1/(1-a)) ln[lam^2/(1-lam)] + (1/3) ln 2
-    with lam = lambda(i alpha tau0) in (0, 1).  ln lam and ln(1 - lam) are
-    read from the nome product on whichever side of lambda(i) = 1/2 it
-    converges fastest, so neither is formed by subtraction as alpha tau0 -> 0.
-    Where tau0 >= 1 and alpha tau0 >= 1, ln k^2 and ln lam are their nome
-    products ln 16 - pi t + N(t) (N(tau0) the modulus' nome sum), and the
-    terms pi tau0 and ln 16, which cancel as k -> 0, drop out:
-    (a (N(tau0) + ln k'^2) - N(a tau0) - ln(1 - lam)) / (12 (1 - a)) for
-    sigma = 0 and (a (ln k'^2 - 2 N(tau0)) + 2 N(a tau0) - ln(1 - lam))
-    / (12 (1 - a)) + ln 2 for sigma = 1.
-    Past alpha max(tau0, 1) = _ALPHA_INF it is its alpha -> inf limit
-    -ln lambda_0.  A value beyond double range raises DomainError.
+    sigma = 0:  T = -(N(t) + ln(1 - lambda(i t)))/12
+    sigma = 1:  T = (2 N(t) - ln(1 - lambda(i t)))/12 + ln 2
+
+    where N(t) = ln lambda(i t) + pi t - ln 16 is the log of lambda's nome
+    product (_log_lambda_imag).  Both are read on whichever side of
+    lambda(i) = 1/2 the nome product converges fastest, so nothing is formed
+    by subtraction as alpha tau0 -> 0, and nothing cancels as k -> 0.  A
+    value beyond double range raises DomainError.
     """
     _check_alpha(alpha)
-    if alpha * max(e.tau0, 1.0) > _ALPHA_INF:
-        return _mk(-_ladder_params(e, case.sigma)[0], "RenyiModular", L=None, alpha=alpha)
-    log_lam, log_co, n_lam = _log_lambda_imag(alpha * e.tau0)
-    k, kp = e.k, e.kprime
-    third_ln2 = math.log(2.0) / 3.0
-    if e.tau0 >= 1.0 and alpha * e.tau0 >= 1.0:
-        lk = math.log1p(-k * k)
-        if case.sigma == 0:
-            s = (alpha * (e._nome_sum + lk) - n_lam - log_co) / (12.0 * (1.0 - alpha))
-        else:
-            s = ((alpha * (lk - 2.0 * e._nome_sum) + 2.0 * n_lam - log_co) / (12.0 * (1.0 - alpha))
-                 + math.log(2.0))
-    elif case.sigma == 0:
-        s = (
-            alpha / (1.0 - alpha) * math.log(k * kp) / 6.0
-            - (log_lam + log_co) / (12.0 * (1.0 - alpha))
-            + third_ln2
-        )
-    else:
-        s = (
-            alpha / (1.0 - alpha) * math.log(kp / (k * k)) / 6.0
-            + (2.0 * log_lam - log_co) / (12.0 * (1.0 - alpha))
-            + third_ln2
-        )
+    _, log_co, n = _log_lambda_imag(alpha * e.tau0)
+    tail = -(n + log_co) / 12.0 if case.sigma == 0 else (2.0 * n - log_co) / 12.0 + math.log(2.0)
+    s = alpha / (1.0 - alpha) * _ladder_params(e, case.sigma)[0] + tail / (1.0 - alpha)
     if not math.isfinite(s):
         raise DomainError(f"Renyi limit at alpha tau0 = {alpha * e.tau0:.3e} lies beyond "
                           "double range")

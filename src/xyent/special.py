@@ -4,7 +4,8 @@
 # complete elliptic integral K, Jacobi theta series theta_{2,3,4}, and the
 # elliptic modular lambda function.  theta3 is summed in one place, in log
 # space (_log_theta3): theta, the XY determinant prefactor and the
-# limit-entropy integral all read it.
+# limit-entropy integral all read it.  So is ln lambda_0, the limit
+# ladder's top (_ladder_params), for the spectrum and both Renyi forms.
 #
 # Conventions:
 #   * theta3(s|tau) = sum_n exp(i pi tau n^2 + 2 pi i s n), Im tau > 0.
@@ -287,22 +288,22 @@ def _log1p_series(z: complex, r: complex, sign: float, what: Callable[[], str]) 
     differs from the log of the product only by a multiple of 2 pi i.
 
     The powers come by repeated multiplication, and the sum stops once the
-    rest of it, at most |z r^{j+1}| / (1 - |r|) to first order, is below
-    eps/64: at the first j past ln(bound/|z|) / ln|r|.  |z r^{j+1}| is
-    carried as a product of moduli beside the powers.  A count over
-    _TERM_BUDGET is refused before any term is summed; what() names the
-    series in that refusal.
+    rest of it, at most |z r^{j+1}| / (1 - |r|) to first order, is at most
+    eps/64 times min(1, |z|): at the first j past ln(bound/|z|) / ln|r|.
+    |z r^{j+1}| is carried as a product of moduli beside the powers.  A
+    count over _TERM_BUDGET is refused before any term is summed; what()
+    names the series in that refusal.
     """
     log1p = math.log1p if isinstance(z, float) else (lambda w: cmath.log(1.0 + w))
     ar = abs(r)
-    bound = _EPS * (1.0 - ar) / 64.0
+    bound = _EPS * (1.0 - ar) / 64.0 * min(1.0, abs(z))
     mag = abs(z) * ar
-    if mag < bound or (bound > 0.0 and math.log(bound / abs(z)) / math.log(ar) < _TERM_BUDGET + 1):
+    if mag <= bound or (bound > 0.0 and math.log(bound / abs(z)) / math.log(ar) < _TERM_BUDGET + 1):
         total = 0.0
         w = 1.0
         for _ in range(1, _TERM_BUDGET):
             total += w * log1p(z)
-            if mag < bound:
+            if mag <= bound:
                 return total
             z *= r
             mag *= ar
@@ -313,26 +314,54 @@ def _log1p_series(z: complex, r: complex, sign: float, what: Callable[[], str]) 
 def _nome_log_sum(q: complex) -> complex:
     """ln prod_{n>=1} ((1 + q^{2n}) / (1 + q^{2n-1}))^8 = 8 sum_{m>=1} (-1)^m ln(1 + q^m)
     for |q| < 1, real or complex, by _log1p_series.  Its rest is then below
-    an eighth of the double-precision epsilon.
+    an eighth of the double-precision epsilon times min(1, |q|).
     """
     return -8.0 * _log1p_series(q, q, -1.0, lambda: f"nome product at |q| = {abs(q):.15g}")
 
 
 def _log_lambda_imag(t: float) -> tuple[float, float, float]:
-    """(ln lambda(i t), ln(1 - lambda(i t)), N) for real t > 0.
+    """(ln lambda(i t), ln(1 - lambda(i t)), N(t)) for real t > 0, with
+    N(t) = ln lambda(i t) + pi t - ln 16 the log of lambda's nome product;
+    t = 0, where a product alpha tau0 underflowed, is its limit.
 
     The nome product is summed in log space at q = e^{-pi s}, s = max(t, 1/t),
     so q <= e^{-pi} and lambda(i s) <= 1/2 is the small side:
-    ln lambda(i s) = ln 16 - pi s + N, N = _nome_log_sum(q), and
+    ln lambda(i s) = ln 16 - pi s + N(s), N(s) = _nome_log_sum(q), and
     ln(1 - lambda(i s)) is log1p(-lambda(i s)).  The far side follows from
     lambda(i/t) = 1 - lambda(i t), so neither log is formed from a
-    difference near 1.
+    difference near 1; below t = 1, N(t) is formed from the far side's
+    ln lambda(i t).
     """
-    s = max(t, 1.0 / t)
+    s = max(t, 1.0 / t) if t else math.inf
     n = _nome_log_sum(math.exp(-math.pi * s))
     log_small = math.log(16.0) - math.pi * s + n
     log_large = math.log1p(-math.exp(log_small))
-    return (log_small, log_large, n) if t >= 1.0 else (log_large, log_small, n)
+    if t >= 1.0:
+        return log_small, log_large, n
+    return log_large, log_small, log_large + math.pi * t - math.log(16.0)
+
+
+def _ladder_params(e: EllipticModulus, sigma: int) -> tuple[float, float]:
+    """(ln lambda_0, step c) of the limit density-matrix ladder
+    ln lambda_n = ln lambda_0 - c n, c = (1 + sigma) pi tau0: the ladder
+    top that density_spectrum, zeta_function and both Renyi limit forms read.
+
+    ln lambda_0 is pi tau0/12 + ln(k k'/4)/6 (sigma = 0) or
+    -pi tau0/6 + ln(k'/(4k^2))/6 (sigma = 1), whose two terms cancel as
+    k -> 0.  For tau0 >= 1 (k^2 <= 1/2) ln k^2 is taken as its nome product
+    ln 16 - pi tau0 + N, N the modulus' nome sum (EllipticModulus._nome_sum),
+    and pi tau0 drops out: ln lambda_0 = (ln(1 - k^2) + N)/12 or
+    ln(1 - k^2)/12 - ln 2 - N/6.
+    """
+    k, kp, tau0 = e.k, e.kprime, e.tau0
+    if tau0 >= 1.0:
+        n, lk = e._nome_sum, math.log1p(-k * k)
+        lead = (lk + n) / 12.0 if sigma == 0 else lk / 12.0 - math.log(2.0) - n / 6.0
+    elif sigma == 0:
+        lead = math.pi * tau0 / 12.0 + math.log(k * kp / 4.0) / 6.0
+    else:
+        lead = -math.pi * tau0 / 6.0 + math.log(kp / (4.0 * k * k)) / 6.0
+    return lead, (1 + sigma) * math.pi * tau0
 
 
 def modular_lambda(tau: complex) -> complex:

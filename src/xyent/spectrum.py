@@ -16,7 +16,7 @@ import numpy as np
 
 from .chain import ModelParams, PhaseCase, _modulus, classify_case
 from .errors import ConvergenceError, DomainError, _count, _real
-from .special import EllipticModulus
+from .special import EllipticModulus, _ladder_params
 
 __all__ = [
     "multiplicities",
@@ -99,27 +99,6 @@ class DensitySpectrum:
     truncation: int
     sigma: int
     modulus: EllipticModulus = field(repr=False)
-
-
-def _ladder_params(e: EllipticModulus, sigma: int) -> tuple[float, float]:
-    """(ln lambda_0, step c) with ln lambda_n = ln lambda_0 - c n.
-
-    ln lambda_0 is pi tau0/12 + ln(k k'/4)/6 (sigma = 0) or
-    -pi tau0/6 + ln(k'/(4k^2))/6 (sigma = 1), whose two terms cancel as
-    k -> 0.  For tau0 >= 1 (k^2 <= 1/2) ln k^2 is taken as its nome product
-    ln 16 - pi tau0 + N, N the modulus' nome sum (EllipticModulus._nome_sum),
-    and pi tau0 drops out: ln lambda_0 = (ln(1 - k^2) + N)/12 or
-    ln(1 - k^2)/12 - ln 2 - N/6.
-    """
-    k, kp, tau0 = e.k, e.kprime, e.tau0
-    if tau0 >= 1.0:
-        n, lk = e._nome_sum, math.log1p(-k * k)
-        lead = (lk + n) / 12.0 if sigma == 0 else lk / 12.0 - math.log(2.0) - n / 6.0
-    elif sigma == 0:
-        lead = math.pi * tau0 / 12.0 + math.log(k * kp / 4.0) / 6.0
-    else:
-        lead = -math.pi * tau0 / 6.0 + math.log(kp / (4.0 * k * k)) / 6.0
-    return lead, (1 + sigma) * math.pi * tau0
 
 
 def density_spectrum(p: ModelParams, nmax: int = 64) -> DensitySpectrum:

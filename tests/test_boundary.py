@@ -245,6 +245,9 @@ FORMER_LEAKS = {
     "zeta_function(P_TOP, 1e308)": lambda: zeta_function(density_spectrum(P_TOP, 4), 1e308),
     "EllipticModulus(0.6, 0.8, nan)": lambda: EllipticModulus(0.6, 0.8, math.nan),
     "EllipticModulus(0.6, -0.8, 1.0)": lambda: EllipticModulus(0.6, -0.8, 1.0),
+    # alpha tau0 underflows to 0 (tau0 = 0.23): a ZeroDivisionError in 1/t
+    "renyi_limit_modular(5e-324, e, case)":
+        lambda: renyi_limit_modular(5e-324, EllipticModulus(0.99999), CASE),
 }
 
 
@@ -259,7 +262,8 @@ def test_former_leak_is_typed(call):
                                           ("zeta_function(P_TOP, 1e308)", "beyond double range"),
                                           ("build_xx_matrix(1.0, 2.5)", "block length L"),
                                           ("theta_zero_ladder(e, 1, nan)", "ladder length M"),
-                                          ("EllipticModulus(0.6, 0.8, nan)", "tau0")])
+                                          ("EllipticModulus(0.6, 0.8, nan)", "tau0"),
+                                          ("renyi_limit_modular(5e-324, e, case)", "beyond double range")])
 def test_refusal_names_its_cause(name, refuse):
     with pytest.raises(DomainError, match=refuse):
         FORMER_LEAKS[name]()
@@ -346,4 +350,6 @@ def test_exact_renyi_meets_its_infinite_order_limit():
     nus = NuSpectrum.from_nus([0.0, 0.0, 0.0])
     for alpha in (1e300, 1e301, 1e308):
         assert renyi_exact(nus, alpha).value == pytest.approx(3.0 * math.log(2.0), rel=1e-15)
+    # an all-trivial spectrum is +0.0 there too, not -0.0
+    assert math.copysign(1.0, renyi_exact(NuSpectrum.from_nus(np.ones(12)), 1e301).value) > 0.0
     assert renyi_exact(XY, 1e308).value == pytest.approx(renyi_exact(XY, 1e300).value, rel=1e-15)

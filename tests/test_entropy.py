@@ -15,6 +15,7 @@ from xyent import (
     DomainError,
     EllipticModulus,
     ModelParams,
+    NuSpectrum,
     RegimeError,
     build_correlation_matrix,
     build_xx_matrix,
@@ -67,12 +68,16 @@ class TestExactEntropies:
         assert renyi_exact(nus, 2.0).value == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_against_brute_force(self):
-        nus = nu_spectrum(build_correlation_matrix(ModelParams(0.5, 1.0), 6))
-        assert vn_entropy_exact(nus).value == pytest.approx(brute_vn_entropy(nus.nus), abs=1e-13)
-        for a in (0.5, 2.0, 3.0):
-            assert renyi_exact(nus, a).value == pytest.approx(
-                brute_renyi_entropy(nus.nus, a), abs=1e-12
-            )
+        # and an all-trivial spectrum, whose entropies are +0.0: a sum of no
+        # terms, negated or divided by 1 - alpha < 0, must not read -0.0
+        for nus in (nu_spectrum(build_correlation_matrix(ModelParams(0.5, 1.0), 6)),
+                    NuSpectrum.from_nus(np.ones(12))):
+            values = [vn_entropy_exact(nus).value]
+            assert values[0] == pytest.approx(brute_vn_entropy(nus.nus), abs=1e-13)
+            for a in (0.5, 2.0, 3.0):
+                values.append(renyi_exact(nus, a).value)
+                assert values[-1] == pytest.approx(brute_renyi_entropy(nus.nus, a), abs=1e-12)
+            assert all(math.copysign(1.0, v) > 0.0 for v in values), values
 
     @pytest.mark.parametrize("alpha", [0.5, 2.0, 1e3, 1100.0, 1e4, 1e6])
     def test_renyi_against_mpmath(self, alpha):
@@ -283,11 +288,11 @@ def test_landen_duplication(tau0):
 
 
 # Bound of the modular sweep: twice the worst relative gap over 1500 draws
-# (823 at tau0 >= 1), 6.2e-10 at tau0 = 6.4.  The q-product form has the
-# same gap there: it is the nome sum's stop, below eps/64 absolute, which
-# leaves about 3e-17 of N = -8q + 12q^2 - ... behind at q = 1.9e-9, where
-# the entropy is only 7e-9.  Below tau0 = 4 the worst gap was 1.7e-14.
-_MODULAR_TOL = 1.2e-9
+# (823 at tau0 >= 1), 6.8e-15 at (0.001, 12522), alpha = 0.5; the q-product
+# form's was 7.1e-15 there.  With the nome sum stopped at eps/64 absolute,
+# N = -8q + 12q^2 - ... at q = 1.9e-9 (tau0 = 6.4, (0.348, 4043.7)) kept
+# one term, and both forms were off by 6.2e-10.
+_MODULAR_TOL = 1.4e-14
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -295,6 +300,7 @@ _MODULAR_TOL = 1.2e-9
 @example((0.001, 1e6))  # k = 2e-9: the form read -1.5e-15 at alpha = 2, for +1.0e-18
 @example((0.05, 30.0))
 @example((0.5, 50.0))
+@example((0.348, 4043.7))  # tau0 = 6.4: the nome sum's absolute stop left 6.2e-10
 def test_modular_renyi_matches_mpmath_where_k_is_small(point):
     # at tau0 >= 1 (k^2 <= 1/2) the modular form takes ln k^2 and ln lambda
     # as nome products, so their pi tau0 terms cancel before any rounding:

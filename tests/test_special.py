@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import mpmath
@@ -251,11 +252,11 @@ def _nome_log_sum_loop(q):
     """The nome sum as summed before its term count was sized up front:
     the same loop, run until its stop test or its budget."""
     log1p = math.log1p if isinstance(q, float) else (lambda z: cmath.log(1.0 + z))
-    bound = special._EPS * (1.0 - abs(q)) / 64.0
+    bound = special._EPS * (1.0 - abs(q)) / 64.0 * min(1.0, abs(q))
     total, qm, sign = 0.0, q, -8.0
     for _ in range(1, special._TERM_BUDGET):
         total += sign * log1p(qm)
-        if abs(qm * q) < bound:
+        if abs(qm * q) <= bound:
             return total
         qm *= q
         sign = -sign
@@ -299,10 +300,10 @@ class TestModularLambda:
         # every q the count accepts gives bitwise the sum of the plain loop
         assert special._nome_log_sum(q) == _nome_log_sum_loop(q)
 
-    @pytest.mark.parametrize("budget", [200, 1390, 1391, 1392])
+    @pytest.mark.parametrize("budget", [200, 1390, 1391, 1392, 1393])
     def test_count_refuses_only_what_the_loop_cannot_finish(self, monkeypatch, budget):
-        # |q| = e^{-pi/100} stops at m = 1390 of the plain loop (the count
-        # reads 1390.3), so it needs a budget of 1391: the count refuses no q
+        # |q| = e^{-pi/100} stops at m = 1391 of the plain loop (the count
+        # reads 1390.3), so it needs a budget of 1392: the count refuses no q
         # the loop would finish
         monkeypatch.setattr(special, "_TERM_BUDGET", budget)
         q = math.exp(-math.pi / 100.0)
@@ -330,26 +331,35 @@ class TestModularLambda:
         assert modular_lambda(tau) == pytest.approx(want, rel=1e-12)
 
 
-    @pytest.mark.parametrize("j", range(-16, 17))
-    def test_logs_against_mpmath(self, j):
-        # (ln lambda(it), ln(1 - lambda(it))) at t = 10^(j/4), both sides of
-        # t = 1; the reference reads lambda = (theta2/theta3)^4 and
-        # 1 - lambda = (theta4/theta3)^4 at q = e^{-pi t} (Jacobi's quartic
-        # identity), each log taken from the small one, with the digits that
-        # theta4 ~ e^{-pi/(4t)} loses to cancellation added to the 40
-        t = 10.0 ** (j / 4.0)
+    @pytest.mark.parametrize("t", [10.0 ** (j / 4.0) for j in range(-16, 17)] + [6.4],
+                             ids=[str(j) for j in range(-16, 17)] + ["t6.4"])
+    def test_logs_against_mpmath(self, t):
+        # (ln lambda(it), ln(1 - lambda(it)), N(t)) at t = 10^(j/4), both
+        # sides of t = 1, and at t = 6.4, where N = -8q + ... at q = 1.9e-9
+        # was off 1.9e-9 relative by a stop at eps/64 absolute; the reference
+        # reads lambda = (theta2/theta3)^4 and 1 - lambda = (theta4/theta3)^4
+        # at q = e^{-pi t} (Jacobi's quartic identity), each log taken from
+        # the small one, with the digits that theta4 ~ e^{-pi/(4t)} loses to
+        # cancellation added to the 40, and N = ln(lambda/(16 q)) =
+        # 4 (log1p(a) - log1p(b)) from the theta series with their leading 1
+        # taken out, a = sum q^{n(n+1)} and b = 2 sum q^{n^2} over n >= 1
         with mpmath.workdps(40 + math.ceil(math.pi / (4.0 * t * math.log(10.0)))):
             q = mpmath.exp(-mpmath.pi * mpmath.mpf(t))
             t3 = mpmath.jtheta(3, 0, q)
             lam = (mpmath.jtheta(2, 0, q) / t3) ** 4
             co = (mpmath.jtheta(4, 0, q) / t3) ** 4
+            a = b = mpmath.mpf(0)
+            for n in itertools.count(1):
+                a, b = a + q ** (n * (n + 1)), b + 2 * q ** (n * n)
+                if q ** (n * n) < b * mpmath.mpf(10) ** -45:
+                    break
             want = (
                 float(mpmath.log(lam) if lam < 0.5 else mpmath.log1p(-co)),
                 float(mpmath.log(co) if co < 0.5 else mpmath.log1p(-lam)),
+                float(4 * (mpmath.log1p(a) - mpmath.log1p(b))),
             )
         got = special._log_lambda_imag(t)
-        assert got[0] == pytest.approx(want[0], rel=1e-13)
-        assert got[1] == pytest.approx(want[1], rel=1e-13)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 class TestModulus:

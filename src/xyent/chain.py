@@ -114,16 +114,21 @@ class PhaseCase:
     """Phase region of the (gamma, h) plane.
 
     label '1a': 2 sqrt(1-gamma^2) < h < 2;  '1b': h^2 < 4(1-gamma^2);
-    '2': h > 2.  sigma = 1 in cases 1a/1b, 0 in case 2.
+    '2': h > 2; any other raises DomainError.  It sets sigma = 1 in cases
+    1a/1b, 0 in case 2.
     """
 
     label: str
-    sigma: int
+
+    def __post_init__(self) -> None:
+        if self.label not in ("1a", "1b", "2"):
+            raise DomainError(f"phase case label must be '1a', '1b' or '2', got {self.label!r}")
+        object.__setattr__(self, "sigma", int(self.label != "2"))
 
 
-CASE_1A = PhaseCase("1a", 1)
-CASE_1B = PhaseCase("1b", 1)
-CASE_2 = PhaseCase("2", 0)
+CASE_1A = PhaseCase("1a")
+CASE_1B = PhaseCase("1b")
+CASE_2 = PhaseCase("2")
 
 
 @dataclass(frozen=True, eq=False)

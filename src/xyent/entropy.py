@@ -44,9 +44,6 @@ _SERIES_TOL = 1e-16
 # tanh(x) rounds to 1.0 from x = 19.1 on, so ladder nodes past this argument
 # are 1.0 and their terms 0.
 _TANH_ONE = 20.0
-# A Renyi order past this is taken at its alpha -> inf limit, which the
-# entropy meets there to double precision; alpha times a log may overflow.
-_ALPHA_INF = 1e300
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,16 +113,16 @@ def renyi_exact(nus: NuSpectrum, alpha: float) -> EntropyResult:
     alpha must be positive and distinct from 1 (the functional degenerates
     there; its alpha -> 1 limit is the von Neumann value).  Each log is
     taken as a ln p + ln(1 + (q/p)^a), p = (1 + |nu|)/2 >= q, so it stays
-    finite where both powers underflow (a past about 1075 at nu = 0); q
+    finite where both powers underflow (a past about 1075 at nu = 0), in the
+    q-product frame a/(1-a) sum ln p + sum ln(1 + (q/p)^a)/(1-a), which
+    meets its alpha -> inf limit -sum ln p as a/(1-a) rounds to -1.  q
     comes from the modes' delta, and a trivial mode adds 0 (+0.0 in all).
-    Past _ALPHA_INF it is its alpha -> inf limit -sum ln p.
     """
     _check_alpha(alpha)
     q, lnp = nus._halves
-    if alpha > _ALPHA_INF:
-        return _mk(0.0 - float(np.sum(lnp)), "ExactFiniteL", L=len(nus), alpha=alpha)
-    s = float(np.sum(alpha * lnp + np.log1p(np.power(q / (1.0 - q), alpha))))
-    return _mk(s / (1.0 - alpha) + 0.0, "ExactFiniteL", L=len(nus), alpha=alpha)
+    tail = float(np.sum(np.log1p(np.power(q / (1.0 - q), alpha))))
+    s = alpha / (1.0 - alpha) * float(np.sum(lnp)) + tail / (1.0 - alpha) + 0.0
+    return _mk(s, "ExactFiniteL", L=len(nus), alpha=alpha)
 
 
 # -----------------------------------------------------------------------------

@@ -3,10 +3,10 @@
 # CLI exit codes): bad inputs (DomainError, exit 2) and numerical failures
 # (ConvergenceError, exit 3).
 #
-# Every public entry reads its arguments through the two validators below:
-# _count for a block length, truncation or index, _real for a real parameter
-# in a range.  Each refuses with a DomainError naming the argument, so each
-# kind of argument is decided here alone; they use no numpy.
+# Every public entry reads its arguments through the validators below: _count
+# for a block length, truncation or index, _real for a real parameter in a
+# range, _complex for a complex one.  Each refuses with a DomainError naming
+# the argument, so each kind of argument is decided here alone; no numpy.
 
 import math
 import numbers
@@ -102,3 +102,15 @@ def _real(name: str, value, lo: float = -math.inf, hi: float = math.inf, ends: s
     below = "" if hi == math.inf else f" {'<' if ends[1] == ')' else '<='} {hi:g}"
     bound = f" in {ends[0]}{lo:g}, {hi:g}{ends[1]}" if above and below else above or below
     raise DomainError(f"{name} must be a finite real{bound}, got {value!r}")
+
+
+def _complex(name: str, value) -> complex:
+    """value as a complex with finite parts: a Python or numpy number, never
+    a string, None, a NaN or +-inf part, or an int beyond double range."""
+    try:
+        z = complex(value) if isinstance(value, numbers.Number) else None
+    except OverflowError:  # an int beyond double range
+        z = None
+    if z is not None and math.isfinite(z.real) and math.isfinite(z.imag):
+        return z
+    raise DomainError(f"{name} must be a finite complex number, got {value!r}")

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, _count, _real
+from .errors import ConvergenceError, DomainError, _complex, _count, _real
 
 __all__ = [
     "EllipticModulus",
@@ -48,9 +48,9 @@ class EllipticModulus:
     """Modulus pair (k, k') with the module parameter tau0 = K(k')/K(k).
 
     k lies in (0, 1), whose ends are degenerations (tau0 = infinity / 0),
-    refused also where k got there by rounding.  A k' or tau0 left out is
-    computed once k has passed, tau0 = AGM(1, k') / AGM(1, k) from both as
-    held, so no complement is rebuilt from a rounded one.  Where tau0 >= 1
+    refused also where k got there by rounding.  A k' left out is computed
+    once k has passed, and tau0 = AGM(1, k') / AGM(1, k) always, from both
+    as held, so no complement is rebuilt from a rounded one.  Where tau0 >= 1
     (k^2 <= 1/2) it also holds _nome_sum, N = _nome_log_sum(e^{-pi tau0}),
     so that ln k^2 = ln 16 - pi tau0 + N (k^2 = lambda(i tau0)) for every
     form that reads it there.  It is summed here rather than on first read:
@@ -60,7 +60,6 @@ class EllipticModulus:
 
     k: float
     kprime: float | None = None
-    tau0: float | None = None
 
     def __post_init__(self) -> None:
         k = _real("modulus k", self.k, 0.0, 1.0, "()")
@@ -69,15 +68,14 @@ class EllipticModulus:
         kp = _real("complementary modulus k'", self.kprime, 0.0, math.inf, "()")
         if not abs(k * k + kp * kp - 1.0) <= 1e-12:
             raise DomainError("k^2 + k'^2 = 1 violated")
-        if self.tau0 is None:
-            object.__setattr__(self, "tau0", _agm(1.0, kp) / _agm(1.0, k))
-        _real("tau0", self.tau0, 0.0, math.inf, "()")
-        if self.tau0 >= 1.0:
-            object.__setattr__(self, "_nome_sum", _nome_log_sum(math.exp(-math.pi * self.tau0)))
+        tau0 = _agm(1.0, kp) / _agm(1.0, k)
+        object.__setattr__(self, "tau0", tau0)
+        if tau0 >= 1.0:
+            object.__setattr__(self, "_nome_sum", _nome_log_sum(math.exp(-math.pi * tau0)))
 
 
 def _as_tau(tau: complex) -> complex:
-    tau = complex(tau)
+    tau = _complex("modular parameter tau", tau)
     if not (tau.imag > 0):
         raise DomainError(f"modular parameter needs Im(tau) > 0, got {tau}")
     return tau
@@ -118,13 +116,14 @@ def log_barnes_g(x: complex) -> complex:
     an analytic tail: a sum of principal logs, so a log of G(1+x) up to a
     multiple of 2 pi i.  At x = -1, -2, ..., where G(1+x) = 0, it is -inf.
 
-    Raises DomainError beyond _BARNES_MAX_ABS and at a NaN.
+    Raises DomainError beyond _BARNES_MAX_ABS and at a non-finite x.
     """
-    x = complex(x)
-    if not abs(x) <= _BARNES_MAX_ABS:
+    x = _complex("Barnes G argument x", x)
+    r = math.hypot(x.real, x.imag)  # abs(x) raises OverflowError past double range
+    if r > _BARNES_MAX_ABS:
         raise DomainError(
             f"Barnes G evaluated only on |x| <= _BARNES_MAX_ABS = {_BARNES_MAX_ABS}, "
-            f"got |x| = {abs(x):.6g}"
+            f"got |x| = {r:.6g}"
         )
     if x == 0:
         return 0.0 + 0.0j
@@ -244,7 +243,7 @@ def theta(j: int, s: complex, tau: complex) -> complex:
     """
     j = _count("theta index j", j, 2, 4)
     tau = _as_tau(tau)
-    s = complex(s)
+    s = _complex("theta argument s", s)
     shift = {2: tau / 2.0, 3: 0.0, 4: 0.5}[j]
     with np.errstate(over="ignore", invalid="ignore"):
         log = complex(_log_theta3(np.array([s + shift]), tau)[0])
@@ -371,9 +370,11 @@ def modular_lambda(tau: complex) -> complex:
     Purely imaginary tau = i t takes lambda from _log_lambda_imag(t), at the
     smaller of the nomes of i t and i/t, so lambda(i/t) = 1 - lambda(i t)
     holds and lambda stays in [0, 1]: 0.0 only where 16 e^{-pi t}
-    underflows, 1.0 only where 1 - lambda rounds away.
+    underflows, 1.0 only where 1 - lambda rounds away.  Re tau is reduced
+    modulo lambda's period 2.
     """
     tau = _as_tau(tau)
+    tau = complex(math.fmod(tau.real, 2.0), tau.imag)
     if tau.real == 0.0:
         return complex(math.exp(_log_lambda_imag(tau.imag)[0]))
     q = cmath.exp(1j * math.pi * tau)

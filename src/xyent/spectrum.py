@@ -85,20 +85,23 @@ def multiplicity_asymptotic(n: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class DensitySpectrum:
-    """Limit spectrum of the reduced density matrix: a geometric ladder
-    lambda_n with integer multiplicities.
-
-    loglambdas carries ln lambda_n exactly even where lambda_n underflows;
-    ratio = lambda_{n+1}/lambda_n is constant along the ladder.
+    """Limit spectrum of the reduced density matrix: the ladder
+    ln lambda_n = ln lambda_0 - c n that modulus and sigma fix, set here as
+    loglambdas (exact even where lambdas underflows) and ratio = e^{-c},
+    with the integer multiplicities mults of its rungs 0..truncation.
     """
 
-    lambdas: np.ndarray = field(repr=False)
-    loglambdas: np.ndarray = field(repr=False)
-    mults: list[int] = field(repr=False)
-    ratio: float
-    truncation: int
-    sigma: int
     modulus: EllipticModulus = field(repr=False)
+    sigma: int
+    mults: list[int] = field(repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "sigma", _count("sigma", self.sigma, 0, 1))
+        loglam0, c = _ladder_params(self.modulus, self.sigma)
+        loglams = loglam0 - c * np.arange(len(self.mults), dtype=float)
+        for name, value in (("loglambdas", loglams), ("lambdas", np.exp(loglams)),
+                            ("ratio", math.exp(-c)), ("truncation", len(self.mults) - 1)):
+            object.__setattr__(self, name, value)
 
 
 def density_spectrum(p: ModelParams, nmax: int = 64) -> DensitySpectrum:
@@ -107,21 +110,8 @@ def density_spectrum(p: ModelParams, nmax: int = 64) -> DensitySpectrum:
     Requires a noncritical point with gamma > 0 (the classification
     rejects gamma = 0 and the critical manifolds).
     """
-    nmax = _count("truncation nmax", nmax, 0)
     case = classify_case(p)
-    e = _modulus(p, case)
-    loglam0, c = _ladder_params(e, case.sigma)
-    n = np.arange(nmax + 1, dtype=float)
-    loglams = loglam0 - c * n
-    return DensitySpectrum(
-        lambdas=np.exp(loglams),
-        loglambdas=loglams,
-        mults=multiplicities(case, nmax),
-        ratio=math.exp(-c),
-        truncation=nmax,
-        sigma=case.sigma,
-        modulus=e,
-    )
+    return DensitySpectrum(_modulus(p, case), case.sigma, multiplicities(case, nmax))
 
 
 def _envelope_exponent(n: float, sigma: int) -> float:

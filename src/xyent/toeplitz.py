@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .chain import NuSpectrum, PhaseCase, _ladder_node, _toeplitz_view
-from .errors import CutError, DomainError, ProximityError, ResolutionError, _count, _real
+from .errors import CutError, DomainError, ProximityError, ResolutionError, _complex, _count, _real
 from .special import EllipticModulus, _log_theta_prefactor, log_barnes_g
 
 __all__ = [
@@ -72,21 +72,16 @@ class SpectralParameter:
     lam: complex
 
     def __post_init__(self) -> None:
-        lam = complex(self.lam)
-        if not cmath.isfinite(lam):
-            raise DomainError(f"lambda must be finite, got {lam}")
-        if abs(lam.imag) < 1e-15 and -1.0 - 1e-15 <= lam.real <= 1.0 + 1e-15:
-            raise CutError(f"lambda = {lam} lies on the spectral cut [-1, 1]")
+        object.__setattr__(self, "lam", _complex("lambda", self.lam))
+        if abs(self.lam.imag) < 1e-15 and -1.0 - 1e-15 <= self.lam.real <= 1.0 + 1e-15:
+            raise CutError(f"lambda = {self.lam} lies on the spectral cut [-1, 1]")
 
     @property
     def beta(self) -> complex:
-        """(1/2 pi i) Log((lambda+1)/(lambda-1)), principal branch.
-
-        Off the cut the argument avoids the negative real axis, so
-        |Re beta| < 1/2 always holds.
-        """
-        lam = complex(self.lam)
-        return cmath.log((lam + 1.0) / (lam - 1.0)) / (2.0j * math.pi)
+        """(1/2 pi i) Log((lambda+1)/(lambda-1)), principal branch: off the
+        cut the argument avoids the negative real axis, so |Re beta| < 1/2
+        and the log is Log(lambda+1) - Log(lambda-1), which cannot overflow."""
+        return (cmath.log(self.lam + 1.0) - cmath.log(self.lam - 1.0)) / (2.0j * math.pi)
 
 
 @dataclass(frozen=True)
@@ -100,9 +95,9 @@ class FHSingularity:
 
     def __post_init__(self) -> None:
         _real("singularity angle theta", self.theta, 0.0, 2.0 * math.pi, "[)")
-        if not (cmath.isfinite(complex(self.alpha)) and cmath.isfinite(complex(self.beta))):
-            raise DomainError(f"exponents must be finite: alpha = {self.alpha}, beta = {self.beta}")
-        _real("root exponent Re alpha", complex(self.alpha).real, -0.5, math.inf, "()")
+        object.__setattr__(self, "alpha", _complex("root exponent alpha", self.alpha))
+        object.__setattr__(self, "beta", _complex("jump exponent beta", self.beta))
+        _real("root exponent Re alpha", self.alpha.real, -0.5, math.inf, "()")
 
     @property
     def z(self) -> complex:
@@ -170,17 +165,20 @@ class SmoothSymbolFactorization:
     """Wiener-Hopf data of a smooth nonvanishing index-zero symbol phi.
 
     Vk holds the Fourier coefficients of log phi (length 2n+1, V_k at index
-    n+k); the factors b+(z) = e^{sum_{k>=1} V_k z^k} and
+    n+k), V_0 among them; the factors b+(z) = e^{sum_{k>=1} V_k z^k} and
     b-(z) = e^{sum_{k<=-1} V_k z^k}, normalized to b+(0) = b-(inf) = 1, are
     read from it by log_b_plus and log_b_minus.
     """
 
     Vk: np.ndarray = field(repr=False)
-    V0: complex
 
     @property
     def order(self) -> int:
         return self.Vk.size // 2
+
+    @property
+    def V0(self) -> complex:
+        return complex(self.Vk[self.order])
 
     @classmethod
     def from_symbol(
@@ -204,26 +202,25 @@ class SmoothSymbolFactorization:
             raise DomainError(
                 f"symbol has index {winding} != 0; the smooth-limit form does not apply"
             )
-        vk = _two_sided(np.log(np.abs(vals)) + 1j * ph, n)
-        return cls(Vk=vk, V0=complex(vk[n]))
+        return cls(_two_sided(np.log(np.abs(vals)) + 1j * ph, n))
 
     @classmethod
     def constant(cls, V0: complex) -> "SmoothSymbolFactorization":
         """Factorization of the constant symbol e^{V0} (b+ = b- = 1); V0 finite."""
-        if not cmath.isfinite(complex(V0)):
-            raise DomainError(f"V0 must be finite, got {V0}")
         vk = np.zeros(3, dtype=complex)
-        vk[1] = V0
-        return cls(Vk=vk, V0=complex(V0))
+        vk[1] = _complex("V0", V0)
+        return cls(vk)
 
     def log_b_plus(self, z: complex) -> complex:
         """log b+(z) = sum_{k=1}^{n} V_k z^k (|z| <= 1 + 1e-12), by Horner's rule."""
-        _real("|z|", abs(z), 0.0, 1.0 + 1e-12)
+        z = _complex("z", z)
+        _real("|z|", math.hypot(z.real, z.imag), 0.0, 1.0 + 1e-12)
         return complex(z * np.polyval(self.Vk[:self.order:-1], z))
 
     def log_b_minus(self, z: complex) -> complex:
         """log b-(z) = sum_{k=1}^{n} V_{-k} z^{-k} (finite |z| >= 1 - 1e-12), by Horner's rule."""
-        _real("|z|", abs(z), 1.0 - 1e-12)
+        z = _complex("z", z)
+        _real("|z|", math.hypot(z.real, z.imag), 1.0 - 1e-12)
         w = 1.0 / z
         return complex(w * np.polyval(self.Vk[:self.order], w))
 
@@ -249,12 +246,12 @@ def _validate_fh(sings: Sequence[FHSingularity]) -> None:
         raise DomainError("singularity angles must be distinct")
     for s in sings:
         for sgn in (+1, -1):
-            x = complex(s.alpha) + sgn * complex(s.beta)
+            x = s.alpha + sgn * s.beta
             r = round(x.real)  # finite: FHSingularity refuses a non-finite exponent
             if abs(x.imag) <= 1e-12 and r <= -1 and abs(x.real - r) < 1e-12:
                 raise DomainError(f"alpha {'+' if sgn > 0 else '-'} beta = {x} hits a nonpositive "
                                   f"integer at theta = {s.theta}: the expansion degenerates")
-    res = [complex(s.beta).real for s in sings]
+    res = [s.beta.real for s in sings]
     if res and max(res) - min(res) >= 1.0:  # some pair has |Re beta_j - Re beta_k| >= 1
         raise DomainError(f"jump exponents with Re beta spread over {max(res) - min(res):.6g} "
                           f">= 1 are outside the standard regime")
@@ -284,16 +281,16 @@ def fisher_hartwig_asymptotic(
     sings = sorted(sings, key=lambda s: s.theta)
     _validate_fh(sings)
 
-    logd = L * complex(f.V0) + f.szego_sum()
+    logd = L * f.V0 + f.szego_sum()
     for s in sings:
-        a, b = complex(s.alpha), complex(s.beta)
+        a, b = s.alpha, s.beta
         logd += (a * a - b * b) * math.log(L)
         logd += (-a + b) * f.log_b_plus(s.z) + (-a - b) * f.log_b_minus(s.z)
         logd += log_barnes_g(a + b) + log_barnes_g(a - b) - log_barnes_g(2.0 * a)
     for j in range(len(sings)):
-        aj, bj, tj = complex(sings[j].alpha), complex(sings[j].beta), sings[j].theta
+        aj, bj, tj = sings[j].alpha, sings[j].beta, sings[j].theta
         for k in range(j + 1, len(sings)):
-            ak, bk, tk = complex(sings[k].alpha), complex(sings[k].beta), sings[k].theta
+            ak, bk, tk = sings[k].alpha, sings[k].beta, sings[k].theta
             dist = abs(2.0 * math.sin((tk - tj) / 2.0))
             logd += 2.0 * (bj * bk - aj * ak) * math.log(dist)
             # z_k/(z_j e^{i pi}) = e^{i (t_k - t_j - pi)} with the exponent
@@ -314,22 +311,20 @@ def xx_char_det_asymptotic(s: SpectralParameter, h: float, L: int) -> ScaledValu
 
     D_L(lambda) ~ (2 - 2 cos 2kF)^{-beta^2} [G(1+beta) G(1-beta)]^2
                   e^{L V_0} L^{-2 beta^2},
-    V_0 = Log(lambda+1) - (kF/pi) Log((lambda+1)/(lambda-1)).
+    V_0 = Log(lambda+1) - (kF/pi) Log((lambda+1)/(lambda-1)) = Log(lambda+1) - 2 i kF beta.
     """
     h = _real("XX field h", h, -2.0, 2.0, "()")
-    lam = complex(s.lam)
-    kf = math.acos(abs(h) / 2.0)
-    v0 = cmath.log(lam + 1.0) - (kf / math.pi) * cmath.log((lam + 1.0) / (lam - 1.0))
-    jumps = [FHSingularity(kf, 0.0, -s.beta), FHSingularity(2.0 * math.pi - kf, 0.0, s.beta)]
+    kf, beta = math.acos(abs(h) / 2.0), s.beta
+    v0 = cmath.log(s.lam + 1.0) - 2j * kf * beta
+    jumps = [FHSingularity(kf, 0.0, -beta), FHSingularity(2.0 * math.pi - kf, 0.0, beta)]
     return fisher_hartwig_asymptotic(SmoothSymbolFactorization.constant(v0), jumps, L)
 
 
 def xx_char_det_exact(nus: NuSpectrum, s: SpectralParameter) -> ScaledValue:
     """D_L(lambda) = prod_m (lambda - nu_m) from the exact nu-spectrum: a
     product over its modes, times (lambda - 1)^n_plus (lambda + 1)^n_minus."""
-    lam = complex(s.lam)
-    logd = (np.sum(np.log(lam - nus.modes)) + nus.n_plus * cmath.log(lam - 1.0)
-            + nus.n_minus * cmath.log(lam + 1.0))
+    logd = (np.sum(np.log(s.lam - nus.modes)) + nus.n_plus * cmath.log(s.lam - 1.0)
+            + nus.n_minus * cmath.log(s.lam + 1.0))
     return ScaledValue(float(logd.real), float(logd.imag))
 
 
@@ -349,7 +344,8 @@ def xy_block_det_asymptotic(
     P(beta) = theta3(beta + sigma tau/2) theta3(beta - sigma tau/2) / theta3(sigma tau/2)^2
     at tau = i tau0, which vanishes at the ladder points, flipping sign.
     ln P comes from _log_theta_prefactor, the kernel of the limit-entropy
-    integral, and 1 - lambda^2 is formed as (1 - lambda)(1 + lambda).
+    integral, and 1 - lambda^2 is formed as (1 - lambda)(1 + lambda), its
+    log split in two past double range (|lambda| above about 1e154).
 
     Within proximity_tol of a prefactor zero +-lambda_m the expansion is
     unreliable (the true determinant crosses over to the next order), so
@@ -359,12 +355,11 @@ def xy_block_det_asymptotic(
     """
     L = _count("block length L", L, 1)
     t = _real("proximity_tol", proximity_tol, 0.0)
-    lam = complex(s.lam)
-    x = abs(lam.real)
-    if t > 0.0 and abs(lam.imag) < t:
+    x = abs(s.lam.real)
+    if t > 0.0 and abs(s.lam.imag) < t:
         if abs(x - 1.0) < t:
             raise ProximityError(
-                f"lambda = {lam} lies within {t} of +-1, where the prefactor zeros "
+                f"lambda = {s.lam} lies within {t} of +-1, where the prefactor zeros "
                 f"accumulate; the leading-order form breaks down there"
             )
         if x < 1.0:
@@ -374,11 +369,13 @@ def xy_block_det_asymptotic(
                 node = float(_ladder_node(m, case.sigma, e.tau0))
                 if abs(x - node) < t:
                     raise ProximityError(
-                        f"lambda = {lam} lies within {t} of the prefactor zero at "
+                        f"lambda = {s.lam} lies within {t} of the prefactor zero at "
                         f"+-{node:.9g}; the leading-order form breaks down there"
                     )
     logp = complex(_log_theta_prefactor(np.array([s.beta]), e.tau0, case.sigma)[0])
-    logd = logp + L * cmath.log((1.0 - lam) * (1.0 + lam))
+    w = (1.0 - s.lam) * (1.0 + s.lam)
+    logw = cmath.log(w) if cmath.isfinite(w) else cmath.log(1.0 - s.lam) + cmath.log(1.0 + s.lam)
+    logd = logp + L * logw
     return ScaledValue(float(logd.real), float(logd.imag))
 
 
@@ -386,9 +383,12 @@ def xy_block_det_exact(nus: NuSpectrum, s: SpectralParameter) -> ScaledValue:
     """D_L(lambda) = (-1)^L prod_m (lambda^2 - nu_m^2) from the exact XY
     nu-spectrum: lambda^2 - nu^2 = w + delta over its modes and w for each
     trivial one, w = (lambda - 1)(lambda + 1), so no factor cancels near
-    lambda = +-1."""
-    lam = complex(s.lam)
+    lambda = +-1.  Past about |lambda| = 1e154, where w overflows and
+    w + delta rounds to w, each factor's log is ln(lambda - 1) + ln(lambda + 1)."""
     L = len(nus)
-    w = (lam - 1.0) * (lam + 1.0)
-    logd = np.sum(np.log(w + nus.delta)) + (nus.n_plus + nus.n_minus) * cmath.log(w)
+    w = (s.lam - 1.0) * (s.lam + 1.0)
+    if cmath.isfinite(w):
+        logd = np.sum(np.log(w + nus.delta)) + (nus.n_plus + nus.n_minus) * cmath.log(w)
+    else:
+        logd = L * (cmath.log(s.lam - 1.0) + cmath.log(s.lam + 1.0))
     return ScaledValue(float(logd.real), float(logd.imag + math.pi * (L % 2)))

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import xyent.entropy as entropy_mod
+import xyent.special as special_mod
 from xyent import (
     CASE_1A,
     CASE_1B,
@@ -196,20 +197,25 @@ class TestLimitForms:
         with pytest.raises(ConvergenceError, match="midpoint rules"):
             vn_entropy_limit_integral(e, 1)
 
-    def test_integral_term_budget(self):
-        # tau0 = 1e-6 needs ~3500 theta terms per node; no modulus from
-        # tau0_from_modulus gets there, a hand-built one must be refused
-        e = EllipticModulus(k=0.6, kprime=0.8, tau0=1e-6)
-        with pytest.raises(ConvergenceError, match="budget"):
+    def test_integral_term_budget(self, monkeypatch):
+        # no modulus gets tau0 below 0.0021, where the theta terms of the
+        # 301 nodes stay within the budget; an injected budget of 200 runs
+        # out on the same path at (0.5, 1.0), which needs 3 terms a node
+        monkeypatch.setattr(special_mod, "_TERM_BUDGET", 200)
+        e = modulus_k(ModelParams(0.5, 1.0))
+        with pytest.raises(ConvergenceError, match="budget") as err:
             vn_entropy_limit_integral(e, 1)
+        assert "_TERM_BUDGET = 200" in str(err.value)
 
-    def test_series_term_budget(self):
-        # tau0 = 1e-7 puts about 6e7 ladder nodes below tanh argument 20;
-        # the refusal names the modulus and the budget it ran out of
-        e = EllipticModulus(k=0.6, kprime=0.8, tau0=1e-7)
-        with pytest.raises(ConvergenceError, match="tau0 = 1.000e-07") as err:
+    def test_series_term_budget(self, monkeypatch):
+        # (0.5, 1.0) needs 7 ladder nodes before a term drops below 1e-16;
+        # with an injected budget of 3 the refusal names the modulus and
+        # the budget it ran out of
+        monkeypatch.setattr(entropy_mod, "_SERIES_BUDGET", 3)
+        e = modulus_k(ModelParams(0.5, 1.0))
+        with pytest.raises(ConvergenceError, match=f"tau0 = {e.tau0:.3e}") as err:
             vn_entropy_limit_series(e, 1)
-        assert "_SERIES_BUDGET = 100000" in str(err.value)
+        assert "_SERIES_BUDGET = 3" in str(err.value)
 
     def test_methods(self):
         e = modulus_k(ModelParams(0.5, 1.0))

@@ -93,7 +93,7 @@ class TestBarnesG:
             log_barnes_g(5.63)
         with pytest.raises(DomainError, match="_BARNES_MAX_ABS"):
             log_barnes_g(0.1 - 6.0j)
-        with pytest.raises(DomainError, match="_BARNES_MAX_ABS"):
+        with pytest.raises(DomainError, match="Barnes G argument x must be a finite complex"):
             log_barnes_g(complex(math.nan, 0.5))
 
     @pytest.mark.parametrize("beta", [0.1, 0.3j, 0.2 + 0.3j, -0.4 + 1.1j])
@@ -388,4 +388,4 @@ class TestModulus:
         with pytest.raises(DomainError):
             tau0_from_modulus(1.0)
         with pytest.raises(DomainError):
-            EllipticModulus(k=0.6, kprime=0.9, tau0=1.0)
+            EllipticModulus(k=0.6, kprime=0.9)

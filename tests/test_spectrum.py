@@ -289,12 +289,12 @@ class TestZeta:
 
 
 def _modulus_at(tau0: float) -> EllipticModulus:
-    # k and k' from the theta constants at q = e^{-pi tau0}, tau0 as given;
-    # k is kept below 1 where it would round there
+    # k and k' from the theta constants at q = e^{-pi tau0}, whose own tau0
+    # is tau0 to rounding; k is kept below 1 where it would round there
     q = mpmath.exp(-mpmath.pi * tau0)
     t2, t3, t4 = (mpmath.jtheta(j, 0, q) for j in (2, 3, 4))
     k = min(float((t2 / t3) ** 2), math.nextafter(1.0, 0.0))
-    return EllipticModulus(k, float((t4 / t3) ** 2), tau0)
+    return EllipticModulus(k, float((t4 / t3) ** 2))
 
 
 class TestRequiredNmaxSearch:
@@ -331,20 +331,23 @@ class TestRequiredNmaxSearch:
                             lambda *a: 0.0 if a[-1] - 1 >= boundary else math.inf)
         assert required_nmax(e, CASE_2, 1.0) == max(boundary, 1)
 
-    @pytest.mark.parametrize("alpha, want", [(56.2, 20), (100.0, 10)])
-    def test_lambda0_cancels_where_its_power_underflows(self, alpha, want):
-        # alpha ln lambda_0 < -745: lambda_0^alpha is 0.0 in double, yet the
-        # truncation is the one its tail needs (a test scaled by that power
-        # passed every nmax, and returned 1), and zeta_function on that
-        # ladder passes its own tail bound
-        e = EllipticModulus(math.nextafter(1.0, 0.0), 1e-43, 0.01)
+    @pytest.mark.parametrize("alpha", [56.2, 100.0])
+    def test_lambda0_cancels_where_its_power_underflows(self, alpha):
+        # alpha ln lambda_0 < -745 (tau0 = 0.0157): lambda_0^alpha is 0.0 in
+        # double, yet the truncation is the one its tail needs (a test scaled
+        # by that power passed every nmax, and returned 1), and zeta_function
+        # on that ladder passes its own tail bound.  The reference divides
+        # lambda_0^alpha out of the bound and of the tolerance alike
+        e = EllipticModulus(math.nextafter(1.0, 0.0), 1e-43)
         loglam0, c = spectrum._ladder_params(e, 0)
         assert alpha * loglam0 < -745.2
+        want = doubling_required_nmax(
+            lambda n: spectrum._tail_bound(0.0, c, alpha, 0, n + 1) <= spectrum._ZETA_TAIL_TOL,
+            spectrum._NMAX_BUDGET)
         n = required_nmax(e, CASE_2, alpha)
-        assert n == want
-        logs = loglam0 - c * np.arange(n + 1)
-        spec = spectrum.DensitySpectrum(np.exp(logs), logs, multiplicities(CASE_2, n),
-                                        math.exp(-c), n, 0, e)
+        assert n == want > 1
+        spec = spectrum.DensitySpectrum(e, 0, multiplicities(CASE_2, n))
+        assert spec.truncation == n and spec.loglambdas[0] == loglam0
         assert zeta_function(spec, alpha) == 0.0
 
     def test_never_zero(self):

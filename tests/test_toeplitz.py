@@ -97,7 +97,7 @@ class TestSpectralParameter:
     @pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan, complex(2.0, math.inf),
                                      complex(math.nan, 1.0)])
     def test_non_finite_rejected(self, lam):
-        with pytest.raises(DomainError, match="lambda must be finite"):
+        with pytest.raises(DomainError, match="lambda must be a finite complex number"):
             SpectralParameter(lam)
 
     def test_beta_value(self):
@@ -376,3 +376,24 @@ class TestXYDet:
         got = xy_block_det_asymptotic(SpectralParameter(lam), e, case, 40, proximity_tol=1e-20)
         want = xy_block_det_log_mp(lam, e.tau0, case.sigma, 40)
         assert log_gap(complex(got.log_abs, got.phase), want) < 1e-12
+
+
+@pytest.mark.parametrize("lam", [1e155, complex(1e200, 1e200), complex(1e308, 1e308)])
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+def test_determinants_past_the_square_of_lambda(gamma, lam):
+    # past about |lambda| = 1e154, (lambda - 1)(lambda + 1) overflows, and
+    # near |lambda| = 1e308 so does the quotient (lambda + 1)/(lambda - 1):
+    # the determinants read NaN there, or refused a valid lambda.  |D_L| is
+    # |lambda|^(2L) (XY) or |lambda|^L (XX) to within 1/|lambda|^2
+    s, L = SpectralParameter(lam), 10
+    if gamma:
+        p = ModelParams(gamma, 1.0)
+        ex = xy_block_det_exact(nu_spectrum(build_correlation_matrix(p, L)), s)
+        asym = xy_block_det_asymptotic(s, modulus_k(p), classify_case(p), L)
+    else:
+        ex = xx_char_det_exact(nu_spectrum(build_xx_matrix(1.0, L)), s)
+        asym = xx_char_det_asymptotic(s, 1.0, L)
+    want = (2 if gamma else 1) * L * math.log(abs(lam))
+    assert ex.log_abs == pytest.approx(want, rel=1e-15)
+    assert asym.log_abs == pytest.approx(want, rel=1e-15)
+    assert abs(cmath.exp(1j * (asym.phase - ex.phase)) - 1.0) < 1e-12

@@ -46,18 +46,19 @@ def _slot_bits(nmax: int, sigma: int) -> int:
     return 8 * (int(bits) // 8 + 1)
 
 
-def _ladder_product(sigma: int, nmax: int) -> list[int]:
-    """Coefficients of x^0..x^nmax in the square of prod (1 + x^k) over distinct
-    odd (sigma = 0) or distinct (sigma = 1) parts k, from one exact integer with
-    coefficient n in bits [n B, (n + 1) B) (Kronecker substitution): a part
-    costs a shift, add and mask, and no slot reaches 2^B to carry."""
+def _ladder_mults(sigma: int, nmax: int) -> list[int]:
+    """(1 + sigma) times x^0..x^nmax of the square of prod (1 + x^k) over distinct odd
+    (sigma = 0) or distinct (sigma = 1) parts k, from one exact integer with coefficient n in
+    bits [n B, (n + 1) B) (Kronecker substitution): a part costs a shift, add and mask, and no
+    slot reaches 2^B to carry."""
     slot = _slot_bits(nmax, sigma)
     mask = (1 << slot * (nmax + 1)) - 1
     packed = 1
     for part in range(1, nmax + 1, 2 - sigma):
         packed = (packed + (packed << slot * part)) & mask
     raw = (packed * packed & mask).to_bytes(slot // 8 * (nmax + 1), "little")
-    return [int.from_bytes(raw[i:i + slot // 8], "little") for i in range(0, len(raw), slot // 8)]
+    return [(1 + sigma) * int.from_bytes(raw[i:i + slot // 8], "little")
+            for i in range(0, len(raw), slot // 8)]
 
 
 def multiplicities(case: PhaseCase, nmax: int) -> list[int]:
@@ -66,10 +67,8 @@ def multiplicities(case: PhaseCase, nmax: int) -> list[int]:
     sigma = 0: m_n = sum_l pDO(l) pDO(n-l)  (pairs of distinct-odd partitions);
     sigma = 1: m_n = 2 sum_l pD(l) pD(n-l)  (pairs of distinct partitions;
     the overall factor 2 is the exact double degeneracy carried by the zero
-    mode of the nu ladder).
-    """
-    pairs = _ladder_product(case.sigma, _count("truncation nmax", nmax, 0))
-    return [(1 + case.sigma) * m for m in pairs]
+    mode of the nu ladder)."""
+    return _ladder_mults(case.sigma, _count("truncation nmax", nmax, 0))
 
 
 def multiplicity_asymptotic(n: int) -> float:
@@ -85,22 +84,21 @@ def multiplicity_asymptotic(n: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class DensitySpectrum:
-    """Limit spectrum of the reduced density matrix: the ladder
-    ln lambda_n = ln lambda_0 - c n that modulus and sigma fix, set here as
-    loglambdas (exact even where lambdas underflows) and ratio = e^{-c},
-    with the integer multiplicities mults of its rungs 0..truncation.
-    """
+    """Limit spectrum of the reduced density matrix on rungs 0..truncation: the ladder
+    ln lambda_n = ln lambda_0 - c n that modulus and sigma fix (loglambdas, exact even where
+    lambdas underflows; ratio = e^{-c}) and the integer multiplicities mults that sigma fixes."""
 
     modulus: EllipticModulus = field(repr=False)
     sigma: int
-    mults: list[int] = field(repr=False)
+    truncation: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma", _count("sigma", self.sigma, 0, 1))
-        loglam0, c = _ladder_params(self.modulus, self.sigma)
-        loglams = loglam0 - c * np.arange(len(self.mults), dtype=float)
-        for name, value in (("loglambdas", loglams), ("lambdas", np.exp(loglams)),
-                            ("ratio", math.exp(-c)), ("truncation", len(self.mults) - 1)):
+        sigma, n = _count("sigma", self.sigma, 0, 1), _count("truncation nmax", self.truncation, 0)
+        loglam0, c = _ladder_params(self.modulus, sigma)
+        loglams = loglam0 - c * np.arange(n + 1, dtype=float)
+        for name, value in (("sigma", sigma), ("truncation", n), ("mults", _ladder_mults(sigma, n)),
+                            ("loglambdas", loglams), ("lambdas", np.exp(loglams)),
+                            ("ratio", math.exp(-c))):
             object.__setattr__(self, name, value)
 
 
@@ -111,7 +109,7 @@ def density_spectrum(p: ModelParams, nmax: int = 64) -> DensitySpectrum:
     rejects gamma = 0 and the critical manifolds).
     """
     case = classify_case(p)
-    return DensitySpectrum(_modulus(p, case), case.sigma, multiplicities(case, nmax))
+    return DensitySpectrum(_modulus(p, case), case.sigma, nmax)
 
 
 def _envelope_exponent(n: float, sigma: int) -> float:

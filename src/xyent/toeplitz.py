@@ -79,9 +79,11 @@ class SpectralParameter:
     @property
     def beta(self) -> complex:
         """(1/2 pi i) Log((lambda+1)/(lambda-1)), principal branch: off the
-        cut the argument avoids the negative real axis, so |Re beta| < 1/2
-        and the log is Log(lambda+1) - Log(lambda-1), which cannot overflow."""
-        return (cmath.log(self.lam + 1.0) - cmath.log(self.lam - 1.0)) / (2.0j * math.pi)
+        cut the argument avoids the negative real axis, so |Re beta| < 1/2; where
+        the quotient overflows the log is Log(lambda+1) - Log(lambda-1)."""
+        q = (self.lam + 1.0) / (self.lam - 1.0)
+        logq = cmath.log(q) if cmath.isfinite(q) else cmath.log(self.lam + 1) - cmath.log(self.lam - 1)
+        return logq / (2.0j * math.pi)
 
 
 @dataclass(frozen=True)

@@ -131,7 +131,7 @@ VALID_FIELDS = {
     "ModelParams": (0.5, 1.0),
     "PhaseCase": ("1a",),
     "EllipticModulus": (E.k, E.kprime),
-    "DensitySpectrum": (E, 1, multiplicities(CASE, 16)),
+    "DensitySpectrum": (E, 1, 16),
     "SpectralParameter": (2.0,),
     "FHSingularity": (1.0, 0.25, 0.1j),
     "CorrelationMatrix": (BLOCK.coefficients, 40),
@@ -168,8 +168,8 @@ def _unclean(x, log=False):
     """The NaN and +inf (and -inf, unless x is a log) held anywhere in x."""
     if isinstance(x, ScaledValue):
         return _unclean(x.log_abs, log=True) + _unclean(x.phase)
-    if dataclasses.is_dataclass(x):
-        return [u for f in dataclasses.fields(x) for u in _unclean(getattr(x, f.name))]
+    if dataclasses.is_dataclass(x):  # its fields and what __post_init__ derives
+        return [u for v in vars(x).values() for u in _unclean(v)]
     if isinstance(x, dict):
         x = list(x.values())
     if isinstance(x, (list, tuple)):
@@ -308,22 +308,12 @@ def test_modular_lambda_reduces_its_period():
 # q-product Renyi form at (0.5, 1.0), alpha = 2, read 0.0187 for 0.7118
 # with sigma = 2; vn_entropy_closed 2.765 for 0.706 with tau0 = 5 at
 # k = 0.6; the Szego log-determinant of e^0.3 at L = 10 read 9.0 for 3.0
-# with V0 = 0.9; and zeta on 4 rungs announced as 41 passed its tail bound.
-@pytest.mark.parametrize("build", [
-    lambda: PhaseCase("1a", 2),
-    lambda: EllipticModulus(0.6, 0.8, 5.0),
-    lambda: SmoothSymbolFactorization(Vk=CLS.constant(0.3).Vk, V0=0.9),
-    lambda: DensitySpectrum(E, 1, multiplicities(CASE, 3), truncation=40),
-], ids=["PhaseCase", "EllipticModulus", "SmoothSymbolFactorization", "DensitySpectrum"])
-def test_derived_fact_is_no_input(build):
-    with pytest.raises(TypeError):
-        build()
-
-
+# with V0 = 0.9; and zeta on 4 rungs announced as 41 passed its tail bound,
+# as it did on the multiplicities of the other sigma.
 def test_derived_facts_follow_the_inputs():
     types = (PhaseCase, EllipticModulus, SmoothSymbolFactorization, DensitySpectrum)
     assert [[f.name for f in dataclasses.fields(t)] for t in types] == [
-        ["label"], ["k", "kprime"], ["Vk"], ["modulus", "sigma", "mults"]]
+        ["label"], ["k", "kprime"], ["Vk"], ["modulus", "sigma", "truncation"]]
     with pytest.raises(DomainError, match="phase case label must be"):
         PhaseCase("zz")
     assert [PhaseCase(x).sigma for x in ("1a", "1b", "2")] == [1, 1, 0]
@@ -333,11 +323,16 @@ def test_derived_facts_follow_the_inputs():
         0.706, abs=1e-3)
     f = CLS.constant(0.3)
     assert f.V0 == 0.3 and szego_asymptotic(f, 10).log_abs == pytest.approx(3.0, rel=1e-15)
-    spec = DensitySpectrum(E, CASE.sigma, multiplicities(CASE, 40)[:4])
-    assert spec.truncation == 3
+    spec = DensitySpectrum(E, CASE.sigma, 3)
+    assert spec.mults == multiplicities(CASE, 3) and len(spec.loglambdas) == 4
     assert spec.loglambdas.tolist() == density_spectrum(P, 3).loglambdas.tolist()
     with pytest.raises(ConvergenceError, match="have 3"):
         zeta_function(spec, 1.0)
+    for sigma, case in ((0, PhaseCase("2")), (1, PhaseCase("1b"))):
+        spec = DensitySpectrum(E, sigma, 64)
+        assert spec.mults == multiplicities(case, 64)
+        assert zeta_function(spec, 2.0) == pytest.approx(
+            sum(m * lam ** 2 for m, lam in zip(spec.mults, spec.lambdas)), rel=1e-14)
 
 
 def test_required_nmax_where_the_top_rounds_above_1():

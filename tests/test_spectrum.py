@@ -346,7 +346,7 @@ class TestRequiredNmaxSearch:
             spectrum._NMAX_BUDGET)
         n = required_nmax(e, CASE_2, alpha)
         assert n == want > 1
-        spec = spectrum.DensitySpectrum(e, 0, multiplicities(CASE_2, n))
+        spec = spectrum.DensitySpectrum(e, 0, n)
         assert spec.truncation == n and spec.loglambdas[0] == loglam0
         assert zeta_function(spec, alpha) == 0.0
 

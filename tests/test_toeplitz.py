@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import iv
@@ -103,6 +104,15 @@ class TestSpectralParameter:
     def test_beta_value(self):
         b = SpectralParameter(3.0).beta
         assert b == pytest.approx(-1j * math.log(2.0) / (2.0 * math.pi), rel=1e-14)
+
+    @pytest.mark.parametrize("lam, rel", [(1e5, 5e-12), (1e5 + 1e5j, 1e-11), (1e10, 1e-7)])
+    def test_beta_large_lambda(self, lam, rel):
+        # Log of the quotient (lambda+1)/(lambda-1) = 1 + O(1/lambda): about
+        # ln|lambda| digits go; the difference of the two logs lost 5x more at 1e5
+        with mpmath.workdps(40):
+            x = mpmath.mpc(lam)
+            want = complex(mpmath.log((x + 1) / (x - 1)) / (2j * mpmath.pi))
+        assert SpectralParameter(lam).beta == pytest.approx(want, rel=rel)
 
     @pytest.mark.parametrize("lam", [2.0, -3.0 + 0.1j, 0.2 + 0.9j, 1.0 + 1e-6j])
     def test_beta_strip(self, lam):

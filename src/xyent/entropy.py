@@ -120,8 +120,8 @@ def renyi_exact(nus: NuSpectrum, alpha: float) -> EntropyResult:
     """
     _check_alpha(alpha)
     q, lnp = nus._halves
-    tail = float(np.sum(np.log1p(np.power(q / (1.0 - q), alpha))))
-    s = alpha / (1.0 - alpha) * float(np.sum(lnp)) + tail / (1.0 - alpha) + 0.0
+    tail = float(np.log1p(np.power(q / (1.0 - q), alpha)).sum())
+    s = alpha / (1.0 - alpha) * float(lnp.sum()) + tail / (1.0 - alpha) + 0.0
     return _mk(s, "ExactFiniteL", L=len(nus), alpha=alpha)
 
 

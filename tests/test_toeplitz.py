@@ -107,8 +107,9 @@ class TestSpectralParameter:
 
     @pytest.mark.parametrize("lam, rel", [(1e5, 5e-12), (1e5 + 1e5j, 1e-11), (1e10, 1e-7)])
     def test_beta_large_lambda(self, lam, rel):
-        # Log of the quotient (lambda+1)/(lambda-1) = 1 + O(1/lambda): about
-        # ln|lambda| digits go; the difference of the two logs lost 5x more at 1e5
+        # the log of the quotient (lambda+1)/(lambda-1) = 1 + O(1/lambda) loses
+        # about log10|lambda| digits; Log(lambda+1) - Log(lambda-1) loses about
+        # five times more relative accuracy at 1e5 and fails the first two bounds
         with mpmath.workdps(40):
             x = mpmath.mpc(lam)
             want = complex(mpmath.log((x + 1) / (x - 1)) / (2j * mpmath.pi))

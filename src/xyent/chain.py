@@ -113,7 +113,7 @@ class ModelParams:
 class PhaseCase:
     """Phase region of the (gamma, h) plane.
 
-    label '1a': 2 sqrt(1-gamma^2) < h < 2;  '1b': h^2 < 4(1-gamma^2);
+    label '1a': 4(1-gamma^2) < h^2 < 4;  '1b': h^2 < 4(1-gamma^2);
     '2': h > 2; any other raises DomainError.  It sets sigma = 1 in cases
     1a/1b, 0 in case 2.
     """
@@ -238,43 +238,55 @@ def _refuse_h2(h: float) -> None:
         raise BoundaryError("on the critical manifold h = 2")
 
 
-def classify_case(p: ModelParams) -> PhaseCase:
-    """Assign the phase case, rejecting the critical boundaries.
+def _discriminants(gamma: float, h: float) -> tuple[float, float]:
+    """(q, r) = ((h/2)^2 + gamma^2 - 1, (1 - h/2)(1 + h/2)), zero on the circle
+    h^2 = 4(1 - gamma^2) and at h = 2; q is summed from exact squares."""
+    a, da = _exact_square(h / 2.0)
+    b, db = _exact_square(gamma)
+    s = a + b
+    ds = (a - (s - (s - a))) + (b - (s - a))  # s + ds = a + b exactly
+    return ((s - 1.0) + ds) + (da + db), (1.0 - h / 2.0) * (1.0 + h / 2.0)
 
-    Boundaries h = 2 and h^2 = 4(1-gamma^2) are excluded within relative
-    tolerance 1e-12; gamma = 0 (the XX line) has no XY phase case.
-    """
+
+def _classify(p: ModelParams) -> tuple[PhaseCase, float, float]:
+    """classify_case's case with the (q, r) of _discriminants it read."""
     if p.gamma == 0.0:
         raise BoundaryError("gamma = 0 is the XX line; no XY phase case is defined there")
     _refuse_h2(p.h)
-    thr = 2.0 * math.sqrt(max(0.0, 1.0 - p.gamma * p.gamma))
-    if abs(p.h - thr) <= _BOUNDARY_TOL * max(1.0, p.h):
+    q, r = _discriminants(p.gamma, p.h)
+    # q = (h - c)(h + c)/4 with c = 2 sqrt(1 - gamma^2): to first order the
+    # band |h - c| <= _BOUNDARY_TOL max(1, h)
+    if abs(q) <= _BOUNDARY_TOL * max(1.0, p.h) * p.h / 2.0:
         raise BoundaryError("on the critical manifold h^2 = 4(1 - gamma^2)")
-    if p.h > 2.0:
-        return CASE_2
-    if p.h > thr:
-        return CASE_1A
-    return CASE_1B
+    return (CASE_2 if r < 0.0 else CASE_1A if q > 0.0 else CASE_1B), q, r
+
+
+def classify_case(p: ModelParams) -> PhaseCase:
+    """Assign the phase case from the signs of q = (h/2)^2 + gamma^2 - 1 and
+    r = 1 - (h/2)^2 ('2' where r < 0, else '1a' where q > 0, else '1b'),
+    refusing h = 2 and the circle h^2 = 4(1-gamma^2) within relative
+    tolerance 1e-12; gamma = 0 (the XX line) has no XY phase case."""
+    return _classify(p)[0]
 
 
 def _branch_pair(gamma: float, h: float) -> tuple[complex, complex]:
     """Branch points lambda1, lambda2 of the symbol, with their reciprocals
     the four endpoints of its cuts; the pair is picked by the sign of
-    h^2 - 4(1-gamma^2) alone, so points on that circle are covered.
-    Real pair (cases 1a, 2): lambda1 = (h - sqrt(h^2 - 4(1-gamma^2))) / (2(1+gamma))
-    and lambda2 = 2(1+gamma) / (h + sqrt(h^2 - 4(1-gamma^2))), which equals
+    q = (h/2)^2 + gamma^2 - 1 alone, so points on that circle are covered.
+    Real pair (cases 1a, 2): lambda1 = (h - 2 sqrt(q)) / (2(1+gamma))
+    and lambda2 = 2(1+gamma) / (h + 2 sqrt(q)), which equals
     ((1+gamma)/(1-gamma)) lambda1 but stays finite on the Ising line gamma = 1,
     where lambda1 = 0.  Complex pair (case 1b): lambda2 = 1/conj(lambda1) and
-    lambda1 = (h - i sqrt(4(1-gamma^2) - h^2)) / (2(1+gamma)).
+    lambda1 = (h - 2i sqrt(-q)) / (2(1+gamma)).
     """
-    disc2 = h * h - 4.0 * (1.0 - gamma * gamma)
-    if disc2 >= 0.0:
-        disc = math.sqrt(disc2)
+    q = _discriminants(gamma, h)[0]
+    if q >= 0.0:
+        disc = 2.0 * math.sqrt(q)
         lam1 = complex((h - disc) / (2.0 * (1.0 + gamma)))
         # h = disc = 0 only at (1, 0), where lambda2 has moved out to infinity
         lam2 = complex(2.0 * (1.0 + gamma) / (h + disc) if h + disc > 0.0 else math.inf)
     else:
-        lam1 = (h - 1j * math.sqrt(-disc2)) / (2.0 * (1.0 + gamma))
+        lam1 = (h - 2j * math.sqrt(-q)) / (2.0 * (1.0 + gamma))
         lam2 = 1.0 / lam1.conjugate()
     return lam1, lam2
 
@@ -307,22 +319,14 @@ def modulus_k(p: ModelParams) -> EllipticModulus:
 
     Each of k, k' has its own closed form, so neither is rebuilt from the
     other: k' keeps its digits as gamma -> 0 (k -> 1) and k as h -> 0 on the
-    Ising line.  q, which cancels near the circle h^2 = 4(1 - gamma^2), is
-    summed from the exact squares (h/2)^2 and gamma^2 with every rounding
-    error carried.  A k that still rounds to 1 raises DomainError.
+    Ising line; q is classify_case's (_discriminants), which keeps its
+    digits near the circle.  A k that still rounds to 1 raises DomainError.
     """
-    return _modulus(p, classify_case(p))
+    return _modulus(p.gamma, *_classify(p))
 
 
-def _modulus(p: ModelParams, case: PhaseCase) -> EllipticModulus:
-    """modulus_k at a point already classified as case."""
-    g, h2 = p.gamma, p.h / 2.0
-    a, da = _exact_square(h2)
-    b, db = _exact_square(g)
-    s = a + b
-    ds = (a - (s - (s - a))) + (b - (s - a))  # s + ds = a + b exactly
-    q = ((s - 1.0) + ds) + (da + db)
-    r = (1.0 - h2) * (1.0 + h2)
+def _modulus(g: float, case: PhaseCase, q: float, r: float) -> EllipticModulus:
+    """modulus_k at anisotropy g, from what _classify returned there."""
     if case.label == "1a":
         k, kprime = math.sqrt(q) / g, math.sqrt(r) / g
     elif case.label == "1b":

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ModelParams, PhaseCase, _modulus, classify_case
+from .chain import ModelParams, PhaseCase, _classify, _modulus
 from .errors import ConvergenceError, DomainError, _count, _real
 from .special import EllipticModulus, _ladder_params
 
@@ -108,8 +108,8 @@ def density_spectrum(p: ModelParams, nmax: int = 64) -> DensitySpectrum:
     Requires a noncritical point with gamma > 0 (the classification
     rejects gamma = 0 and the critical manifolds).
     """
-    case = classify_case(p)
-    return DensitySpectrum(_modulus(p, case), case.sigma, nmax)
+    case, q, r = _classify(p)
+    return DensitySpectrum(_modulus(p.gamma, case, q, r), case.sigma, nmax)
 
 
 def _envelope_exponent(n: float, sigma: int) -> float:

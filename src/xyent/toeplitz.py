@@ -79,10 +79,15 @@ class SpectralParameter:
     @property
     def beta(self) -> complex:
         """(1/2 pi i) Log((lambda+1)/(lambda-1)), principal branch: off the
-        cut the argument avoids the negative real axis, so |Re beta| < 1/2; where
-        the quotient overflows the log is Log(lambda+1) - Log(lambda-1)."""
-        q = (self.lam + 1.0) / (self.lam - 1.0)
-        logq = cmath.log(q) if cmath.isfinite(q) else cmath.log(self.lam + 1) - cmath.log(self.lam - 1)
+        cut the argument avoids the negative real axis, so |Re beta| < 1/2.
+        Past |lambda| = 3 it is log1p of z = 2/(lambda-1) = x + iy, taken as
+        log1p(2x + x^2 + y^2)/2 + i atan2(y, 1 + x): no overflow, no cancellation."""
+        if math.hypot(self.lam.real, self.lam.imag) <= 3.0:
+            logq = cmath.log((self.lam + 1.0) / (self.lam - 1.0))
+        else:
+            z = 2.0 / (self.lam - 1.0)
+            logq = complex(math.log1p(2.0 * z.real + z.real * z.real + z.imag * z.imag) / 2.0,
+                           math.atan2(z.imag, 1.0 + z.real))
         return logq / (2.0j * math.pi)
 
 
@@ -174,6 +179,12 @@ class SmoothSymbolFactorization:
 
     Vk: np.ndarray = field(repr=False)
 
+    def __post_init__(self) -> None:
+        vk = np.asarray(self.Vk, dtype=complex)
+        if vk.ndim != 1 or vk.size % 2 != 1 or not np.isfinite(vk).all():
+            raise DomainError(f"Vk must be a finite 1-D array of odd length, got shape {vk.shape}")
+        object.__setattr__(self, "Vk", vk)
+
     @property
     def order(self) -> int:
         return self.Vk.size // 2
@@ -209,9 +220,7 @@ class SmoothSymbolFactorization:
     @classmethod
     def constant(cls, V0: complex) -> "SmoothSymbolFactorization":
         """Factorization of the constant symbol e^{V0} (b+ = b- = 1); V0 finite."""
-        vk = np.zeros(3, dtype=complex)
-        vk[1] = _complex("V0", V0)
-        return cls(vk)
+        return cls(np.array([0.0, _complex("V0", V0), 0.0]))
 
     def log_b_plus(self, z: complex) -> complex:
         """log b+(z) = sum_{k=1}^{n} V_k z^k (|z| <= 1 + 1e-12), by Horner's rule."""

@@ -183,6 +183,24 @@ def renyi_limit_mp(gamma: float, h: float, alpha: float) -> float:
         return float(total / (1 - a))
 
 
+def ladder_entropy_mp(tau0: float, sigma: int) -> float:
+    """The block-limit von Neumann entropy on the ladder of tau0, at 40
+    digits: sum_{m in Z} -(p ln p + q ln q) over the nodes
+    x = (m + (1 - sigma)/2) pi tau0, with q = 1/(1 + e^{2|x|}) carried
+    directly (never 1 - tanh) and ln p = log1p(-q); the sum stops once a
+    term falls below 1e-45 of it."""
+    with mpmath.workdps(40):
+        total, j = mpmath.mpf(0), 0
+        while True:
+            x = (j + mpmath.mpf(1 - sigma) / 2) * mpmath.pi * tau0
+            q = 1 / (1 + mpmath.exp(2 * x))
+            term = -(1 - q) * mpmath.log1p(-q) - q * mpmath.log(q)
+            total += term if x == 0 else 2 * term  # the nodes +-x
+            if term < mpmath.mpf(10) ** -45 * total:
+                return float(total)
+            j += 1
+
+
 def log_gap(got: complex, want) -> float:
     """|got - want| between two logs of one complex number, the imaginary
     parts (phases) compared modulo 2 pi."""

@@ -134,6 +134,7 @@ VALID_FIELDS = {
     "DensitySpectrum": (E, 1, 16),
     "SpectralParameter": (2.0,),
     "FHSingularity": (1.0, 0.25, 0.1j),
+    "SmoothSymbolFactorization": (F.Vk,),
     "CorrelationMatrix": (BLOCK.coefficients, 40),
     "NuSpectrum": (np.array([0.6, 0.2]), np.array([0.64, 0.96]), 3, 1),
 }
@@ -275,6 +276,12 @@ FORMER_LEAKS = {
     'log_barnes_g("0.5")': lambda: log_barnes_g("0.5"),
     "log_barnes_g(None)": lambda: log_barnes_g(None),
     "log_barnes_g(1.7e308 (1 + i))": lambda: log_barnes_g(complex(1.7e308, 1.7e308)),
+    # log-coefficients Vk: an even length read a shifted V0 and gave a
+    # silently wrong determinant, a 2-D array raised IndexError, and a NaN
+    # surfaced only as "beyond double range" in the determinant
+    "CLS(Vk of length 4)": lambda: CLS(np.array([0.1, 0.2, 0.3, 0.4])),
+    "CLS(3 x 3 Vk)": lambda: CLS(np.zeros((3, 3))),
+    "CLS(Vk with a NaN)": lambda: CLS(np.array([0.0, math.nan, 0.0])),
 }
 
 

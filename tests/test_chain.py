@@ -72,12 +72,25 @@ class TestClassify:
         assert c.label == label
         assert c.sigma == sigma
 
+    @pytest.mark.parametrize("g,h", [(1.5, 0.0), (1.2, 1e-300)])
+    def test_past_the_circle_at_h_zero(self, g, h):
+        # for gamma > 1, q = (h/2)^2 + gamma^2 - 1 > 0 at every h, h = 0
+        # included: case 1a with k = sqrt(gamma^2 - 1)/gamma, and an exact
+        # block at L = 200 meets the limit
+        p = ModelParams(g, h)
+        assert classify_case(p).label == "1a"
+        e = modulus_k(p)
+        assert e.k == pytest.approx(math.sqrt(g * g - 1.0) / g, rel=1e-15)
+        s = vn_entropy_exact(nu_spectrum(build_correlation_matrix(p, 200))).value
+        assert abs(s - vn_entropy_limit_series(e, 1).value) <= 1e-14
+
     def test_boundaries_rejected(self):
         with pytest.raises(BoundaryError):
             classify_case(ModelParams(0.5, 2.0))
-        # h^2 = 4 (1 - gamma^2) exactly
-        with pytest.raises(BoundaryError):
-            classify_case(ModelParams(0.6, 1.6))
+        # h^2 = 4 (1 - gamma^2) exactly, at h = 1.6 and at h = 0, where k = 0
+        for g, h in ((0.6, 1.6), (1.0, 0.0)):
+            with pytest.raises(BoundaryError):
+                classify_case(ModelParams(g, h))
         with pytest.raises(DomainError):
             classify_case(ModelParams(0.0, 1.0))
 
@@ -595,12 +608,11 @@ _LIMIT_ROUTES = {
 
 @pytest.mark.parametrize("route", sorted(_LIMIT_ROUTES))
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(gamma=st.floats(0.01, 1.6), h=st.floats(1e-9, 3.0), data=st.data())
+@given(gamma=st.floats(0.01, 1.6), h=st.floats(0.0, 3.0), data=st.data())
 def test_converged_blocks_meet_limit_over_plane(route, gamma, h, data):
     # exact S, Renyi 2 and Renyi 3 at a block long enough that the symbol's
     # coefficients have fallen by 1e-17 across it, against the limit forms;
-    # L is drawn from the least such length up.  h starts at 1e-9, since
-    # classify_case refuses h <= 1e-12 at gamma > 1 as if on the circle
+    # L is drawn from the least such length up
     lo, hi, s_tol, r_tol = _LIMIT_ROUTES[route]
     rho = chain._branch_rho(gamma, h)
     assume(rho < 1.0)  # 1 on a critical manifold

@@ -42,24 +42,13 @@ from oracles import (
     brute_renyi_entropy,
     brute_vn_entropy,
     elliptic_modulus_mp,
+    ladder_entropy_mp,
     plane,
     renyi_limit_mp,
     renyi_sum_mp,
     xx_entropy_contour,
 )
-from test_spectrum import _LADDER_TOPS
-
-
-class TestEFunc:
-    # the kernel e(x, nu) whose values at x = 1 the ladder series sums
-    def test_endpoints(self):
-        assert entropy_mod._e(1.0, 1.0) == 0.0
-        assert entropy_mod._e(1.0, -1.0) == 0.0
-        assert entropy_mod._e(1.0, 0.0) == pytest.approx(math.log(2.0), rel=1e-15)
-
-    def test_interior_value(self):
-        want = -0.75 * math.log(0.75) - 0.25 * math.log(0.25)
-        assert entropy_mod._e(1.0, 0.5) == pytest.approx(want, rel=1e-14)
+from test_spectrum import _LADDER_TOPS, _modulus_at
 
 
 class TestExactEntropies:
@@ -208,9 +197,8 @@ class TestLimitForms:
         assert "_TERM_BUDGET = 200" in str(err.value)
 
     def test_series_term_budget(self, monkeypatch):
-        # (0.5, 1.0) needs 7 ladder nodes before a term drops below 1e-16;
-        # with an injected budget of 3 the refusal names the modulus and
-        # the budget it ran out of
+        # (0.5, 1.0) sums 9 ladder nodes; with an injected budget of 3 the
+        # refusal names the modulus and the budget it ran out of
         monkeypatch.setattr(entropy_mod, "_SERIES_BUDGET", 3)
         e = modulus_k(ModelParams(0.5, 1.0))
         with pytest.raises(ConvergenceError, match=f"tau0 = {e.tau0:.3e}") as err:
@@ -234,6 +222,22 @@ class TestLimitForms:
         ]
         assert diffs[2] < diffs[1] < diffs[0]
         assert diffs[2] < 1e-8
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.floats(math.log(0.08), math.log(30.0)), st.sampled_from((0, 1)))
+def test_series_matches_mpmath_ladder_sum(log_tau0, sigma):
+    # against a 40-digit ladder sum at the modulus' own tau0, relative to
+    # the sum and to 1 + 2 x_0, the amplification of pi tau0's rounding in
+    # e^{-2 x_0} of the first node x_0 = (1 - sigma) pi tau0/2.  The worst
+    # over 11000 draws of each sigma was 4.1e-16 (sigma = 1, tau0 = 0.12).
+    # A series that stops at an absolute 1e-16, or reads its nodes from
+    # tanh, which rounds to 1 from x = 19.1 on, is off by 7e-15 at
+    # sigma = 1 and all of S at sigma = 0 from tau0 = 12.1 on
+    e = _modulus_at(math.exp(log_tau0))
+    want = ladder_entropy_mp(e.tau0, sigma)
+    got = vn_entropy_limit_series(e, sigma).value
+    assert abs(got - want) <= 4.5e-16 * (1.0 + (1 - sigma) * math.pi * e.tau0) * want
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

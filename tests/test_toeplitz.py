@@ -105,15 +105,17 @@ class TestSpectralParameter:
         b = SpectralParameter(3.0).beta
         assert b == pytest.approx(-1j * math.log(2.0) / (2.0 * math.pi), rel=1e-14)
 
-    @pytest.mark.parametrize("lam, rel", [(1e5, 5e-12), (1e5 + 1e5j, 1e-11), (1e10, 1e-7)])
-    def test_beta_large_lambda(self, lam, rel):
-        # the log of the quotient (lambda+1)/(lambda-1) = 1 + O(1/lambda) loses
-        # about log10|lambda| digits; Log(lambda+1) - Log(lambda-1) loses about
-        # five times more relative accuracy at 1e5 and fails the first two bounds
+    @pytest.mark.parametrize("lam", [1e5, 1e5 + 1e5j, 1e10, 1e15, -1e15 + 3.0j])
+    def test_beta_large_lambda(self, lam):
+        # the log of the quotient (lambda+1)/(lambda-1) = 1 + O(1/lambda)
+        # rounded to double loses about log10|lambda| digits (3.8e-12, 8.3e-8
+        # and 8.0e-4 relative at 1e5, 1e10 and 1e15); taken as log1p of
+        # z = 2/(lambda - 1) it was within 2.1e-16 at each of these (pytest's
+        # approx would add its absolute 1e-12, past every beta here)
         with mpmath.workdps(40):
             x = mpmath.mpc(lam)
             want = complex(mpmath.log((x + 1) / (x - 1)) / (2j * mpmath.pi))
-        assert SpectralParameter(lam).beta == pytest.approx(want, rel=rel)
+        assert abs(SpectralParameter(lam).beta - want) <= 2.5e-16 * abs(want)
 
     @pytest.mark.parametrize("lam", [2.0, -3.0 + 0.1j, 0.2 + 0.9j, 1.0 + 1e-6j])
     def test_beta_strip(self, lam):

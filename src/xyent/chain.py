@@ -8,15 +8,14 @@
 #     phi(theta) = w(theta)/|w(theta)|, w = cos(theta) - i gamma sin(theta) - h/2.
 #     The 2L x 2L Majorana matrix B_L interleaves G and -G^T, so
 #     spec(i B_L) = +-svd(G) (Peschel, J. Phys. A 36 L205 (2003); Vidal et
-#     al., PRL 90 227902 (2003)).  nu_spectrum takes them from one symmetric
-#     eigensolve of the Hankel matrix G J up to L = _DENSE_MAX_L, and from
-#     the block's two edges beyond (_edge_nus); build_correlation_matrix
-#     takes the g_l from one inverse real FFT of phi.
+#     al., PRL 90 227902 (2003)).  nu_spectrum takes them from the block's
+#     two edges at every L (_edge_nus); build_correlation_matrix takes the
+#     g_l from one inverse real FFT of phi.
 #   * XX (gamma = 0): real symmetric Toeplitz L x L matrix with closed-form
 #     coefficients; its signed eigenvalues are kept (entropies are even in nu and
 #     the signed values feed the characteristic-determinant oracle).
-#   * Every route returns a NuSpectrum: the nontrivial modes with their
-#     delta = 1 - nu^2, and the counts of trivial ones at exactly +-1.
+#   * Every route returns a NuSpectrum: the nontrivial modes, from which
+#     it derives delta = 1 - nu^2, and the counts of trivial ones at +-1.
 #   * A block is stored only as its coefficients; dense solves read it as a
 #     strided view of them (_toeplitz_view), and nothing copies it out.
 
@@ -60,14 +59,6 @@ MAX_QUAD_POINTS = 2 ** 20
 _DECAY_LOG = 16.0 * math.log(10.0)
 _TAIL_TOL = 1e-12
 
-# XY blocks up to this length take the dense eigensolve of G J; longer ones
-# the edge route (_edge_nus).  Paired timings of nu_spectrum on both routes
-# (one BLAS thread, best of 10 calls, the 54 points bench/workloads.py draws
-# for exact_xy at seeds 1-3): the edge route's time over the dense fill plus
-# eigensolve was, in the median over the points, 1.30 at L = 100, 1.06 at
-# L = 110, 1.05 at L = 120, 0.96 at L = 128 and 0.63 at L = 160.
-_DENSE_MAX_L = 128
-
 # The edge route stops once no residual diagonal of I - G G^T exceeds
 # _EDGE_TOL, and refuses a factor of more than _EDGE_RANK_BUDGET columns
 # (the most seen is 58, at (1e-4, 1.0), L = 3000, on the 746,496-point grid
@@ -83,18 +74,6 @@ _EDGE_RANK_BUDGET = 128
 # this is refused (the builder's grids are off by at most 2.7e-15, on
 # grids of 64 to 746,496 points).
 _UNIMODULAR_TOL = 1e-13
-
-# An XY nu >= 1 - _SNAP_EPS sqrt(L) is a trivial mode and is set to 1.0.
-# Rounding in the eigensolve of G J spreads the trivial cluster |nu| ~ 1 by
-# up to 16 eps at L = 100, 51 eps at L = 800 and 88 eps at L = 2400, about
-# 1.8 sqrt(L) eps, and a mode left at nu = 1 - d adds
-# e(1, nu) ~ (d/2)(1 + ln(2/d)) to S, 3.9e-14 at d = 10 eps.  4 sqrt(L) eps
-# covers the spread twice over; 6 sqrt(L) eps already snaps a genuine mode
-# at 1 - 230 eps ((0.6, 2.5), L = 1600: S off by -1.7e-12).  A genuine nu
-# inside the band is lost, costing up to t (1 + ln(2/t)), t = 4 sqrt(L) eps,
-# per +-pair of ladder modes; up to _DENSE_MAX_L the band is at most 45 eps
-# wide (the pair of (0.5, 1.0), at 1 - 92 eps, would enter it at L = 529).
-_SNAP_EPS = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -135,7 +114,7 @@ CASE_2 = PhaseCase("2")
 class CorrelationMatrix:
     """Finite-block correlation matrix: the real L x L Toeplitz block
     T_ij = c_{i-j}, held as its coefficients, c_l at index l mod n of a
-    vector of n >= 2L - 1 of them; the dense solves read the block as a
+    vector of n >= 2L - 1 of them; the XX eigensolve reads the block as a
     view of them.
 
     symmetric is True for the XX block (from build_xx_matrix), whose signed
@@ -161,39 +140,35 @@ class CorrelationMatrix:
 
 @dataclass(frozen=True, eq=False)
 class NuSpectrum:
-    """nu-spectrum of a block as its routes resolve it: the nontrivial modes,
-    descending (XY ones in [0, 1], XX ones signed, since the entropies are
-    even in nu), with the delta = 1 - nu^2 their route computed, each in
-    (0, 1], so a mode whose nu rounds to 1.0 still counts; and n_plus and
-    n_minus, the counts of trivial modes at exactly +1 and -1.  A non-finite
-    value, a |nu| or delta beyond 1 + 1e-8, a delta <= 0, modes out of order,
-    arrays of unequal length or a bad count raise SpectrumRangeError.
+    """nu-spectrum of a block: the nontrivial modes, descending, each with
+    |nu| < 1 (XY ones in [0, 1), XX ones signed, since the entropies are even
+    in nu); and n_plus and n_minus, the counts of trivial modes at exactly +1
+    and -1.  delta = (1 - nu)(1 + nu) = 1 - nu^2 of each mode is derived from
+    it, so a mode whose nu rounds to 1.0 is trivial.  A non-finite value, a
+    |nu| >= 1, modes out of order or not 1-D, or a bad count raise
+    SpectrumRangeError.
     """
 
     modes: np.ndarray = field(repr=False)
-    delta: np.ndarray = field(repr=False)
     n_plus: int = 0
     n_minus: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("modes", "delta"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        m = np.asarray(self.modes, dtype=float)
+        object.__setattr__(self, "modes", m)
         try:
             _count("n_plus", self.n_plus, 0)
             _count("n_minus", self.n_minus, 0)
         except DomainError as exc:
             raise SpectrumRangeError(f"a nu-spectrum's trivial-mode counts: {exc}") from None
-        m, d = self.modes, self.delta
-        ok = m.ndim == 1 and m.shape == d.shape
+        ok = m.ndim == 1
         if ok and m.size:  # written so that a NaN fails it; descending, so m's ends bound it
-            ok = (bool((m[1:] <= m[:-1]).all()) and m[0] <= 1.0 + 1e-8 and m[-1] >= -1.0 - 1e-8
-                  and d.min() > 0.0 and d.max() <= 1.0 + 1e-8)
+            ok = bool((m[1:] <= m[:-1]).all()) and m[0] < 1.0 and m[-1] > -1.0
         if not ok:
             raise SpectrumRangeError(
-                f"a nu-spectrum needs descending modes, |nu| <= 1 + 1e-8 and a delta in "
-                f"(0, 1 + 1e-8] each: modes {m.shape} in [{np.min(m, initial=0.0):.3e}, "
-                f"{np.max(m, initial=0.0):.3e}], delta {d.shape} in [{np.min(d, initial=1.0):.3e}, "
-                f"{np.max(d, initial=1.0):.3e}]")
+                f"a nu-spectrum needs descending modes with |nu| < 1: modes {m.shape} in "
+                f"[{np.min(m, initial=0.0):.3e}, {np.max(m, initial=0.0):.3e}]")
+        object.__setattr__(self, "delta", (1.0 - m) * (1.0 + m))
 
     @classmethod
     def from_nus(cls, nus) -> "NuSpectrum":
@@ -205,8 +180,7 @@ class NuSpectrum:
             raise SpectrumRangeError(f"|nu| > 1 beyond tolerance: range [{x[0]:.3e}, {x[-1]:.3e}]")
         n_minus = int(np.searchsorted(x, -1.0, side="right"))
         n_plus = x.size - int(np.searchsorted(x, 1.0, side="left"))
-        m = x[n_minus: x.size - n_plus][::-1]
-        return cls(m, (1.0 - m) * (1.0 + m), n_plus, n_minus)
+        return cls(x[n_minus: x.size - n_plus][::-1], n_plus, n_minus)
 
     @functools.cached_property
     def nus(self) -> np.ndarray:
@@ -451,21 +425,21 @@ def _edge_nus(c: CorrelationMatrix) -> NuSpectrum:
     block, c_m for m = i+1 .. n-L+i, so B B^T is the sum of the Gram
     matrices of the two Hankel tails, and its numerical rank r counts the
     nontrivial edge modes (Its, Jin and Korepin, J. Phys. A 38, 2975
-    (2005)).  Its eigenvalues are delta = 1 - nu^2.
+    (2005)).  Its eigenvalues are 1 - nu^2.
 
     A Cholesky factor B B^T ~ F^T F (F of r x L) with diagonal pivoting
     (Harbrecht, Peters and Schneider, Appl. Numer. Math. 62, 428 (2012))
     needs the diagonal, window sums of c_m^2 added from the middle of the
-    grid, where the terms are least, and r columns B (B^T e_p), one FFT
+    grid, where the terms are least, and r columns B B^T e_p, one FFT
     correlation each.  It stops once no residual diagonal exceeds
-    _EDGE_TOL.  delta are the squared singular values of F, read from the
-    r x r triangle R of a QR of F^T (F F^T = R^T R), so no r x L SVD is
-    taken.  Where delta <= 1/2, nu = sqrt(1 - delta); the rest, the zero
+    _EDGE_TOL.  The squared singular values s^2 of F, read from the r x r
+    triangle R of a QR of F^T (F F^T = R^T R), are 1 - nu^2, so no r x L
+    SVD is taken.  Where s^2 <= 1/2, nu = sqrt(1 - s^2); the rest, the zero
     mode among them, take nu from the singular values of G^T U, U their
     eigenvectors of F^T F (F^T y / s, y a left singular vector of R^T,
-    s > 0.7) and G^T U a circulant product, since sqrt(1 - delta) keeps
-    only half the digits of a small nu.  The r modes keep their delta; the
-    L - r trivial ones are counted as n_plus.
+    s > 0.7) and G^T U a circulant product, since sqrt(1 - s^2) keeps only
+    half the digits of a small nu.  The r modes and the L - r trivial ones
+    go to NuSpectrum.from_nus, which counts every nu that rounds to 1.0.
     """
     coef, L = c.coefficients, c.L
     n = coef.size
@@ -480,63 +454,52 @@ def _edge_nus(c: CorrelationMatrix) -> NuSpectrum:
     # the one from h + 1 up to n - L + i
     sq = coef * coef
     h = n // 2
-    below = np.append(np.cumsum(sq[h:0:-1])[::-1], 0.0)  # sum over m = j+1 .. h
-    above = np.insert(np.cumsum(sq[h + 1:]), 0, 0.0)  # sum over m = h+1 .. h+j
+    below = np.cumsum(sq[h:0:-1])[::-1]  # sum over m = j+1 .. h
+    above = np.concatenate(((0.0,), np.cumsum(sq[h + 1:])))  # sum over m = h+1 .. h+j
     d = below[:L] + above[n - L - h: n - h]
     F = np.empty((_EDGE_RANK_BUDGET, L))  # rows: the factor's columns
     w = np.zeros(n)
     r = 0
     while True:
-        p = int(np.argmax(d))
-        if d[p] <= _EDGE_TOL:
+        p = d.argmax()
+        dp = d[p]
+        if dp <= _EDGE_TOL:
             break
         if r == _EDGE_RANK_BUDGET:
             raise ResolutionError(
                 f"edge factor of I - G G^T reached r = {r} columns, its budget "
                 f"_EDGE_RANK_BUDGET = {_EDGE_RANK_BUDGET}, with a residual diagonal "
-                f"{d[p]:.3e} over {_EDGE_TOL}: L = {L}, grid n = {n}"
+                f"{dp:.3e} over {_EDGE_TOL}: L = {L}, grid n = {n}"
             )
         w[L:] = coef[n + p - L: p: -1]  # row p of B: c_{(p - k) mod n}, k = L .. n-1
-        col = np.fft.irfft(chat * np.fft.rfft(w), n)[:L]  # (C w)[:L] = B B^T e_p
-        col -= F[:r, p] @ F[:r]
-        F[r] = col / math.sqrt(d[p])
-        d -= F[r] * F[r]
+        f = F[r]
+        f[:] = np.fft.irfft(chat * np.fft.rfft(w), n)[:L]  # (C w)[:L] = B B^T e_p
+        f -= F[:r, p] @ F[:r]
+        f *= 1.0 / math.sqrt(dp)
+        d -= f * f
         d[p] = 0.0
         r += 1
-    if not r:
-        return NuSpectrum(np.empty(0), np.empty(0), n_plus=L)
-    y, s, _ = np.linalg.svd(np.linalg.qr(F[:r].T, mode="r").T)
-    delta = s * s
-    small = int(np.count_nonzero(delta > 0.5))
-    modes = np.empty(r)  # ascending, as delta descends
-    modes[small:] = np.sqrt(1.0 - delta[small:])
-    if small:
-        v = np.zeros((small, n))
-        v[:, :L] = (y[:, :small].T @ F[:r]) / s[:small, None]  # s > 0.7 here
-        gtu = np.fft.irfft(np.conj(chat) * np.fft.rfft(v), n)[:, :L]  # (C^T v)[:L] = G^T u
-        modes[:small] = np.linalg.svd(gtu, compute_uv=False)[::-1]
-    order = np.argsort(modes, kind="stable")[::-1]
-    return NuSpectrum(modes[order], delta[order], n_plus=L - r)
+    modes = np.ones(L)
+    if r:
+        y, s, _ = np.linalg.svd(np.linalg.qr(F[:r].T, mode="r").T)
+        small = int(np.count_nonzero(s * s > 0.5))
+        modes[small:r] = np.sqrt(1.0 - s[small:] * s[small:])
+        if small:
+            v = np.zeros((small, n))
+            v[:, :L] = (y[:, :small].T @ F[:r]) / s[:small, None]  # s > 0.7 here
+            gtu = np.fft.irfft(np.conj(chat) * np.fft.rfft(v), n)[:, :L]  # (C^T v)[:L] = G^T u
+            modes[:small] = np.linalg.svd(gtu, compute_uv=False)
+    return NuSpectrum.from_nus(modes)
 
 
 def nu_spectrum(c: CorrelationMatrix) -> NuSpectrum:
     """Extract the nu-spectrum.
 
     XY: the L singular values of G, which are the nonnegative eigenvalues of
-    i B_L.  Up to L = _DENSE_MAX_L they are |eig(G J)|, from one symmetric
-    eigensolve of the Hankel matrix G J (the view of G, columns reversed),
-    with every nu in [1 - 4 sqrt(L) eps, 1) set to exactly 1.0 (the trivial
-    modes, whose rounding spreads by up to about 1.8 sqrt(L) eps).  Longer
-    blocks take them from the block's edges (_edge_nus), which needs a
-    unimodular symbol, as build_correlation_matrix's always is.
-    XX: the signed eigenvalues of the view of the symmetric block.
-    Both dense solves hand their whole ladder to NuSpectrum.from_nus, which
-    refuses a value beyond +-1 by more than 1e-8 (a failed solve).
+    i B_L, from the block's edges (_edge_nus), which needs a unimodular
+    symbol, as build_correlation_matrix's always is.
+    XX: the signed eigenvalues of the view of the symmetric block, handed
+    to NuSpectrum.from_nus, which refuses a value beyond +-1 by more than
+    1e-8 (a failed solve).
     """
-    if c.symmetric:
-        return NuSpectrum.from_nus(np.linalg.eigvalsh(c._view()))
-    if c.L > _DENSE_MAX_L:
-        return _edge_nus(c)
-    nus = np.abs(np.linalg.eigvalsh(c._view()[:, ::-1]))
-    nus[(nus >= 1.0 - _SNAP_EPS * math.sqrt(c.L)) & (nus < 1.0)] = 1.0
-    return NuSpectrum.from_nus(nus)
+    return NuSpectrum.from_nus(np.linalg.eigvalsh(c._view())) if c.symmetric else _edge_nus(c)

@@ -263,10 +263,9 @@ class TestExitCodes:
 
 def test_import_leaves_scipy_unloaded():
     # scipy costs most of a cold start, and the library needs none of it:
-    # neither the import, nor an XY nu-spectrum on the dense route (L = 40)
-    # or the edge route (L = 400), nor Barnes G (through both Fisher-Hartwig
-    # forms), nor the XX entropy asymptote may load it; nor may they load
-    # numpy.polynomial
+    # neither the import, nor an XY nu-spectrum (L = 40 and 400), nor
+    # Barnes G (through both Fisher-Hartwig forms), nor the XX entropy
+    # asymptote may load it; nor may they load numpy.polynomial
     src = os.path.dirname(os.path.dirname(os.path.abspath(xyent.__file__)))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)

@@ -120,12 +120,12 @@ class TestXXAsymptote:
     def test_value_structure(self):
         s100 = xx_entropy_asymptotic(0.0, 100).value
         want = math.log(100.0) / 3.0 + math.log(2.0) / 3.0 + upsilon1()
-        assert s100 == pytest.approx(want, rel=1e-15)
+        assert s100 == pytest.approx(want, rel=1e-15, abs=0)
 
     def test_field_dependence(self):
         # the h-dependent term is (1/6) ln(1 - (h/2)^2)
         d = xx_entropy_asymptotic(1.0, 64).value - xx_entropy_asymptotic(0.0, 64).value
-        assert d == pytest.approx(math.log(0.75) / 6.0, rel=1e-12)
+        assert d == pytest.approx(math.log(0.75) / 6.0, rel=1e-12, abs=0)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -152,13 +152,13 @@ class TestLadder:
         lad = theta_zero_ladder(e, 1, 4)
         assert lad.values[0] == 0.0
         for m in range(5):
-            assert lad.values[m] == pytest.approx(math.tanh(m * math.pi * e.tau0), rel=1e-14)
+            assert lad.values[m] == pytest.approx(math.tanh(m * math.pi * e.tau0), rel=1e-14, abs=0)
         assert np.all(np.diff(lad.values) > 0)
 
     def test_half_offsets(self):
         e = modulus_k(ModelParams(1.0, 3.0))
         lad = theta_zero_ladder(e, 0, 3)
-        assert lad.values[0] == pytest.approx(math.tanh(math.pi * e.tau0 / 2.0), rel=1e-14)
+        assert lad.values[0] == pytest.approx(math.tanh(math.pi * e.tau0 / 2.0), rel=1e-14, abs=0)
 
     def test_validation(self):
         e = modulus_k(ModelParams(0.5, 1.0))
@@ -282,7 +282,7 @@ def test_landen_duplication(tau0):
     e = EllipticModulus(math.exp(log_lam / 2.0), math.exp(log_co / 2.0))
     k, kp = e.k, e.kprime
     half = EllipticModulus(2.0 * math.sqrt(k) / (1.0 + k), kp * kp / (1.0 + k) ** 2)
-    assert half.tau0 == pytest.approx(e.tau0 / 2.0, rel=1.2e-15)
+    assert half.tau0 == pytest.approx(e.tau0 / 2.0, rel=1.2e-15, abs=0)
     forms = {
         "series": lambda m, c: vn_entropy_limit_series(m, c.sigma).value,
         "integral": lambda m, c: vn_entropy_limit_integral(m, c.sigma).value,
@@ -352,7 +352,7 @@ class TestRenyiLimits:
         from xyent import density_spectrum
 
         lam0 = density_spectrum(p, 4).lambdas[0]
-        assert v == pytest.approx(-math.log(lam0) * 200.0 / 199.0, rel=1e-6)
+        assert v == pytest.approx(-math.log(lam0) * 200.0 / 199.0, rel=1e-6, abs=0)
 
     def test_qproduct_term_budget(self):
         # alpha tau0 = 8.5e-10 leaves every factor ln(1 + q_a^m) near ln 2
@@ -376,24 +376,24 @@ class TestCriticalApprox:
     def test_near_h2(self):
         r = critical_entropy_approx(ModelParams(1.0, 1.95))
         want = -math.log(0.05) / 6.0 + math.log(4.0) / 3.0
-        assert r.value == pytest.approx(want, rel=1e-14)
+        assert r.value == pytest.approx(want, rel=1e-14, abs=0)
         assert r.method == "CriticalApprox"
 
     def test_near_gamma0(self):
         r = critical_entropy_approx(ModelParams(0.02, 1.0))
         want = -math.log(0.02) / 3.0 + math.log(3.0) / 6.0 + math.log(2.0) / 3.0
-        assert r.value == pytest.approx(want, rel=1e-14)
+        assert r.value == pytest.approx(want, rel=1e-14, abs=0)
 
     def test_overlap_prefers_h2_branch(self):
         # both windows apply at (0.05, 1.95); the h -> 2 form wins
         r = critical_entropy_approx(ModelParams(0.05, 1.95))
         want = -math.log(0.05) / 6.0 + math.log(4.0 * 0.05) / 3.0
-        assert r.value == pytest.approx(want, rel=1e-14)
+        assert r.value == pytest.approx(want, rel=1e-14, abs=0)
 
     def test_window_edge_included(self):
         # h = 1.9 sits exactly on the window edge and must evaluate
         r = critical_entropy_approx(ModelParams(1.0, 1.9))
-        assert r.value == pytest.approx(-math.log(0.1) / 6.0 + math.log(4.0) / 3.0, rel=1e-12)
+        assert r.value == pytest.approx(-math.log(0.1) / 6.0 + math.log(4.0) / 3.0, rel=1e-12, abs=0)
 
     def test_gap_to_closed_form_shrinks(self):
         gaps = []

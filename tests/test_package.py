@@ -1,4 +1,6 @@
+import ast
 import inspect
+import pathlib
 
 import xyent
 
@@ -62,3 +64,19 @@ def test_public_knobs_pinned():
         if defaulted:
             knobs[name] = defaulted
     assert knobs == KNOBS
+
+
+def test_every_relative_approx_states_its_abs():
+    # pytest.approx(x, rel=r) also accepts anything within its default
+    # abs=1e-12, so a value below about 1e-6 would be checked far more
+    # loosely than r says: every approx call in tests/ with a rel has an abs
+    loose = []
+    for path in sorted(pathlib.Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+                given = {k.arg for k in node.keywords}
+                if name == "approx" and (len(node.args) > 1 or "rel" in given) and "abs" not in given:
+                    loose.append(f"{path.name}:{node.lineno}")
+    assert not loose

@@ -149,21 +149,21 @@ class TestDensitySpectrum:
 
     def test_ratio_consistency(self):
         spec = density_spectrum(ModelParams(1.0, 3.0), nmax=8)
-        assert spec.lambdas[1] / spec.lambdas[0] == pytest.approx(spec.ratio, rel=1e-12)
-        assert spec.loglambdas[3] == pytest.approx(math.log(spec.lambdas[3]), rel=1e-12)
+        assert spec.lambdas[1] / spec.lambdas[0] == pytest.approx(spec.ratio, rel=1e-12, abs=0)
+        assert spec.loglambdas[3] == pytest.approx(math.log(spec.lambdas[3]), rel=1e-12, abs=0)
 
     def test_largest_eigenvalue_values(self):
         p = ModelParams(1.0, 3.0)
         e = modulus_k(p)
         spec = density_spectrum(p, nmax=4)
         want = math.exp(math.pi * e.tau0 / 12.0) * (e.k * e.kprime / 4.0) ** (1.0 / 6.0)
-        assert spec.lambdas[0] == pytest.approx(want, rel=1e-12)
+        assert spec.lambdas[0] == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_sigma1_ladder_spacing(self):
         p = ModelParams(0.5, 1.0)
         e = modulus_k(p)
         spec = density_spectrum(p, nmax=4)
-        assert spec.ratio == pytest.approx(math.exp(-2.0 * math.pi * e.tau0), rel=1e-12)
+        assert spec.ratio == pytest.approx(math.exp(-2.0 * math.pi * e.tau0), rel=1e-12, abs=0)
 
     def test_critical_rejected(self):
         with pytest.raises(DomainError):
@@ -289,12 +289,14 @@ class TestZeta:
 
 
 def _modulus_at(tau0: float) -> EllipticModulus:
-    # k and k' from the theta constants at q = e^{-pi tau0}, whose own tau0
-    # is tau0 to rounding; k is kept below 1 where it would round there
-    q = mpmath.exp(-mpmath.pi * tau0)
-    t2, t3, t4 = (mpmath.jtheta(j, 0, q) for j in (2, 3, 4))
-    k = min(float((t2 / t3) ** 2), math.nextafter(1.0, 0.0))
-    return EllipticModulus(k, float((t4 / t3) ** 2))
+    # k and k' from the theta constants at q = e^{-pi tau0}, at 30 digits,
+    # whose own tau0 is tau0 to rounding; k is kept below 1 where it would
+    # round there
+    with mpmath.workdps(30):
+        q = mpmath.exp(-mpmath.pi * tau0)
+        t2, t3, t4 = (mpmath.jtheta(j, 0, q) for j in (2, 3, 4))
+        k, kprime = float((t2 / t3) ** 2), float((t4 / t3) ** 2)
+    return EllipticModulus(min(k, math.nextafter(1.0, 0.0)), kprime)
 
 
 class TestRequiredNmaxSearch:

@@ -9,8 +9,10 @@
 #     The 2L x 2L Majorana matrix B_L interleaves G and -G^T, so
 #     spec(i B_L) = +-svd(G) (Peschel, J. Phys. A 36 L205 (2003); Vidal et
 #     al., PRL 90 227902 (2003)).  nu_spectrum takes them from the block's
-#     two edges at every L (_edge_nus); build_correlation_matrix takes the
-#     g_l from one inverse real FFT of phi.
+#     two edges at every L (_edge_nus), whose pivot columns are direct
+#     correlations of the coefficient tail on small blocks and FFT
+#     correlations on large ones (_DIRECT_COLUMN_MAX);
+#     build_correlation_matrix takes the g_l from one inverse real FFT of phi.
 #   * XX (gamma = 0): real symmetric Toeplitz L x L matrix with closed-form
 #     coefficients; its signed eigenvalues are kept (entropies are even in nu and
 #     the signed values feed the characteristic-determinant oracle).
@@ -63,12 +65,25 @@ _TAIL_TOL = 1e-12
 # _EDGE_TOL, and refuses a factor of more than _EDGE_RANK_BUDGET columns
 # (the most seen is 58, at (1e-4, 1.0), L = 3000, on the 746,496-point grid
 # that L + 2K = 739,828 asks for).
-# Its FFT columns carry rounding of about 1e-17: stopping at 1e-17 or 1e-18
-# instead adds pivots on that noise and moves S by up to 3e-14, while
-# stopping at 1e-15 drops genuine edge modes worth up to -1.1e-13 of S
-# ((0.5, 1.9) and (0.05, 1.5), L = 800-1600, against the limit).
+# Stopping at 1e-17 or 1e-18 instead adds pivots on the FFT columns'
+# rounding and moves S by up to 3e-14, while stopping at 1e-15 drops
+# genuine edge modes worth up to -1.1e-13 of S ((0.5, 1.9) and (0.05, 1.5),
+# L = 800-1600, against the limit).  The two column forms have different
+# floors: at the pivots taken on the benchmark's blocks, against long-double
+# columns, an FFT column was off by up to 2.4e-16 at its entries below 1e-8
+# (its rounding is absolute, about eps times its largest entry) and a direct
+# column by at most 5.1e-22 (its rounding is relative to each entry's own
+# products).
 _EDGE_TOL = 1e-16
 _EDGE_RANK_BUDGET = 128
+# A pivot column is one direct correlation, L (n - L) multiply-adds in one
+# call, while L (n - L) is at most _DIRECT_COLUMN_MAX, and one FFT pair on
+# the n-point grid above it.  Timed per column with one BLAS thread, the
+# direct form took 0.1-0.25 of the FFT pair's time up to L (n - L) = 27,200;
+# near 2^17 it took 0.8-0.9 on grids of n about 2L, where FFTs are
+# cheapest, and 0.15-0.2 on grids of 3750-7500 points; from 1.6e5 to 2.0e5
+# on n about 2L it took 0.8-1.6.
+_DIRECT_COLUMN_MAX = 2 ** 17
 # The edge identity I - G G^T = B B^T holds only for a unimodular symbol; a
 # coefficient vector whose circulant symbol is off |phi| = 1 by more than
 # this is refused (the builder's grids are off by at most 2.7e-15, on
@@ -430,15 +445,18 @@ def _edge_nus(c: CorrelationMatrix) -> NuSpectrum:
     A Cholesky factor B B^T ~ F^T F (F of r x L) with diagonal pivoting
     (Harbrecht, Peters and Schneider, Appl. Numer. Math. 62, 428 (2012))
     needs the diagonal, window sums of c_m^2 added from the middle of the
-    grid, where the terms are least, and r columns B B^T e_p, one FFT
-    correlation each.  It stops once no residual diagonal exceeds
-    _EDGE_TOL.  The squared singular values s^2 of F, read from the r x r
-    triangle R of a QR of F^T (F F^T = R^T R), are 1 - nu^2, so no r x L
-    SVD is taken.  Where s^2 <= 1/2, nu = sqrt(1 - s^2); the rest, the zero
-    mode among them, take nu from the singular values of G^T U, U their
-    eigenvectors of F^T F (F^T y / s, y a left singular vector of R^T,
-    s > 0.7) and G^T U a circulant product, since sqrt(1 - s^2) keeps only
-    half the digits of a small nu.  The r modes and the L - r trivial ones
+    grid, where the terms are least, and r columns B B^T e_p.  Row i of B
+    is c_{i+1} .. c_{n-L+i} reversed, so while L (n - L) is at most
+    _DIRECT_COLUMN_MAX a column is one direct correlation of c_1 .. c_{n-1}
+    with row p, and above it one FFT correlation on the grid; neither
+    forms B.  It stops once no residual diagonal exceeds _EDGE_TOL.  The
+    squared singular values s^2 of F, read from the r x r triangle R of a
+    QR of F^T (F F^T = R^T R), are 1 - nu^2, so no r x L SVD is taken.
+    Where s^2 <= 1/2, nu = sqrt(1 - s^2); the rest, the zero mode among
+    them, take nu from the singular values of G^T U, U their eigenvectors
+    of F^T F (F^T y / s, y a left singular vector of R^T, s > 0.7) and
+    G^T U a circulant product, since sqrt(1 - s^2) keeps only half the
+    digits of a small nu.  The r modes and the L - r trivial ones
     go to NuSpectrum.from_nus, which counts every nu that rounds to 1.0.
     """
     coef, L = c.coefficients, c.L
@@ -459,6 +477,7 @@ def _edge_nus(c: CorrelationMatrix) -> NuSpectrum:
     d = below[:L] + above[n - L - h: n - h]
     F = np.empty((_EDGE_RANK_BUDGET, L))  # rows: the factor's columns
     w = np.zeros(n)
+    direct = L * (n - L) <= _DIRECT_COLUMN_MAX
     r = 0
     while True:
         p = d.argmax()
@@ -471,9 +490,12 @@ def _edge_nus(c: CorrelationMatrix) -> NuSpectrum:
                 f"_EDGE_RANK_BUDGET = {_EDGE_RANK_BUDGET}, with a residual diagonal "
                 f"{dp:.3e} over {_EDGE_TOL}: L = {L}, grid n = {n}"
             )
-        w[L:] = coef[n + p - L: p: -1]  # row p of B: c_{(p - k) mod n}, k = L .. n-1
         f = F[r]
-        f[:] = np.fft.irfft(chat * np.fft.rfft(w), n)[:L]  # (C w)[:L] = B B^T e_p
+        if direct:  # (B B^T)_ip = sum_k c_{i+1+k} c_{p+1+k}, k = 0 .. n-L-1
+            f[:] = np.correlate(coef[1:], coef[p + 1: p + 1 + n - L], "valid")
+        else:
+            w[L:] = coef[n + p - L: p: -1]  # row p of B: c_{(p - k) mod n}, k = L .. n-1
+            f[:] = np.fft.irfft(chat * np.fft.rfft(w), n)[:L]  # (C w)[:L] = B B^T e_p
         f -= F[:r, p] @ F[:r]
         f *= 1.0 / math.sqrt(dp)
         d -= f * f

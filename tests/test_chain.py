@@ -230,6 +230,20 @@ def _counting_irfft(monkeypatch):
     return outputs
 
 
+def _edge_ranks(monkeypatch):
+    """Route np.linalg.qr through a spy; returns the list of the edge
+    factor ranks r it was handed (F^T is L x r)."""
+    ranks = []
+    qr = np.linalg.qr
+
+    def spy(a, *args, **kwargs):
+        ranks.append(a.shape[1])
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    return ranks
+
+
 def _even_smooth_sizes(top):
     """Every even 2^a 3^b 5^c up to top, ascending."""
     sizes = [2]
@@ -472,6 +486,64 @@ class TestNuSpectrum:
         assert peak < 8 * L * L / 20
         lim = vn_entropy_limit_series(modulus_k(p), classify_case(p).sigma).value
         assert abs(vn_entropy_exact(nus).value - lim) <= 2e-12
+
+    @pytest.mark.parametrize(
+        "g,h,L,s_tol",
+        [
+            # L (n - L) = 1,656, 14,000 and 27,200: direct columns by default
+            (0.5, 1.0, 12, 1e-15),
+            (0.5, 1.0, 100, 1e-15),
+            (0.9, 1.8, 40, 1e-15),
+            # 160,000, 372,500 (a 7500-point grid) and 737,600: FFT columns
+            (0.5, 1.0, 400, 1e-15),
+            (0.5, 1.99, 50, 1e-15),
+            # S = 1.75 from 37 pivots: the FFT form reads -8.9e-15 and the
+            # direct one +1.3e-15 off a 40-digit S of the same coefficients
+            (0.02, 0.6, 200, 2e-14),
+        ],
+    )
+    def test_column_forms_agree(self, monkeypatch, g, h, L, s_tol):
+        # every block read with direct columns and with FFT columns: the
+        # same rank, nu within 1.0e-15 (3.3e-16 seen) and the same S
+        c = build_correlation_matrix(ModelParams(g, h), L)
+        ranks = _edge_ranks(monkeypatch)
+        spectra = []
+        for cap in (2 ** 62, 0):
+            monkeypatch.setattr(chain, "_DIRECT_COLUMN_MAX", cap)
+            spectra.append(nu_spectrum(c))
+        direct, fft = spectra
+        assert ranks[0] == ranks[1]
+        assert np.max(np.abs(direct.nus - fft.nus)) <= 1e-15
+        assert abs(vn_entropy_exact(direct).value - vn_entropy_exact(fft).value) <= s_tol
+
+    @pytest.mark.parametrize("g,h,L,direct", [(0.5, 1.0, 100, True), (0.9, 1.8, 40, True),
+                                              (0.5, 1.0, 400, False), (0.5, 1.99, 50, False)])
+    def test_columns_routed_by_block_size(self, monkeypatch, g, h, L, direct):
+        # below the crossover no pivot takes an FFT pair; the one 2-D irfft
+        # left is G^T U.  Above it each of the r pivots takes one
+        c = build_correlation_matrix(ModelParams(g, h), L)
+        n = c.coefficients.size
+        assert (L * (n - L) <= chain._DIRECT_COLUMN_MAX) == direct
+        ranks = _edge_ranks(monkeypatch)
+        outputs = _counting_irfft(monkeypatch)
+        nu_spectrum(c)
+        pivots = sum(o.ndim == 1 for o in outputs)
+        assert pivots == (0 if direct else ranks[0]) and len(outputs) - pivots <= 1
+
+    def test_direct_columns_form_no_tail(self):
+        # (0.02, 0.6), L = 35, on a 3750-point grid: L (n - L) just under
+        # the crossover, and no L x (n - L) array (1.04 MB) is formed
+        c = build_correlation_matrix(ModelParams(0.02, 0.6), 35)
+        L, n = c.L, c.coefficients.size
+        assert 0.99 * chain._DIRECT_COLUMN_MAX < L * (n - L) <= chain._DIRECT_COLUMN_MAX
+        nu_spectrum(c)  # first-call costs outside the trace
+        tracemalloc.start()
+        try:
+            nu_spectrum(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * L * (n - L)
 
     @pytest.mark.parametrize("L", [12, 129, 256, 1600])
     @pytest.mark.parametrize("g,h", [(0.9, 1.8), (0.5, 1.0)])

@@ -16,6 +16,8 @@
 #   * XX (gamma = 0): real symmetric Toeplitz L x L matrix with closed-form
 #     coefficients; its signed eigenvalues are kept (entropies are even in nu and
 #     the signed values feed the characteristic-determinant oracle).
+#   * The coefficients alone pick the route: an even vector (c_l = c_{-l})
+#     takes the eigensolve, any other the edge route; no flag can choose it.
 #   * Every route returns a NuSpectrum: the nontrivial modes, from which
 #     it derives delta = 1 - nu^2, and the counts of trivial ones at +-1.
 #   * A block is stored only as its coefficients; dense solves read it as a
@@ -30,7 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BoundaryError, DomainError, ResolutionError, SpectrumRangeError, _count, _real
+from .errors import (BoundaryError, DomainError, ResolutionError, SpectrumRangeError, _array, _count,
+                     _real)
 from .special import EllipticModulus
 
 __all__ = [
@@ -129,23 +132,28 @@ CASE_2 = PhaseCase("2")
 class CorrelationMatrix:
     """Finite-block correlation matrix: the real L x L Toeplitz block
     T_ij = c_{i-j}, held as its coefficients, c_l at index l mod n of a
-    vector of n >= 2L - 1 of them; the XX eigensolve reads the block as a
-    view of them.
+    vector of n >= 2L - 1 finite reals; the XX eigensolve reads the block
+    as a view of them.
 
-    symmetric is True for the XX block (from build_xx_matrix), whose signed
-    eigenvalues are its nu-spectrum; otherwise the block is the XY G, whose
-    singular values are (see nu_spectrum).
+    symmetric is derived: True when the vector is even, c_l = c_{-l} (as
+    every build_xx_matrix vector is), and then the signed eigenvalues are
+    the block's nu-spectrum; otherwise the block is an XY G, whose singular
+    values are (see nu_spectrum).  An even G would be symmetric, with
+    singular values its |eigenvalues|, so it reads the same on either route.
     """
 
     coefficients: np.ndarray = field(repr=False)
     L: int
-    symmetric: bool = False
 
     def __post_init__(self) -> None:
-        c, L = self.coefficients, _count("block length L", self.L, 1)
-        if c.ndim != 1 or c.size < 2 * L - 1 or not np.isfinite(c).all():
-            raise DomainError(f"a block of length L = {L} needs a vector of at least 2L - 1 "
-                              f"finite coefficients, got shape {c.shape}")
+        c, L = _array("coefficients", self.coefficients), _count("block length L", self.L, 1)
+        if c.size < 2 * L - 1:
+            raise DomainError(f"a block of length L = {L} needs at least 2L - 1 coefficients, "
+                              f"got {c.size}")
+        object.__setattr__(self, "coefficients", c)
+        # an XY vector already differs at c_1, before the whole comparison
+        even = c.size == 1 or (c[1] == c[-1] and (c[1:] == c[:0:-1]).all())
+        object.__setattr__(self, "symmetric", bool(even))
 
     def _view(self) -> np.ndarray:
         """The block, a read-only view of the 2L - 1 coefficients it holds."""
@@ -159,9 +167,10 @@ class NuSpectrum:
     |nu| < 1 (XY ones in [0, 1), XX ones signed, since the entropies are even
     in nu); and n_plus and n_minus, the counts of trivial modes at exactly +1
     and -1.  delta = (1 - nu)(1 + nu) = 1 - nu^2 of each mode is derived from
-    it, so a mode whose nu rounds to 1.0 is trivial.  A non-finite value, a
-    |nu| >= 1, modes out of order or not 1-D, or a bad count raise
-    SpectrumRangeError.
+    it, so a mode whose nu rounds to 1.0 is trivial.  Modes that errors._array
+    refuses (not a 1-D array of finite reals), a |nu| >= 1, modes out of
+    order, or a bad count raise SpectrumRangeError, the kind a failed solve
+    raises.
     """
 
     modes: np.ndarray = field(repr=False)
@@ -169,28 +178,30 @@ class NuSpectrum:
     n_minus: int = 0
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.modes, dtype=float)
-        object.__setattr__(self, "modes", m)
         try:
+            m = _array("modes", self.modes)
             _count("n_plus", self.n_plus, 0)
             _count("n_minus", self.n_minus, 0)
         except DomainError as exc:
-            raise SpectrumRangeError(f"a nu-spectrum's trivial-mode counts: {exc}") from None
-        ok = m.ndim == 1
-        if ok and m.size:  # written so that a NaN fails it; descending, so m's ends bound it
-            ok = bool((m[1:] <= m[:-1]).all()) and m[0] < 1.0 and m[-1] > -1.0
-        if not ok:
+            raise SpectrumRangeError(f"a nu-spectrum's {exc}") from None
+        object.__setattr__(self, "modes", m)
+        # descending, so the ends bound every mode
+        if m.size and not ((m[1:] <= m[:-1]).all() and m[0] < 1.0 and m[-1] > -1.0):
             raise SpectrumRangeError(
-                f"a nu-spectrum needs descending modes with |nu| < 1: modes {m.shape} in "
-                f"[{np.min(m, initial=0.0):.3e}, {np.max(m, initial=0.0):.3e}]")
+                f"a nu-spectrum needs descending modes with |nu| < 1: {m.size} modes in "
+                f"[{m.min():.3e}, {m.max():.3e}]")
         object.__setattr__(self, "delta", (1.0 - m) * (1.0 + m))
 
     @classmethod
     def from_nus(cls, nus) -> "NuSpectrum":
         """The spectrum of a whole ladder of L values, in any order.  Values
         beyond +-1 by more than 1e-8 indicate a failed solve and are refused;
-        the rest at or beyond +-1 are counted as trivial modes."""
-        x = np.sort(np.asarray(nus, dtype=float))  # ascending, any NaN last
+        the rest at or beyond +-1 are counted as trivial modes.  Values that
+        errors._array refuses raise SpectrumRangeError too."""
+        try:
+            x = np.sort(_array("values", nus))  # ascending
+        except DomainError as exc:
+            raise SpectrumRangeError(f"a nu-spectrum's {exc}") from None
         if x.size and not (x[0] >= -1.0 - 1e-8 and x[-1] <= 1.0 + 1e-8):
             raise SpectrumRangeError(f"|nu| > 1 beyond tolerance: range [{x[0]:.3e}, {x[-1]:.3e}]")
         n_minus = int(np.searchsorted(x, -1.0, side="right"))
@@ -424,7 +435,7 @@ def build_xx_matrix(h: float, L: int) -> CorrelationMatrix:
     |h| < 2), from the closed-form coefficients."""
     h = _real("XX field h", h, -2.0, 2.0, "()")
     c = _xx_coefficients(h, _count("block length L", L, 1) - 1)
-    return CorrelationMatrix(coefficients=np.concatenate((c, c[:0:-1])), L=L, symmetric=True)
+    return CorrelationMatrix(coefficients=np.concatenate((c, c[:0:-1])), L=L)
 
 
 def _edge_nus(c: CorrelationMatrix) -> NuSpectrum:
@@ -515,13 +526,13 @@ def _edge_nus(c: CorrelationMatrix) -> NuSpectrum:
 
 
 def nu_spectrum(c: CorrelationMatrix) -> NuSpectrum:
-    """Extract the nu-spectrum.
+    """Extract the nu-spectrum, by the block's kind (CorrelationMatrix.symmetric).
 
     XY: the L singular values of G, which are the nonnegative eigenvalues of
     i B_L, from the block's edges (_edge_nus), which needs a unimodular
     symbol, as build_correlation_matrix's always is.
-    XX: the signed eigenvalues of the view of the symmetric block, handed
-    to NuSpectrum.from_nus, which refuses a value beyond +-1 by more than
-    1e-8 (a failed solve).
+    XX (an even vector): the signed eigenvalues of the view of the
+    symmetric block, handed to NuSpectrum.from_nus, which refuses a value
+    beyond +-1 by more than 1e-8 (a failed solve).
     """
     return NuSpectrum.from_nus(np.linalg.eigvalsh(c._view())) if c.symmetric else _edge_nus(c)

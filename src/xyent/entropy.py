@@ -62,12 +62,20 @@ class EntropyResult:
 
 @dataclass(frozen=True, eq=False)
 class ThetaZeroLadder:
-    """Zeros lambda_m = tanh((m + (1-sigma)/2) pi tau0) of the theta
-    prefactor, m = 0..M; strictly increasing, inside [0, 1)."""
+    """Zeros lambda_m = tanh((m + (1-sigma)/2) pi tau0), m = 0..M, of the
+    theta prefactor: modulus, sigma and M fix tau0 (the modulus') and the
+    values, which rise from 0 (sigma = 1) or tanh(pi tau0/2) toward 1."""
 
-    tau0: float
+    modulus: EllipticModulus = field(repr=False)
     sigma: int
-    values: np.ndarray = field(repr=False)
+    M: int
+
+    def __post_init__(self) -> None:
+        sigma, M = _count("sigma", self.sigma, 0, 1), _count("ladder length M", self.M, 0)
+        tau0 = self.modulus.tau0
+        for name, value in (("sigma", sigma), ("M", M), ("tau0", tau0),
+                            ("values", _ladder_node(np.arange(M + 1), sigma, tau0))):
+            object.__setattr__(self, name, value)
 
 
 def _mk(value: float, method: str, *, gamma=None, h=None, L=None, alpha=1.0) -> EntropyResult:
@@ -152,11 +160,9 @@ def xx_entropy_asymptotic(h: float, L: int) -> EntropyResult:
 # XY block-length limit
 # -----------------------------------------------------------------------------
 def theta_zero_ladder(e: EllipticModulus, sigma: int, M: int) -> ThetaZeroLadder:
-    """Ladder lambda_m = tanh((m + (1-sigma)/2) pi tau0), m = 0..M."""
-    sigma = _count("sigma", sigma, 0, 1)
-    M = _count("ladder length M", M, 0)
-    vals = _ladder_node(np.arange(M + 1), sigma, e.tau0)
-    return ThetaZeroLadder(tau0=e.tau0, sigma=sigma, values=vals)
+    """ThetaZeroLadder(e, sigma, M): lambda_m = tanh((m + (1-sigma)/2) pi tau0),
+    m = 0..M, at e's tau0."""
+    return ThetaZeroLadder(e, sigma, M)
 
 
 def vn_entropy_limit_series(e: EllipticModulus, sigma: int) -> EntropyResult:

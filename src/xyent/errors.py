@@ -5,12 +5,15 @@
 #
 # Every public entry reads its arguments through the validators below: _count
 # for a block length, truncation or index, _real for a real parameter in a
-# range, _complex for a complex one.  Each refuses with a DomainError naming
-# the argument, so each kind of argument is decided here alone; no numpy.
+# range, _complex for a complex one, _array for a vector of coefficients or
+# modes.  Each refuses with a DomainError naming the argument, so each kind
+# of argument is decided here alone; only _array reads numpy.
 
 import math
 import numbers
 import operator
+
+import numpy as np
 
 __all__ = [
     "XyentError",
@@ -114,3 +117,21 @@ def _complex(name: str, value) -> complex:
     if z is not None and math.isfinite(z.real) and math.isfinite(z.imag):
         return z
     raise DomainError(f"{name} must be a finite complex number, got {value!r}")
+
+
+def _array(name: str, value, dtype: type = float) -> np.ndarray:
+    """value, a list or an array, as a 1-D array of finite numbers of dtype
+    float (from integers and reals) or complex (from those and complex
+    ones), returned as given if it already is one: never a bool, string or
+    object array, a scalar or a 2-D array."""
+    try:
+        a = np.asarray(value)
+    except (TypeError, ValueError):  # a ragged list, or no array at all
+        a = None
+    if a is not None and a.ndim == 1 and a.dtype.kind in ("iuf" if dtype is float else "iufc"):
+        a = a.astype(dtype, copy=False)
+        if np.isfinite(a).all():
+            return a
+    got = type(value).__name__ if a is None else f"{a.dtype} of shape {a.shape}"
+    raise DomainError(f"{name} must be a 1-D array of finite {'real' if dtype is float else 'complex'} "
+                      f"numbers, got {got}")

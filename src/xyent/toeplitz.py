@@ -19,7 +19,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .chain import NuSpectrum, PhaseCase, _ladder_node, _toeplitz_view
-from .errors import CutError, DomainError, ProximityError, ResolutionError, _complex, _count, _real
+from .errors import (CutError, DomainError, ProximityError, ResolutionError, _array, _complex, _count,
+                     _real)
 from .special import EllipticModulus, _log_theta_prefactor, log_barnes_g
 
 __all__ = [
@@ -134,20 +135,16 @@ def _two_sided(samples: np.ndarray, n: int) -> np.ndarray:
 
 
 def _window(coeffs: np.ndarray, L: int) -> np.ndarray:
-    """(c_{1-L}, ..., c_{L-1}) from a two-sided coefficient array (length
-    2n+1, c_k at index n+k, n >= L-1): the coefficients T_L(c) holds, each
-    of them finite."""
-    coeffs = np.asarray(coeffs)
+    """(c_{1-L}, ..., c_{L-1}) from a two-sided array of finite coefficients
+    (length 2n+1, c_k at index n+k, n >= L-1): the coefficients T_L(c) holds."""
+    coeffs = _array("coefficients", coeffs, complex)
     L = _count("matrix size L", L, 1)
-    if coeffs.ndim != 1 or coeffs.size % 2 != 1:
-        raise DomainError("coefficient array must be one-dimensional with odd length")
+    if coeffs.size % 2 != 1:
+        raise DomainError(f"coefficients must have odd length 2n + 1, got {coeffs.size}")
     n = coeffs.size // 2
     if n < L - 1:
         raise DomainError(f"need coefficients out to |k| = {L - 1}, have {n}")
-    v = coeffs[n - L + 1: n + L]
-    if not np.isfinite(v).all():
-        raise DomainError(f"coefficients out to |k| = {L - 1} must be finite")
-    return v
+    return coeffs[n - L + 1: n + L]
 
 
 def toeplitz_det_exact(coeffs: np.ndarray, L: int) -> ScaledValue:
@@ -180,9 +177,9 @@ class SmoothSymbolFactorization:
     Vk: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        vk = np.asarray(self.Vk, dtype=complex)
-        if vk.ndim != 1 or vk.size % 2 != 1 or not np.isfinite(vk).all():
-            raise DomainError(f"Vk must be a finite 1-D array of odd length, got shape {vk.shape}")
+        vk = _array("Vk", self.Vk, complex)
+        if vk.size % 2 != 1:
+            raise DomainError(f"Vk must have odd length 2n + 1, got {vk.size}")
         object.__setattr__(self, "Vk", vk)
 
     @property

@@ -299,6 +299,18 @@ def xx_entropy_contour(h: float, L: int) -> complex:
 UPSILON1_REFERENCE = 0.495017908135137050
 
 
+def sums_converged(rho: float, L: int) -> bool:
+    """Whether a block of length L, whose symbol's coefficients decay like
+    rho^|l| (rho from chain._branch_rho), is converged for sums over its
+    spectrum: rho^(2L) <= 1e-17.  It guards S, the Renyi entropies and the
+    block determinants, which meet their limits like rho^(2L): the two
+    edges split each pair of modes by about rho^L, and that first-order
+    splitting cancels in every symmetric function of the spectrum.  A single
+    mode or eigenvalue converges only like rho^L (ROADMAP item 14), so a
+    per-mode comparison needs its own criterion."""
+    return rho ** (2 * L) <= 1e-17
+
+
 def _log_approach(lo: float, hi: float):
     """Distances 10^-u with u uniform in [lo, hi]."""
     return st.floats(lo, hi).map(lambda u: 10.0 ** -u)

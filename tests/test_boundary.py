@@ -12,6 +12,7 @@ import xyent
 from test_package import _public_callables
 from xyent import (
     ConvergenceError,
+    CorrelationMatrix,
     DensitySpectrum,
     DomainError,
     EllipticModulus,
@@ -22,6 +23,8 @@ from xyent import (
     ScaledValue,
     SmoothSymbolFactorization,
     SpectralParameter,
+    SpectrumRangeError,
+    ThetaZeroLadder,
     XyentError,
     build_correlation_matrix,
     build_xx_matrix,
@@ -43,12 +46,13 @@ from xyent import (
     theta_zero_ladder,
     toeplitz_det_exact,
     vn_entropy_closed,
+    vn_entropy_exact,
     xx_char_det_asymptotic,
     xx_entropy_asymptotic,
     xy_block_det_asymptotic,
     zeta_function,
 )
-from xyent.errors import _count, _real
+from xyent.errors import _array, _count, _real
 from xyent.spectrum import _ladder_params
 from oracles import fft_coeffs
 
@@ -137,6 +141,7 @@ VALID_FIELDS = {
     "SmoothSymbolFactorization": (F.Vk,),
     "CorrelationMatrix": (BLOCK.coefficients, 40),
     "NuSpectrum": (np.array([0.6, 0.2]), 3, 1),
+    "ThetaZeroLadder": (E, 1, 8),
 }
 
 CALLABLES = dict(_public_callables())
@@ -282,6 +287,16 @@ FORMER_LEAKS = {
     "CLS(Vk of length 4)": lambda: CLS(np.array([0.1, 0.2, 0.3, 0.4])),
     "CLS(3 x 3 Vk)": lambda: CLS(np.zeros((3, 3))),
     "CLS(Vk with a NaN)": lambda: CLS(np.array([0.0, math.nan, 0.0])),
+    # array arguments, each read by errors._array: a string array raised
+    # TypeError or ValueError, an object array TypeError, and a bool or
+    # complex block was built and then failed in nu_spectrum with
+    # ValueError ("argmax of an empty sequence") or TypeError
+    "CorrelationMatrix(string array)": lambda: CorrelationMatrix(np.array(["1", "0", "0"]), 2),
+    "toeplitz_det_exact(string array)": lambda: toeplitz_det_exact(np.array(["1", "2", "1"]), 2),
+    "CLS(string array)": lambda: CLS(np.array(["0", "0.3", "0"])),
+    "toeplitz_det_exact(object array)": lambda: toeplitz_det_exact(np.array([1.0, None, 1.0]), 2),
+    "nu_spectrum(bool block)": lambda: nu_spectrum(CorrelationMatrix(BLOCK.coefficients > 0.0, 40)),
+    "nu_spectrum(complex block)": lambda: nu_spectrum(CorrelationMatrix(BLOCK.coefficients + 0j, 40)),
 }
 
 
@@ -291,11 +306,32 @@ def test_former_leak_is_typed(call):
         call()
 
 
+# Malformed modes or nu values are what a failed solve hands NuSpectrum, so
+# they raise SpectrumRangeError (exit 3), not DomainError: a complex mode
+# was kept as its real part 0.5 with only a ComplexWarning, and from_nus
+# raised ValueError on a 2-D array and AxisError on a scalar
+@pytest.mark.parametrize("call", [lambda: NuSpectrum(np.array([0.5 + 0.3j])),
+                                  lambda: NuSpectrum(np.zeros((2, 2))),
+                                  lambda: NuSpectrum(np.float64(0.5)),
+                                  lambda: NuSpectrum.from_nus([0.5 + 0.9j, 1.0]),
+                                  lambda: NuSpectrum.from_nus(np.zeros((2, 2))),
+                                  lambda: NuSpectrum.from_nus(0.5)],
+                         ids=["complex modes", "2-D modes", "scalar modes", "complex nus", "2-D nus",
+                              "scalar nus"])
+def test_malformed_spectrum_is_a_range_error(call):
+    with pytest.raises(SpectrumRangeError, match="must be a 1-D array of finite real numbers"):
+        call()
+
+
 @pytest.mark.parametrize("name, refuse", [("multiplicity_asymptotic(153135)", "beyond double range"),
                                           ("zeta_function(spec, 1e308)", "beyond double range"),
                                           ("zeta_function(P_TOP, 1e308)", "beyond double range"),
                                           ("build_xx_matrix(1.0, 2.5)", "block length L"),
                                           ("theta_zero_ladder(e, 1, nan)", "ladder length M"),
+                                          ("toeplitz_det_exact(object array)",
+                                           "^coefficients must be a 1-D array of finite complex"),
+                                          ("nu_spectrum(bool block)",
+                                           "^coefficients must be a 1-D array of finite real"),
                                           ('SpectralParameter("3")', "^lambda must be a finite complex"),
                                           ("modular_lambda(nan + 1j)", "^modular parameter tau"),
                                           ("renyi_limit_modular(5e-324, e, case)", "beyond double range")])
@@ -315,12 +351,28 @@ def test_modular_lambda_reduces_its_period():
 # q-product Renyi form at (0.5, 1.0), alpha = 2, read 0.0187 for 0.7118
 # with sigma = 2; vn_entropy_closed 2.765 for 0.706 with tau0 = 5 at
 # k = 0.6; the Szego log-determinant of e^0.3 at L = 10 read 9.0 for 3.0
-# with V0 = 0.9; and zeta on 4 rungs announced as 41 passed its tail bound,
-# as it did on the multiplicities of the other sigma.
+# with V0 = 0.9; zeta on 4 rungs announced as 41 passed its tail bound,
+# as it did on the multiplicities of the other sigma; and the XY block at
+# (0.5, 1.0), L = 40, flagged symmetric, took the eigensolve and read
+# S = 25.23 for 0.7527.
 def test_derived_facts_follow_the_inputs():
-    types = (PhaseCase, EllipticModulus, SmoothSymbolFactorization, DensitySpectrum)
+    types = (PhaseCase, EllipticModulus, SmoothSymbolFactorization, DensitySpectrum,
+             CorrelationMatrix, ThetaZeroLadder)
     assert [[f.name for f in dataclasses.fields(t)] for t in types] == [
-        ["label"], ["k", "kprime"], ["Vk"], ["modulus", "sigma", "truncation"]]
+        ["label"], ["k", "kprime"], ["Vk"], ["modulus", "sigma", "truncation"],
+        ["coefficients", "L"], ["modulus", "sigma", "M"]]
+    assert build_xx_matrix(1.0, 8).symmetric and not build_correlation_matrix(P, 8).symmetric
+    uneven = build_xx_matrix(1.0, 8).coefficients.copy()
+    uneven[2] += 1e-3  # even at c_1, not at c_2
+    assert CorrelationMatrix(uneven[:1], 1).symmetric and not CorrelationMatrix(uneven, 8).symmetric
+    by_hand = CorrelationMatrix(BLOCK.coefficients, 40)
+    assert not by_hand.symmetric
+    assert vn_entropy_exact(nu_spectrum(by_hand)).value == vn_entropy_exact(XY).value
+    assert vn_entropy_exact(XY).value == pytest.approx(0.7527, abs=1e-4)
+    ladder = ThetaZeroLadder(E, 1, 4)
+    assert vars(ladder)["tau0"] == E.tau0
+    assert ladder.values.tolist() == theta_zero_ladder(E, 1, 4).values.tolist()
+    assert ladder.values[0] == 0.0 and ThetaZeroLadder(E, 0, 4).values[0] > 0.0
     with pytest.raises(DomainError, match="phase case label must be"):
         PhaseCase("zz")
     assert [PhaseCase(x).sigma for x in ("1a", "1b", "2")] == [1, 1, 0]
@@ -375,6 +427,31 @@ def test_count_accepts_python_and_numpy_integers():
     assert _count("sigma", 1, 0, 1) == 1
     with pytest.raises(DomainError, match=r"sigma must be an integer in \[0, 1\], got 2"):
         _count("sigma", 2, 0, 1)
+
+
+@pytest.mark.parametrize("value", [np.array([True, False]), np.array(["1", "2"]), np.array([1.0, None]),
+                                   [[1.0], [2.0, 3.0]], np.float64(0.5), 0.5, np.zeros((2, 2)),
+                                   [0.5, math.nan], [math.inf], np.array([0.5 + 0j]), None, "12"],
+                         ids=["bool", "string", "object", "ragged", "0-D", "scalar", "2-D", "nan",
+                              "inf", "complex", "None", "str"])
+def test_array_refuses(value):
+    with pytest.raises(DomainError, match="^x must be a 1-D array of finite real numbers, got "):
+        _array("x", value)
+
+
+def test_array_accepts_lists_and_numbers():
+    a = np.array([0.5, -1.0])
+    assert _array("x", a) is a  # no copy
+    # a list is read as the array it spells (CorrelationMatrix raised
+    # AttributeError on one)
+    block = CorrelationMatrix([1.0], 1)
+    assert isinstance(block.coefficients, np.ndarray) and len(nu_spectrum(block)) == 1
+    assert NuSpectrum.from_nus([0.5, -1.0]).n_minus == 1
+    assert _array("x", [1, 2]).tolist() == [1.0, 2.0] and _array("x", [1, 2]).dtype == float
+    assert _array("x", [0.5 + 1j, 2], complex).tolist() == [0.5 + 1j, 2.0]
+    assert _array("x", np.array([0.5]), complex).dtype == complex
+    with pytest.raises(DomainError, match="^x must be a 1-D array of finite complex numbers"):
+        _array("x", [complex(math.nan, 1.0)], complex)
 
 
 @pytest.mark.parametrize("value, lo, hi, ends, message", [

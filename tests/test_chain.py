@@ -39,6 +39,7 @@ from oracles import (
     majorana_matrix,
     plane,
     quad_fourier_coeff,
+    sums_converged,
     toeplitz_gather,
     xy_coefficients,
 )
@@ -407,9 +408,8 @@ class TestNuSpectrum:
         assert nus.nus.min() < 0 < nus.nus.max()
 
     def test_out_of_range_flagged(self):
-        bad = CorrelationMatrix(coefficients=np.array([2.0]), L=1, symmetric=True)
-        with pytest.raises(SpectrumRangeError):
-            nu_spectrum(bad)
+        # [2.0] is even, so it takes the symmetric solve, whose eigenvalue 2
+        # is beyond +-1
         with pytest.raises(SpectrumRangeError):
             nu_spectrum(CorrelationMatrix(coefficients=np.array([2.0]), L=1))
         # the edge route: a symbol off the unit circle, whose block is not
@@ -634,7 +634,7 @@ def test_level_set_of_k(span, k, hs, data):
     lengths, s_tol, r_tol = _LEVEL_RANGES[span]
     L = data.draw(lengths)
     points = [(math.sqrt((1.0 - k * k) * (1.0 - h * h / 4.0)), h) for h in hs]
-    assume(all(chain._branch_rho(g, h) ** (2 * L) <= 1e-17 for g, h in points))
+    assume(all(sums_converged(chain._branch_rho(g, h), L) for g, h in points))
     nus = [nu_spectrum(build_correlation_matrix(ModelParams(g, h), L)) for g, h in points]
     s = [vn_entropy_exact(n).value for n in nus]
     r = [renyi_exact(n, 2.0).value for n in nus]
@@ -660,16 +660,18 @@ _LIMIT_RANGES = {
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(gamma=st.floats(0.01, 1.6), h=st.floats(0.0, 3.0), data=st.data())
 def test_converged_blocks_meet_limit_over_plane(span, gamma, h, data):
-    # exact S, Renyi 2 and Renyi 3 at a block long enough that the symbol's
-    # coefficients have fallen by 1e-17 across it, against the limit forms;
-    # L is drawn from the least such length up
+    # exact S, Renyi 2 and Renyi 3 at a block converged for sums, against
+    # the limit forms; L is drawn from the least length sums_converged
+    # admits, solved for here, up
     lo, hi, s_tol, r_tol = _LIMIT_RANGES[span]
     rho = chain._branch_rho(gamma, h)
-    assume(rho < 1.0)  # 1 on a critical manifold
-    least = math.ceil(17.0 * math.log(10.0) / (-2.0 * math.log(rho))) if rho > 0.0 else 1
+    # rho is 1 on a critical manifold, and 0 only at (1, 0), which lies on the
+    # circle h^2 = 4(1 - gamma^2) (a BoundaryError)
+    assume(0.0 < rho < 1.0)
+    least = math.ceil(17.0 * math.log(10.0) / (-2.0 * math.log(rho)))
     assume(least <= hi)
     L = data.draw(st.integers(max(lo, least), hi))
-    assume(rho ** (2 * L) <= 1e-17)
+    assume(sums_converged(rho, L))
     p = ModelParams(gamma, h)
     case, e = classify_case(p), modulus_k(p)
     nus = nu_spectrum(build_correlation_matrix(p, L))

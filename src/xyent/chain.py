@@ -9,10 +9,12 @@
 #     The 2L x 2L Majorana matrix B_L interleaves G and -G^T, so
 #     spec(i B_L) = +-svd(G) (Peschel, J. Phys. A 36 L205 (2003); Vidal et
 #     al., PRL 90 227902 (2003)).  nu_spectrum takes them from the block's
-#     two edges at every L (_edge_nus), whose pivot columns are direct
-#     correlations of the coefficient tail on small blocks and FFT
-#     correlations on large ones (_DIRECT_COLUMN_MAX);
-#     build_correlation_matrix takes the g_l from one inverse real FFT of phi.
+#     two edges at every L (_edge_nus), whose pivot columns and G^T U
+#     product are direct correlations on small blocks and FFT correlations
+#     on large ones (_DIRECT_COLUMN_MAX); its r modes go straight to
+#     NuSpectrum, and the L - r trivial ones are counted, never built;
+#     build_correlation_matrix takes the g_l from one inverse real FFT of phi,
+#     on a grid read from a table of even 5-smooth sizes (_SMOOTH_SIZES).
 #   * XX (gamma = 0): real symmetric Toeplitz L x L matrix with closed-form
 #     coefficients; its signed eigenvalues are kept (entropies are even in nu and
 #     the signed values feed the characteristic-determinant oracle).
@@ -25,6 +27,7 @@
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass, field
@@ -202,8 +205,7 @@ class NuSpectrum:
             x = np.sort(_array("values", nus))  # ascending
         except DomainError as exc:
             raise SpectrumRangeError(f"a nu-spectrum's {exc}") from None
-        if x.size and not (x[0] >= -1.0 - 1e-8 and x[-1] <= 1.0 + 1e-8):
-            raise SpectrumRangeError(f"|nu| > 1 beyond tolerance: range [{x[0]:.3e}, {x[-1]:.3e}]")
+        _refuse_failed_solve(x)
         n_minus = int(np.searchsorted(x, -1.0, side="right"))
         n_plus = x.size - int(np.searchsorted(x, 1.0, side="left"))
         return cls(x[n_minus: x.size - n_plus][::-1], n_plus, n_minus)
@@ -226,6 +228,13 @@ class NuSpectrum:
 
     def __len__(self) -> int:
         return self.modes.size + self.n_plus + self.n_minus
+
+
+def _refuse_failed_solve(x: np.ndarray) -> None:
+    """SpectrumRangeError for ascending values beyond +-1 by more than 1e-8,
+    the mark of a failed solve."""
+    if x.size and not (x[0] >= -1.0 - 1e-8 and x[-1] <= 1.0 + 1e-8):
+        raise SpectrumRangeError(f"|nu| > 1 beyond tolerance: range [{x[0]:.3e}, {x[-1]:.3e}]")
 
 
 # -----------------------------------------------------------------------------
@@ -368,18 +377,31 @@ def _toeplitz_view(v: np.ndarray) -> np.ndarray:
     return sliding_window_view(v, (v.size + 1) // 2)[::-1].T
 
 
+def _even_smooth_sizes(top: int) -> list[int]:
+    """Every even n = 2^a 3^b 5^c <= top, ascending."""
+    sizes = []
+    five = 2
+    while five <= top:
+        three = five
+        while three <= top:
+            two = three
+            while two <= top:
+                sizes.append(two)
+                two *= 2
+            three *= 3
+        five *= 5
+    return sorted(sizes)
+
+
+# _smooth_size's table: every size a grid of need <= MAX_QUAD_POINTS can take
+_SMOOTH_SIZES = _even_smooth_sizes(2 * MAX_QUAD_POINTS)
+
+
 def _smooth_size(m: int) -> int:
-    """Least even n = 2^a 3^b 5^c >= m: a grid length the FFT splits into
-    radix-2, -3 and -5 passes, never longer than the least power of two."""
-    best = 1 << max(1, (m - 1).bit_length())
-    odd = 1
-    while 2 * odd < best:  # part = 3^b 5^c, each taken once while it can win
-        part = odd
-        while 2 * part < best:
-            best = min(best, 2 * part << (-(-m // (2 * part)) - 1).bit_length())
-            part *= 5
-        odd *= 3
-    return best
+    """Least even n = 2^a 3^b 5^c >= m, for m <= 2 MAX_QUAD_POINTS: a grid
+    length the FFT splits into radix-2, -3 and -5 passes, never longer than
+    the least power of two."""
+    return _SMOOTH_SIZES[bisect.bisect_left(_SMOOTH_SIZES, m)]
 
 
 def build_correlation_matrix(p: ModelParams, L: int) -> CorrelationMatrix:
@@ -465,15 +487,20 @@ def _edge_nus(c: CorrelationMatrix) -> NuSpectrum:
     QR of F^T (F F^T = R^T R), are 1 - nu^2, so no r x L SVD is taken.
     Where s^2 <= 1/2, nu = sqrt(1 - s^2); the rest, the zero mode among
     them, take nu from the singular values of G^T U, U their eigenvectors
-    of F^T F (F^T y / s, y a left singular vector of R^T, s > 0.7) and
-    G^T U a circulant product, since sqrt(1 - s^2) keeps only half the
-    digits of a small nu.  The r modes and the L - r trivial ones
-    go to NuSpectrum.from_nus, which counts every nu that rounds to 1.0.
+    of F^T F (F^T y / s, y a left singular vector of R^T, s > 0.7), since
+    sqrt(1 - s^2) keeps only half the digits of a small nu.  Below the
+    crossover each G^T u is one direct correlation of the block's 2L - 1
+    coefficients with u, above it one FFT correlation on the grid.  The r
+    modes, sorted and held to from_nus's rule for a failed solve
+    (_refuse_failed_solve), go straight to NuSpectrum: the L - r trivial
+    ones and every mode that rounds to 1.0 are counted in n_plus, and no
+    ladder of L values is formed.
     """
     coef, L = c.coefficients, c.L
     n = coef.size
     chat = np.fft.rfft(coef)
-    off = float(np.max(np.abs(np.abs(chat) - 1.0)))
+    mod = np.abs(chat)
+    off = float(max(mod.max() - 1.0, 1.0 - mod.min()))  # max |(|chat| - 1)|
     if not off <= _UNIMODULAR_TOL:
         raise SpectrumRangeError(
             f"XY symbol off the unit circle by {off:.3e}, over {_UNIMODULAR_TOL}: the "
@@ -488,7 +515,8 @@ def _edge_nus(c: CorrelationMatrix) -> NuSpectrum:
     d = below[:L] + above[n - L - h: n - h]
     F = np.empty((_EDGE_RANK_BUDGET, L))  # rows: the factor's columns
     w = np.zeros(n)
-    direct = L * (n - L) <= _DIRECT_COLUMN_MAX
+    tail, width = coef[1:], n - L
+    direct = L * width <= _DIRECT_COLUMN_MAX
     r = 0
     while True:
         p = d.argmax()
@@ -503,26 +531,35 @@ def _edge_nus(c: CorrelationMatrix) -> NuSpectrum:
             )
         f = F[r]
         if direct:  # (B B^T)_ip = sum_k c_{i+1+k} c_{p+1+k}, k = 0 .. n-L-1
-            f[:] = np.correlate(coef[1:], coef[p + 1: p + 1 + n - L], "valid")
+            f[:] = np.correlate(tail, tail[p: p + width], "valid")
         else:
             w[L:] = coef[n + p - L: p: -1]  # row p of B: c_{(p - k) mod n}, k = L .. n-1
             f[:] = np.fft.irfft(chat * np.fft.rfft(w), n)[:L]  # (C w)[:L] = B B^T e_p
-        f -= F[:r, p] @ F[:r]
+        if r:
+            f -= F[:r, p] @ F[:r]
         f *= 1.0 / math.sqrt(dp)
         d -= f * f
         d[p] = 0.0
         r += 1
-    modes = np.ones(L)
+    modes = np.empty(r)
     if r:
         y, s, _ = np.linalg.svd(np.linalg.qr(F[:r].T, mode="r").T)
         small = int(np.count_nonzero(s * s > 0.5))
-        modes[small:r] = np.sqrt(1.0 - s[small:] * s[small:])
+        modes[small:] = np.sqrt(1.0 - s[small:] * s[small:])
         if small:
-            v = np.zeros((small, n))
-            v[:, :L] = (y[:, :small].T @ F[:r]) / s[:small, None]  # s > 0.7 here
-            gtu = np.fft.irfft(np.conj(chat) * np.fft.rfft(v), n)[:, :L]  # (C^T v)[:L] = G^T u
+            u = (y[:, :small].T @ F[:r]) / s[:small, None]  # s > 0.7 here
+            if direct:  # (G^T u)_i = sum_j c_{j-i} u_j, entry L - 1 - i of a correlation
+                band = np.concatenate((coef[n - L + 1:], coef[:L]))  # c_{1-L} .. c_{L-1}
+                gtu = np.array([np.correlate(band, row, "valid")[::-1] for row in u])
+            else:
+                v = np.zeros((small, n))
+                v[:, :L] = u
+                gtu = np.fft.irfft(np.conj(chat) * np.fft.rfft(v), n)[:, :L]  # (C^T v)[:L] = G^T u
             modes[:small] = np.linalg.svd(gtu, compute_uv=False)
-    return NuSpectrum.from_nus(modes)
+    x = np.sort(modes)  # ascending
+    _refuse_failed_solve(x)
+    k = int(np.searchsorted(x, 1.0))  # the modes below 1; the rest are trivial
+    return NuSpectrum(x[:k][::-1], L - k)
 
 
 def nu_spectrum(c: CorrelationMatrix) -> NuSpectrum:

@@ -177,6 +177,15 @@ def _require_Ls(cfg: RunConfig) -> tuple[int, ...]:
     return cfg.Ls
 
 
+def _one_L(cfg: RunConfig) -> int:
+    """The one block size a command that reads a single block was given."""
+    Ls = _require_Ls(cfg)
+    if len(Ls) > 1:
+        raise ConfigError(f"the {cfg.command} command takes one block size, got {len(Ls)} "
+                          f"from --L ({Ls[0]} to {Ls[-1]})")
+    return Ls[0]
+
+
 def cmd_entropy(cfg: RunConfig) -> tuple[list[str], list[list]]:
     header = ["L", "S_exact", "S_asym_or_limit", "diff"]
     rows: list[list] = []
@@ -203,8 +212,7 @@ def cmd_renyi(cfg: RunConfig) -> tuple[list[str], list[list]]:
     for a in cfg.alphas:
         _check_alpha(a)
     p, case, e = _xy_point(cfg)
-    L = _require_Ls(cfg)[-1]
-    nus = _xy_nus(p, L)
+    nus = _xy_nus(p, _one_L(cfg))
     rows = [[a, renyi_exact(nus, a).value, renyi_limit_qproduct(a, e, case).value,
              renyi_limit_modular(a, e, case).value] for a in cfg.alphas]
     return ["alpha", "S_exact", "S_qproduct", "S_modular"], rows
@@ -216,12 +224,12 @@ def cmd_spectrum(cfg: RunConfig) -> tuple[list[str], list[list]]:
     p = ModelParams(cfg.gamma, cfg.h)
     spec = density_spectrum(p, cfg.nmax)
     finite: np.ndarray | None = None
-    if cfg.Ls:
-        offsets = list(itertools.accumulate(spec.mults, initial=0))  # rung n starts at offsets[n]
-        finite = finite_l_eigenvalues(_xy_nus(p, cfg.Ls[-1]), min(offsets[-1], _FINITE_CAP))
     header = ["n", "lambda_n", "multiplicity", "cumtrace"]
-    if finite is not None:
-        header.append(f"finite_L{cfg.Ls[-1]}")
+    if cfg.Ls:
+        L = _one_L(cfg)
+        offsets = list(itertools.accumulate(spec.mults, initial=0))  # rung n starts at offsets[n]
+        finite = finite_l_eigenvalues(_xy_nus(p, L), min(offsets[-1], _FINITE_CAP))
+        header.append(f"finite_L{L}")
     rows: list[list] = []
     cum = 0.0
     for n in range(cfg.nmax + 1):

@@ -219,15 +219,15 @@ def finite_l_eigenvalues(nus, count: int) -> np.ndarray:
     count = _count("count", count, 1)
     q, lnp = nus._halves
     logtop = float(np.sum(lnp))
-    cost = np.sort(np.log(q) - lnp)[::-1]  # least negative first
+    cost = np.sort(np.log(q) - lnp)[::-1].tolist()  # least negative first
     out = [logtop]
-    if cost.size:
+    if cost:
         heap = [(-(logtop + cost[0]), 0)]
         while heap and len(out) < count:
             negval, i = heapq.heappop(heap)
             val = -negval
             out.append(val)
-            if i + 1 < cost.size:
+            if i + 1 < len(cost):
                 heapq.heappush(heap, (-(val + cost[i + 1]), i + 1))
                 heapq.heappush(heap, (-(val - cost[i] + cost[i + 1]), i + 1))
     vals = np.zeros(count)

@@ -503,8 +503,10 @@ class TestNuSpectrum:
         ],
     )
     def test_column_forms_agree(self, monkeypatch, g, h, L, s_tol):
-        # every block read with direct columns and with FFT columns: the
-        # same rank, nu within 1.0e-15 (3.3e-16 seen) and the same S
+        # every block read with direct columns and with FFT columns, the
+        # G^T U product of the small nu taking the same form as the pivot
+        # columns: the same rank, nu within 1.0e-15 (3.3e-16 seen) and the
+        # same S
         c = build_correlation_matrix(ModelParams(g, h), L)
         ranks = _edge_ranks(monkeypatch)
         spectra = []
@@ -519,8 +521,9 @@ class TestNuSpectrum:
     @pytest.mark.parametrize("g,h,L,direct", [(0.5, 1.0, 100, True), (0.9, 1.8, 40, True),
                                               (0.5, 1.0, 400, False), (0.5, 1.99, 50, False)])
     def test_columns_routed_by_block_size(self, monkeypatch, g, h, L, direct):
-        # below the crossover no pivot takes an FFT pair; the one 2-D irfft
-        # left is G^T U.  Above it each of the r pivots takes one
+        # below the crossover neither a pivot nor G^T U takes an FFT pair,
+        # so no irfft runs at all.  Above it each of the r pivots takes
+        # one, and G^T U at most one 2-D irfft
         c = build_correlation_matrix(ModelParams(g, h), L)
         n = c.coefficients.size
         assert (L * (n - L) <= chain._DIRECT_COLUMN_MAX) == direct
@@ -528,7 +531,38 @@ class TestNuSpectrum:
         outputs = _counting_irfft(monkeypatch)
         nu_spectrum(c)
         pivots = sum(o.ndim == 1 for o in outputs)
-        assert pivots == (0 if direct else ranks[0]) and len(outputs) - pivots <= 1
+        if direct:
+            assert outputs == []
+        else:
+            assert pivots == ranks[0] and len(outputs) - pivots <= 1
+
+    @pytest.mark.parametrize("L", [100, 400])
+    def test_edge_modes_keep_failed_solve_guard(self, monkeypatch, L):
+        # the edge route's r modes reach NuSpectrum without from_nus, under
+        # its rule: a singular value of G^T U at 1 + 1e-7 is a failed solve,
+        # and a factor singular value s = 1e-9, whose sqrt(1 - s^2) rounds
+        # to 1.0, is a trivial mode, counted in n_plus.  L = 100 takes
+        # direct columns, L = 400 FFT ones
+        c = build_correlation_matrix(ModelParams(0.5, 1.0), L)
+        base = nu_spectrum(c)
+        assert base.modes[0] < 1.0 and base.modes[-1] < 0.7  # a mode from G^T U
+        svd = np.linalg.svd
+
+        def gtu_over_one(a, compute_uv=True, **kwargs):
+            out = svd(a, compute_uv=compute_uv, **kwargs)
+            return out if compute_uv else np.concatenate(([1.0 + 1e-7], out[1:]))
+
+        def factor_near_zero(a, compute_uv=True, **kwargs):
+            out = svd(a, compute_uv=compute_uv, **kwargs)
+            return (out[0], np.concatenate((out[1][:-1], [1e-9])), out[2]) if compute_uv else out
+
+        monkeypatch.setattr(np.linalg, "svd", gtu_over_one)
+        with pytest.raises(SpectrumRangeError, match="beyond tolerance"):
+            nu_spectrum(c)
+        monkeypatch.setattr(np.linalg, "svd", factor_near_zero)
+        spec = nu_spectrum(c)
+        assert (len(spec), spec.n_plus, spec.n_minus) == (L, base.n_plus + 1, 0)
+        assert np.array_equal(spec.modes, base.modes[1:])
 
     def test_direct_columns_form_no_tail(self):
         # (0.02, 0.6), L = 35, on a 3750-point grid: L (n - L) just under

@@ -256,6 +256,18 @@ class TestExitCodes:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        "renyi --gamma 0.5 --h 1 --L 10:40:10 --alpha 2",
+        "spectrum --gamma 1 --h 3 --nmax 3 --L 10:20:10",
+    ])
+    def test_range_for_one_block_is_2(self, capsys, argv):
+        # renyi and spectrum read one block; a range of sizes once printed
+        # its last size alone and exited 0
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "one block size" in lines[0]
+
     def test_resolution_failure_is_3(self, capsys):
         code, out, err = run_cli(capsys, "entropy", "--gamma", "1e-7", "--h", "1", "--L", "8")
         assert code == 3

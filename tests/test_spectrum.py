@@ -1,6 +1,6 @@
 import functools
 import math
-import time
+import sys
 
 import mpmath
 import numpy as np
@@ -100,18 +100,29 @@ class TestPackedProduct:
             assert spectrum._slot_bits(nmax, sigma) > pairs.bit_length(), nmax
 
     def test_faster_than_knapsack(self):
-        # one packed product against the O(nmax^2) loops, identical integers
-        def best(f):
-            out = []
-            for _ in range(5):
-                t = time.perf_counter()
-                f()
-                out.append(time.perf_counter() - t)
-            return min(out)
+        # one packed product against the O(nmax^2) loops, identical
+        # integers; work counted as interpreted line events, not timed, so
+        # a loaded machine cannot flip it: O(nmax) for the packed product,
+        # O(nmax^2) for the knapsack and its convolution
+        def line_events(f):
+            events = [0]
 
-        packed = best(lambda: multiplicities(CASE_1B, 1000))
-        loops = best(lambda: convolved_multiplicities(1, 1000))
-        assert packed * 4.0 <= loops
+            def tracer(frame, event, arg):
+                events[0] += event == "line"
+                return tracer
+
+            previous = sys.gettrace()
+            sys.settrace(tracer)
+            try:
+                out = f()
+            finally:
+                sys.settrace(previous)
+            return events[0], out
+
+        packed, mults = line_events(lambda: multiplicities(CASE_1B, 1000))
+        loops, want = line_events(lambda: convolved_multiplicities(1, 1000))
+        assert mults == want
+        assert packed * 4 <= loops
 
 
 class TestMultiplicities:

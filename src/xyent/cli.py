@@ -1,11 +1,10 @@
 # cli.py
-# Command-line front end.  Four commands, the first argument:
-#
-#   entropy   exact block entropy vs the matching large-L reference
-#   renyi     exact Renyi entropy vs the two limit forms
-#   spectrum  limit density-matrix ladder, multiplicities, cumulative trace
-#   detcheck  exact characteristic determinant vs its asymptotic form
-#
+# Command-line front end: four commands, entropy, renyi, spectrum and
+# detcheck.  One table, _COMMANDS, pairs each with its handler and the
+# options that handler reads; parse_args builds one subparser per entry, each
+# with --gamma, --h and --format besides, and reads each value through its
+# option's reader.  A bad value, a missing option or an option the command
+# does not read is a ConfigError: one "error:" line, exit 2.
 # Output is a table (csv, default) or a json document with run metadata.
 # Exit codes: 0 success, 2 domain/parameter error, 3 convergence failure.
 
@@ -16,7 +15,6 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +45,7 @@ from .toeplitz import (
     xy_block_det_exact,
 )
 
-__all__ = ["RunConfig", "parse_args", "run", "main"]
+__all__ = ["parse_args", "run", "main"]
 
 # Cap on how many exact finite-L eigenvalues the spectrum table will list
 # alongside the ladder; multiplicities grow fast enough that deeper rungs
@@ -55,49 +53,50 @@ __all__ = ["RunConfig", "parse_args", "run", "main"]
 _FINITE_CAP = 4096
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated parameters of one CLI invocation."""
+class _Parser(argparse.ArgumentParser):
+    """argparse whose own refusals (no command or an unknown one, a missing
+    option or one the command does not read) raise ConfigError for main."""
 
-    command: str
-    gamma: float = 0.0
-    h: float = 0.0
-    Ls: tuple[int, ...] = ()
-    alphas: tuple[float, ...] = ()
-    nmax: int = 64
-    lam: complex | None = None
-    fmt: str = "csv"
-    tol: float | None = None
+    def error(self, message: str):
+        raise ConfigError(message)
 
-    def __post_init__(self) -> None:
-        if self.command not in _DISPATCH:
-            raise ConfigError(f"unknown command {self.command!r}")
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"format must be csv or json, got {self.fmt!r}")
+
+def _checked(check, name: str, convert, *bounds):
+    """A reader of one number: convert(text), or text itself if that fails,
+    checked by check (_count or _real) as name within bounds."""
+    def read(text):
         try:
-            if self.tol is not None:
-                _real("tol", self.tol, 0.0, math.inf, "()")
-            _count("nmax", self.nmax, 0)
-            for L in self.Ls:
-                _count("block length L", L, 1)
+            value = convert(text)
+        except ValueError:
+            value = text
+        try:
+            return check(name, value, *bounds)
         except DomainError as exc:
             raise ConfigError(str(exc)) from None
+    return read
 
 
 def _parse_range(text: str) -> tuple[int, ...]:
-    """'12' -> (12,); '10:40:10' -> (10, 20, 30, 40)."""
+    """--L as block sizes: '12' -> (12,); '10:40:10' -> (10, 20, 30, 40)."""
     parts = text.split(":")
     try:
-        if len(parts) == 1:
-            return (int(parts[0]),)
-        if len(parts) == 3:
-            start, stop, step = (int(p) for p in parts)
-            if step < 1 or stop < start:
-                raise ConfigError(f"bad range {text!r}: need start <= stop, step >= 1")
-            return tuple(range(start, stop + 1, step))
+        start, stop, step = map(int, parts) if len(parts) == 3 else (int(text), int(text), 1)
     except ValueError:
-        pass
-    raise ConfigError(f"could not parse block length(s) {text!r}; use N or start:stop:step")
+        raise ConfigError(f"could not parse block length(s) {text!r}; use N or start:stop:step") from None
+    if step < 1 or stop < start:
+        raise ConfigError(f"bad range {text!r}: need start <= stop, step >= 1")
+    return tuple(map(_checked(_count, "block length L", int, 1), range(start, stop + 1, step)))
+
+
+def _one_size(command: str):
+    """The --L reader of a command that reads one block: one size, never a range."""
+    def read(text: str) -> int:
+        Ls = _parse_range(text)
+        if len(Ls) > 1:
+            raise ConfigError(f"the {command} command takes one block size, got {len(Ls)} "
+                              f"from --L ({Ls[0]} to {Ls[-1]})")
+        return Ls[0]
+    return read
 
 
 def _parse_alphas(text: str) -> tuple[float, ...]:
@@ -117,32 +116,21 @@ def _parse_lambda(text: str) -> complex:
     raise ConfigError(f"could not parse lambda {text!r}; use 're' or 're,im'")
 
 
-def parse_args(argv: list[str] | None = None) -> RunConfig:
-    ap = argparse.ArgumentParser(
-        prog="xyent",
-        description="Entanglement entropy of a block of spins in the XY/XX chain ground state.",
-    )
-    ap.add_argument("command", choices=tuple(_DISPATCH))
-    ap.add_argument("--gamma", type=float, default=0.0, help="anisotropy (0 = XX chain)")
-    ap.add_argument("--h", type=float, default=0.0, help="transverse field")
-    ap.add_argument("--L", type=str, default=None, help="block length, N or start:stop:step")
-    ap.add_argument("--alpha", type=str, default=None, help="Renyi orders, comma separated")
-    ap.add_argument("--nmax", type=int, default=64, help="ladder truncation")
-    ap.add_argument("--lambda", dest="lam", type=str, default=None, help="lambda as 're' or 're,im'")
-    ap.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-    ap.add_argument("--tol", type=float, default=None, help="override tolerance/threshold")
-    ns = ap.parse_args(argv)
-    return RunConfig(
-        command=ns.command,
-        gamma=ns.gamma,
-        h=ns.h,
-        Ls=_parse_range(ns.L) if ns.L is not None else (),
-        alphas=_parse_alphas(ns.alpha) if ns.alpha is not None else (),
-        nmax=ns.nmax,
-        lam=_parse_lambda(ns.lam) if ns.lam is not None else None,
-        fmt=ns.fmt,
-        tol=ns.tol,
-    )
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """The command and the options it reads, from argv (sys.argv[1:] if None)."""
+    common = _Parser(add_help=False)
+    common.add_argument("--gamma", type=float, default=0.0, help="anisotropy (0 = XX chain)")
+    common.add_argument("--h", type=float, default=0.0, help="transverse field")
+    common.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+    ap = _Parser(prog="xyent",
+                 description="Entanglement entropy of a block of spins in the XY/XX chain ground state.")
+    commands = ap.add_subparsers(dest="command", required=True)
+    for name, (handler, options) in _COMMANDS.items():
+        sub = commands.add_parser(name, parents=[common], help=handler.__doc__,
+                                  description=handler.__doc__)
+        for flag, kwargs in options.items():
+            sub.add_argument(flag, **kwargs)
+    return ap.parse_args(argv)
 
 
 def _fmt(x) -> str:
@@ -153,13 +141,13 @@ def _fmt(x) -> str:
     return "%.17g" % float(x)
 
 
-def _xy_point(cfg: RunConfig):
+def _xy_point(cfg: argparse.Namespace):
     """The model point, its phase case and its elliptic modulus."""
     p = ModelParams(cfg.gamma, cfg.h)
     return p, classify_case(p), modulus_k(p)
 
 
-def _metadata(cfg: RunConfig) -> dict:
+def _metadata(cfg: argparse.Namespace) -> dict:
     if cfg.gamma == 0.0:
         return {"gamma": cfg.gamma, "h": cfg.h, "case": "XX", "sigma": None, "k": None, "tau0": None}
     _, case, e = _xy_point(cfg)
@@ -171,65 +159,50 @@ def _xy_nus(p: ModelParams, L: int):
     return nu_spectrum(build_correlation_matrix(p, L))
 
 
-def _require_Ls(cfg: RunConfig) -> tuple[int, ...]:
-    if not cfg.Ls:
-        raise ConfigError(f"the {cfg.command} command needs --L")
-    return cfg.Ls
-
-
-def _one_L(cfg: RunConfig) -> int:
-    """The one block size a command that reads a single block was given."""
-    Ls = _require_Ls(cfg)
-    if len(Ls) > 1:
-        raise ConfigError(f"the {cfg.command} command takes one block size, got {len(Ls)} "
-                          f"from --L ({Ls[0]} to {Ls[-1]})")
-    return Ls[0]
-
-
-def cmd_entropy(cfg: RunConfig) -> tuple[list[str], list[list]]:
+def cmd_entropy(cfg: argparse.Namespace) -> tuple[list[str], list[list]]:
+    """exact block entropy vs the large-L asymptote (XX) or limit (XY)"""
     header = ["L", "S_exact", "S_asym_or_limit", "diff"]
     rows: list[list] = []
     if cfg.gamma == 0.0:
-        for L in _require_Ls(cfg):
+        for L in cfg.Ls:
             s_ex = vn_entropy_exact(nu_spectrum(build_xx_matrix(cfg.h, L))).value
             s_ref = xx_entropy_asymptotic(cfg.h, L).value
             rows.append([L, s_ex, s_ref, s_ex - s_ref])
         return header, rows
     p, case, e = _xy_point(cfg)
     s_lim = vn_entropy_limit_series(e, case.sigma).value
-    for L in _require_Ls(cfg):
+    for L in cfg.Ls:
         s_ex = vn_entropy_exact(_xy_nus(p, L)).value
         rows.append([L, s_ex, s_lim, s_ex - s_lim])
     rows.append(["inf", "", s_lim, ""])
     return header, rows
 
 
-def cmd_renyi(cfg: RunConfig) -> tuple[list[str], list[list]]:
+def cmd_renyi(cfg: argparse.Namespace) -> tuple[list[str], list[list]]:
+    """exact Renyi entropy of one block vs the two limit forms"""
     if cfg.gamma == 0.0:
         raise DomainError("the renyi command compares against the XY limit forms; gamma > 0 required")
-    if not cfg.alphas:
-        raise ConfigError("the renyi command needs --alpha")
     for a in cfg.alphas:
         _check_alpha(a)
     p, case, e = _xy_point(cfg)
-    nus = _xy_nus(p, _one_L(cfg))
+    nus = _xy_nus(p, cfg.L)
     rows = [[a, renyi_exact(nus, a).value, renyi_limit_qproduct(a, e, case).value,
              renyi_limit_modular(a, e, case).value] for a in cfg.alphas]
     return ["alpha", "S_exact", "S_qproduct", "S_modular"], rows
 
 
-def cmd_spectrum(cfg: RunConfig) -> tuple[list[str], list[list]]:
+def cmd_spectrum(cfg: argparse.Namespace) -> tuple[list[str], list[list]]:
+    """limit density-matrix ladder, multiplicities, cumulative trace"""
     if cfg.gamma == 0.0:
         raise DomainError("the spectrum command needs the XY ladder; gamma > 0 required")
     p = ModelParams(cfg.gamma, cfg.h)
     spec = density_spectrum(p, cfg.nmax)
     finite: np.ndarray | None = None
     header = ["n", "lambda_n", "multiplicity", "cumtrace"]
-    if cfg.Ls:
-        L = _one_L(cfg)
+    if cfg.L is not None:
         offsets = list(itertools.accumulate(spec.mults, initial=0))  # rung n starts at offsets[n]
-        finite = finite_l_eigenvalues(_xy_nus(p, L), min(offsets[-1], _FINITE_CAP))
-        header.append(f"finite_L{L}")
+        finite = finite_l_eigenvalues(_xy_nus(p, cfg.L), min(offsets[-1], _FINITE_CAP))
+        header.append(f"finite_L{cfg.L}")
     rows: list[list] = []
     cum = 0.0
     for n in range(cfg.nmax + 1):
@@ -241,38 +214,49 @@ def cmd_spectrum(cfg: RunConfig) -> tuple[list[str], list[list]]:
     return header, rows
 
 
-def cmd_detcheck(cfg: RunConfig) -> tuple[list[str], list[list]]:
-    if cfg.lam is None:
-        raise ConfigError("the detcheck command needs --lambda")
+def cmd_detcheck(cfg: argparse.Namespace) -> tuple[list[str], list[list]]:
+    """exact characteristic determinant vs its asymptotic form"""
     s = SpectralParameter(cfg.lam)
     header = ["L", "log_abs_exact", "log_abs_asym", "ratio_minus_1"]
     rows: list[list] = []
+    tol = {"proximity_tol": cfg.tol} if "tol" in cfg else {}  # set only if --tol is given
     if cfg.gamma == 0.0:
-        for L in _require_Ls(cfg):
+        if tol:
+            raise ConfigError("--tol is the XY asymptote's proximity_tol; the XX asymptote "
+                              "(gamma = 0) has no proximity guard")
+        for L in cfg.Ls:
             ex = xx_char_det_exact(nu_spectrum(build_xx_matrix(cfg.h, L)), s)
             asym = xx_char_det_asymptotic(s, cfg.h, L)
             rows.append([L, ex.log_abs, asym.log_abs, abs(asym.ratio(ex) - 1.0)])
         return header, rows
     p, case, e = _xy_point(cfg)
-    prox = cfg.tol if cfg.tol is not None else 1e-3
-    for L in _require_Ls(cfg):
+    for L in cfg.Ls:
         ex = xy_block_det_exact(_xy_nus(p, L), s)
-        asym = xy_block_det_asymptotic(s, e, case, L, proximity_tol=prox)
+        asym = xy_block_det_asymptotic(s, e, case, L, **tol)
         rows.append([L, ex.log_abs, asym.log_abs, abs(asym.ratio(ex) - 1.0)])
     return header, rows
 
 
-_DISPATCH = {
-    "entropy": cmd_entropy,
-    "renyi": cmd_renyi,
-    "spectrum": cmd_spectrum,
-    "detcheck": cmd_detcheck,
+_COMMANDS = {
+    "entropy": (cmd_entropy, {
+        "--L": dict(dest="Ls", type=_parse_range, required=True, help="sizes N or start:stop:step")}),
+    "renyi": (cmd_renyi, {
+        "--L": dict(type=_one_size("renyi"), required=True, help="block length"),
+        "--alpha": dict(dest="alphas", type=_parse_alphas, required=True, help="Renyi orders a,b,...")}),
+    "spectrum": (cmd_spectrum, {
+        "--nmax": dict(type=_checked(_count, "nmax", int, 0), default=64, help="ladder truncation"),
+        "--L": dict(type=_one_size("spectrum"), help="block length of an exact finite-L column")}),
+    "detcheck": (cmd_detcheck, {
+        "--L": dict(dest="Ls", type=_parse_range, required=True, help="sizes N or start:stop:step"),
+        "--lambda": dict(dest="lam", type=_parse_lambda, required=True, help="re or re,im"),
+        "--tol": dict(type=_checked(_real, "tol", float, 0.0, math.inf, "()"), default=argparse.SUPPRESS,
+                      help="xy_block_det_asymptotic's proximity_tol; gamma > 0 only")}),
 }
 
 
-def run(cfg: RunConfig) -> str:
-    """Execute one command, returning the rendered table."""
-    header, rows = _DISPATCH[cfg.command](cfg)
+def run(cfg: argparse.Namespace) -> str:
+    """Execute one parsed command, returning the rendered table."""
+    header, rows = _COMMANDS[cfg.command][0](cfg)
     if cfg.fmt == "csv":
         lines = [",".join(header)]
         lines.extend(",".join(_fmt(x) for x in row) for row in rows)
@@ -290,8 +274,7 @@ def run(cfg: RunConfig) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        cfg = parse_args(argv)
-        sys.stdout.write(run(cfg))
+        sys.stdout.write(run(parse_args(argv)))
         return 0
     except (DomainError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

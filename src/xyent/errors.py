@@ -12,6 +12,7 @@
 import math
 import numbers
 import operator
+import sys
 
 import numpy as np
 
@@ -75,17 +76,25 @@ class SpectrumRangeError(ConvergenceError):
     more than the physical tolerance."""
 
 
-def _count(name: str, value, least: int, most: float = math.inf) -> int:
-    """value as an int with least <= value <= most: a Python or numpy
-    integer, never a bool, a float (even 8.0), NaN or +-inf."""
+def _shown(value) -> str:
+    """repr(value), or by its size an int too long for repr (ValueError)."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"an integer of {value.bit_length()} bits"
+
+
+def _count(name: str, value, least: int, most: int = sys.maxsize) -> int:
+    """value as an int with least <= value <= most <= sys.maxsize (no array is
+    longer): a Python or numpy integer, never a bool, a float (even 8.0), NaN or +-inf."""
     try:
         n = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         n = None
     if n is not None and least <= n <= most:
         return n
-    bound = f">= {least}" if most == math.inf else f"in [{least}, {most}]"
-    raise DomainError(f"{name} must be an integer {bound}, got {value!r}")
+    bound = f">= {least}" if most == sys.maxsize and (n is None or n < least) else f"in [{least}, {most}]"
+    raise DomainError(f"{name} must be an integer {bound}, got {_shown(value)}")
 
 
 def _real(name: str, value, lo: float = -math.inf, hi: float = math.inf, ends: str = "[]") -> float:
@@ -104,7 +113,7 @@ def _real(name: str, value, lo: float = -math.inf, hi: float = math.inf, ends: s
     above = "" if lo == -math.inf else f" {'>' if ends[0] == '(' else '>='} {lo:g}"
     below = "" if hi == math.inf else f" {'<' if ends[1] == ')' else '<='} {hi:g}"
     bound = f" in {ends[0]}{lo:g}, {hi:g}{ends[1]}" if above and below else above or below
-    raise DomainError(f"{name} must be a finite real{bound}, got {value!r}")
+    raise DomainError(f"{name} must be a finite real{bound}, got {_shown(value)}")
 
 
 def _complex(name: str, value) -> complex:
@@ -116,7 +125,7 @@ def _complex(name: str, value) -> complex:
         z = None
     if z is not None and math.isfinite(z.real) and math.isfinite(z.imag):
         return z
-    raise DomainError(f"{name} must be a finite complex number, got {value!r}")
+    raise DomainError(f"{name} must be a finite complex number, got {_shown(value)}")
 
 
 def _array(name: str, value, dtype: type = float) -> np.ndarray:

@@ -2,6 +2,7 @@ import cmath
 import copy
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -64,7 +65,7 @@ from oracles import fft_coeffs
 # exact zero: a ScaledValue's log_abs, or the real part of what a function
 # named log_* returns.
 
-BAD = (math.nan, math.inf, -math.inf, 0, -1, 2.5, 1e308)
+BAD = (math.nan, math.inf, -math.inf, 0, -1, 2.5, 1e308, 10 ** 400, -10 ** 5000)
 
 P = ModelParams(0.5, 1.0)
 CASE = classify_case(P)
@@ -156,7 +157,9 @@ def _is_numeric(x):
 
 
 def _swaps(args):
-    return [(i, v) for i, a in enumerate(args) if _is_numeric(a) for v in BAD]
+    # an int beyond double range fits no float array, so only scalars take one
+    return [(i, v) for i, a in enumerate(args) if _is_numeric(a) for v in BAD
+            if not (isinstance(a, np.ndarray) and isinstance(v, int) and abs(v) > sys.float_info.max)]
 
 
 def _swapped(args, i, v):
@@ -297,6 +300,19 @@ FORMER_LEAKS = {
     "toeplitz_det_exact(object array)": lambda: toeplitz_det_exact(np.array([1.0, None, 1.0]), 2),
     "nu_spectrum(bool block)": lambda: nu_spectrum(CorrelationMatrix(BLOCK.coefficients > 0.0, 40)),
     "nu_spectrum(complex block)": lambda: nu_spectrum(CorrelationMatrix(BLOCK.coefficients + 0j, 40)),
+    # integers too long to print or to size an array: formatting the value
+    # into the refusal raised ValueError ("Exceeds the limit (4300 digits)"),
+    # numpy ValueError ("Maximum allowed dimension exceeded") and the
+    # asymptotes OverflowError
+    "ModelParams(10**5000, 1.0)": lambda: ModelParams(10 ** 5000, 1.0),
+    "SpectralParameter(10**5000)": lambda: SpectralParameter(10 ** 5000),
+    "build_xx_matrix(0.5, 10**30)": lambda: build_xx_matrix(0.5, 10 ** 30),
+    "finite_l_eigenvalues(nus, 10**30)": lambda: finite_l_eigenvalues(XY, 10 ** 30),
+    "theta_zero_ladder(e, 1, 10**30)": lambda: theta_zero_ladder(E, 1, 10 ** 30),
+    "density_spectrum(p, 10**30)": lambda: density_spectrum(P, 10 ** 30),
+    "xy_block_det_asymptotic(s, e, case, 10**400)":
+        lambda: xy_block_det_asymptotic(S, E, CASE, 10 ** 400),
+    "xx_char_det_asymptotic(s, 1.0, 10**400)": lambda: xx_char_det_asymptotic(S, 1.0, 10 ** 400),
 }
 
 
@@ -334,7 +350,11 @@ def test_malformed_spectrum_is_a_range_error(call):
                                            "^coefficients must be a 1-D array of finite real"),
                                           ('SpectralParameter("3")', "^lambda must be a finite complex"),
                                           ("modular_lambda(nan + 1j)", "^modular parameter tau"),
-                                          ("renyi_limit_modular(5e-324, e, case)", "beyond double range")])
+                                          ("renyi_limit_modular(5e-324, e, case)", "beyond double range"),
+                                          ("ModelParams(10**5000, 1.0)", "got an integer of 16610 bits$"),
+                                          ("build_xx_matrix(0.5, 10**30)",
+                                           rf"^block length L must be an integer in \[1, {sys.maxsize}\]"),
+                                          ])
 def test_refusal_names_its_cause(name, refuse):
     with pytest.raises(DomainError, match=refuse):
         FORMER_LEAKS[name]()
@@ -427,6 +447,12 @@ def test_count_accepts_python_and_numpy_integers():
     assert _count("sigma", 1, 0, 1) == 1
     with pytest.raises(DomainError, match=r"sigma must be an integer in \[0, 1\], got 2"):
         _count("sigma", 2, 0, 1)
+    # no array is longer than sys.maxsize; a value too long to print is named by its size
+    assert _count("n", sys.maxsize, 1) == sys.maxsize
+    with pytest.raises(DomainError, match=rf"^n must be an integer in \[1, {sys.maxsize}\], got 1000"):
+        _count("n", 10 ** 30, 1)
+    with pytest.raises(DomainError, match=rf"\[1, {sys.maxsize}\], got an integer of 16610 bits$"):
+        _count("n", 10 ** 5000, 1)
 
 
 @pytest.mark.parametrize("value", [np.array([True, False]), np.array(["1", "2"]), np.array([1.0, None]),
@@ -464,6 +490,8 @@ def test_array_accepts_lists_and_numbers():
     (10 ** 400, -math.inf, math.inf, "[]", "x must be a finite real, got 1000"),
     (1j, -math.inf, math.inf, "[]", r"x must be a finite real, got 1j"),
     ("0.5", -math.inf, math.inf, "[]", "x must be a finite real, got '0.5'"),
+    pytest.param(-10 ** 5000, -math.inf, math.inf, "[]",
+                 "x must be a finite real, got an integer of 16610 bits$", id="-10**5000"),
 ])
 def test_real_refuses(value, lo, hi, ends, message):
     with pytest.raises(DomainError, match="^" + message):

@@ -8,13 +8,24 @@ import pytest
 
 import xyent
 from xyent import ConfigError
-from xyent.cli import RunConfig, main, parse_args
+from xyent.cli import main, parse_args
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# every option a command may read, at a valid value, and the ones each reads
+OPTIONS = {"--L": "10", "--alpha": "2", "--nmax": "3", "--lambda": "2", "--tol": "1e-3"}
+READS = {"entropy": ["--L"], "renyi": ["--L", "--alpha"], "spectrum": ["--nmax", "--L"],
+         "detcheck": ["--L", "--lambda", "--tol"]}
+
+
+def _argv(command, options):
+    """command at (gamma, h) = (0.5, 1), given each of options at its valid value."""
+    return [command, "--gamma", "0.5", "--h", "1", *(x for o in options for x in (o, OPTIONS[o]))]
 
 
 class TestParsing:
@@ -29,8 +40,8 @@ class TestParsing:
         assert cfg.alphas == (0.5, 2.0, 3.0)
 
     def test_lambda_forms(self):
-        assert parse_args(["detcheck", "--lambda", "3"]).lam == 3.0 + 0.0j
-        assert parse_args(["detcheck", "--lambda", "2,0.5"]).lam == 2.0 + 0.5j
+        assert parse_args(["detcheck", "--L", "4", "--lambda", "3"]).lam == 3.0 + 0.0j
+        assert parse_args(["detcheck", "--L", "4", "--lambda", "2,0.5"]).lam == 2.0 + 0.5j
 
     def test_bad_range(self):
         with pytest.raises(ConfigError):
@@ -40,14 +51,14 @@ class TestParsing:
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            RunConfig(command="nope")
+            parse_args(["nope"])
         with pytest.raises(ConfigError):
-            RunConfig(command="entropy", fmt="xml")
+            parse_args(["entropy", "--L", "4", "--format", "xml"])
         with pytest.raises(ConfigError):
-            RunConfig(command="entropy", tol=-1.0)
+            parse_args(["detcheck", "--L", "4", "--lambda", "2", "--tol", "-1"])
         # only commands with a handler are admitted
         with pytest.raises(ConfigError):
-            RunConfig(command="sweep")
+            parse_args(["sweep"])
 
 
 class TestEntropyCommand:
@@ -249,6 +260,17 @@ class TestExitCodes:
         "renyi --gamma 0.5 --h 1 --L 10 --alpha nan",  # alpha
         "detcheck --gamma 0.5 --h 1 --L 10 --lambda nan",  # lambda
         "detcheck --gamma 0.5 --h 1 --L 10 --lambda 2 --tol nan",  # tol
+        "renyi --gamma 0.5 --h 1 --L 10 --alpha 2,x",  # an alpha list that does not parse
+        "detcheck --gamma 0.5 --h 1 --L 10 --lambda 2,1,0",  # a lambda that does not parse
+        "spectrum --gamma 1 --h 3 --nmax abc",  # a count that does not parse
+        "entropy --gamma 0.5 --h 1 --L 99999999999999999999",  # L past sys.maxsize
+        "renyi --gamma 0.5 --h 1 --L 10",  # no --alpha
+        "detcheck --gamma 0.5 --h 1 --lambda 2",  # no --L
+        "",  # no command
+        "nope --gamma 0.5",  # an unknown command
+        "--gamma 0.5 entropy --L 10",  # an option before its command
+        # the XX asymptote has no proximity guard for --tol to set
+        "detcheck --gamma 0 --h 1 --L 10 --lambda 2 --tol 1e-3",
     ])
     def test_bad_argument_is_one_error_line(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv.split())
@@ -267,6 +289,30 @@ class TestExitCodes:
         assert code == 2 and out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and "one block size" in lines[0]
+
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_every_option_read_runs(self, capsys, command):
+        code, out, err = run_cli(capsys, *_argv(command, READS[command]))
+        assert code == 0 and err == ""
+
+    @pytest.mark.parametrize("command, option", [(command, option) for command in READS
+                                                 for option in OPTIONS if option not in READS[command]])
+    def test_option_the_command_does_not_read_is_2(self, capsys, command, option):
+        # each command takes only the options its handler reads; any other
+        # once exited 0 with the option dropped
+        code, out, err = run_cli(capsys, *_argv(command, READS[command] + [option]))
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and option in lines[0]
+
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_help_lists_the_options_read(self, capsys, command):
+        # -h is help and --h the field, in every command
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        out = capsys.readouterr().out
+        assert exit_.value.code == 0 and out.startswith(f"usage: xyent {command} [-h]") and "--h H" in out
+        assert [o for o in OPTIONS if f"{o} " in out] == [o for o in OPTIONS if o in READS[command]]
 
     def test_resolution_failure_is_3(self, capsys):
         code, out, err = run_cli(capsys, "entropy", "--gamma", "1e-7", "--h", "1", "--L", "8")

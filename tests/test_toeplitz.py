@@ -198,6 +198,8 @@ class TestToeplitzDet:
     def test_size_validation(self):
         with pytest.raises(DomainError):
             toeplitz_det_exact(np.ones(3, dtype=complex), 5)
+        with pytest.raises(DomainError, match="odd length"):
+            toeplitz_det_exact(np.ones(4, dtype=complex), 2)
 
 
 class TestSzego:
@@ -294,6 +296,9 @@ class TestFisherHartwig:
             fisher_hartwig_asymptotic(
                 f, [FHSingularity(1.0, 0.1, 0.0), FHSingularity(1.0, 0.1, 0.0)], 8
             )  # coincident angles
+        with pytest.raises(DomainError, match="beyond double range"):
+            # L V_0 = 1e309: the log-determinant itself overflows
+            fisher_hartwig_asymptotic(SmoothSymbolFactorization.constant(1e308), [], 10)
 
 
 class TestXXDet:

@@ -11,8 +11,8 @@
 #     al., PRL 90 227902 (2003)).  nu_spectrum takes them from the block's
 #     two edges at every L (_edge_nus), whose pivot columns and G^T U
 #     product are direct correlations on small blocks and FFT correlations
-#     on large ones (_DIRECT_COLUMN_MAX); its r modes go straight to
-#     NuSpectrum, and the L - r trivial ones are counted, never built;
+#     on large ones (_DIRECT_COLUMN_MAX); it forms r modes, and the L - r
+#     trivial ones are counted, never built;
 #     build_correlation_matrix takes the g_l from one inverse real FFT of phi,
 #     on a grid read from a table of even 5-smooth sizes (_SMOOTH_SIZES).
 #   * XX (gamma = 0): real symmetric Toeplitz L x L matrix with closed-form
@@ -20,8 +20,8 @@
 #     the signed values feed the characteristic-determinant oracle).
 #   * The coefficients alone pick the route: an even vector (c_l = c_{-l})
 #     takes the eigensolve, any other the edge route; no flag can choose it.
-#   * Every route returns a NuSpectrum: the nontrivial modes, from which
-#     it derives delta = 1 - nu^2, and the counts of trivial ones at +-1.
+#   * Either route's values reach one assembly (_assemble) and a NuSpectrum:
+#     the nontrivial modes, whence delta = 1 - nu^2, and trivial counts at +-1.
 #   * A block is stored only as its coefficients; dense solves read it as a
 #     strided view of them (_toeplitz_view), and nothing copies it out.
 
@@ -197,18 +197,14 @@ class NuSpectrum:
 
     @classmethod
     def from_nus(cls, nus) -> "NuSpectrum":
-        """The spectrum of a whole ladder of L values, in any order.  Values
-        beyond +-1 by more than 1e-8 indicate a failed solve and are refused;
-        the rest at or beyond +-1 are counted as trivial modes.  Values that
-        errors._array refuses raise SpectrumRangeError too."""
+        """The spectrum of a whole ladder of L values, in any order, by the
+        rule a solve's values meet (_assemble); values that errors._array
+        refuses raise SpectrumRangeError too."""
         try:
-            x = np.sort(_array("values", nus))  # ascending
+            x = _array("values", nus)
         except DomainError as exc:
             raise SpectrumRangeError(f"a nu-spectrum's {exc}") from None
-        _refuse_failed_solve(x)
-        n_minus = int(np.searchsorted(x, -1.0, side="right"))
-        n_plus = x.size - int(np.searchsorted(x, 1.0, side="left"))
-        return cls(x[n_minus: x.size - n_plus][::-1], n_plus, n_minus)
+        return _assemble(x, 0)
 
     @functools.cached_property
     def nus(self) -> np.ndarray:
@@ -230,11 +226,17 @@ class NuSpectrum:
         return self.modes.size + self.n_plus + self.n_minus
 
 
-def _refuse_failed_solve(x: np.ndarray) -> None:
-    """SpectrumRangeError for ascending values beyond +-1 by more than 1e-8,
-    the mark of a failed solve."""
+def _assemble(values: np.ndarray, unformed: int) -> NuSpectrum:
+    """The NuSpectrum of a solve's values, in any order, plus unformed
+    trivial modes at +1 that it never formed: the one place where a failed
+    solve (a value beyond +-1 by more than 1e-8: SpectrumRangeError) and a
+    trivial mode (the rest at or beyond +-1, counted) are decided."""
+    x = np.sort(values)  # ascending
     if x.size and not (x[0] >= -1.0 - 1e-8 and x[-1] <= 1.0 + 1e-8):
         raise SpectrumRangeError(f"|nu| > 1 beyond tolerance: range [{x[0]:.3e}, {x[-1]:.3e}]")
+    n_minus = int(np.searchsorted(x, -1.0, side="right"))
+    top = int(np.searchsorted(x, 1.0, side="left"))
+    return NuSpectrum(x[n_minus:top][::-1], x.size - top + unformed, n_minus)
 
 
 # -----------------------------------------------------------------------------
@@ -460,9 +462,9 @@ def build_xx_matrix(h: float, L: int) -> CorrelationMatrix:
     return CorrelationMatrix(coefficients=np.concatenate((c, c[:0:-1])), L=L)
 
 
-def _edge_nus(c: CorrelationMatrix) -> NuSpectrum:
-    """nu-spectrum of an XY block from its two edges; no L x L array is
-    formed, and the trivial modes are counted, not stored.
+def _edge_nus(c: CorrelationMatrix) -> np.ndarray:
+    """The r nontrivial edge modes of an XY block, from its two edges; no
+    L x L array is formed, and the L - r trivial modes are not formed.
 
     The n coefficients are the first column of an n x n circulant C, whose
     symbol is chat = fft(coefficients); G is its leading L x L block and
@@ -491,10 +493,7 @@ def _edge_nus(c: CorrelationMatrix) -> NuSpectrum:
     sqrt(1 - s^2) keeps only half the digits of a small nu.  Below the
     crossover each G^T u is one direct correlation of the block's 2L - 1
     coefficients with u, above it one FFT correlation on the grid.  The r
-    modes, sorted and held to from_nus's rule for a failed solve
-    (_refuse_failed_solve), go straight to NuSpectrum: the L - r trivial
-    ones and every mode that rounds to 1.0 are counted in n_plus, and no
-    ladder of L values is formed.
+    modes are returned unsorted, and no ladder of L values is formed.
     """
     coef, L = c.coefficients, c.L
     n = coef.size
@@ -556,10 +555,7 @@ def _edge_nus(c: CorrelationMatrix) -> NuSpectrum:
                 v[:, :L] = u
                 gtu = np.fft.irfft(np.conj(chat) * np.fft.rfft(v), n)[:, :L]  # (C^T v)[:L] = G^T u
             modes[:small] = np.linalg.svd(gtu, compute_uv=False)
-    x = np.sort(modes)  # ascending
-    _refuse_failed_solve(x)
-    k = int(np.searchsorted(x, 1.0))  # the modes below 1; the rest are trivial
-    return NuSpectrum(x[:k][::-1], L - k)
+    return modes
 
 
 def nu_spectrum(c: CorrelationMatrix) -> NuSpectrum:
@@ -567,9 +563,10 @@ def nu_spectrum(c: CorrelationMatrix) -> NuSpectrum:
 
     XY: the L singular values of G, which are the nonnegative eigenvalues of
     i B_L, from the block's edges (_edge_nus), which needs a unimodular
-    symbol, as build_correlation_matrix's always is.
-    XX (an even vector): the signed eigenvalues of the view of the
-    symmetric block, handed to NuSpectrum.from_nus, which refuses a value
-    beyond +-1 by more than 1e-8 (a failed solve).
+    symbol, as build_correlation_matrix's always is: r modes, and L - r
+    trivial ones it never forms.
+    XX (an even vector): the L signed eigenvalues of the view of the
+    symmetric block.  Either route's values go to _assemble.
     """
-    return NuSpectrum.from_nus(np.linalg.eigvalsh(c._view())) if c.symmetric else _edge_nus(c)
+    values = np.linalg.eigvalsh(c._view()) if c.symmetric else _edge_nus(c)
+    return _assemble(values, c.L - values.size)

@@ -84,16 +84,21 @@ def _shown(value) -> str:
         return f"an integer of {value.bit_length()} bits"
 
 
-def _count(name: str, value, least: int, most: int = sys.maxsize) -> int:
-    """value as an int with least <= value <= most <= sys.maxsize (no array is
-    longer): a Python or numpy integer, never a bool, a float (even 8.0), NaN or +-inf."""
+# numpy holds an array of at most sys.maxsize bytes, so no complex (16-byte)
+# array is longer than this, and a count past it could size none
+_LONGEST = sys.maxsize // 16
+
+
+def _count(name: str, value, least: int, most: int = _LONGEST) -> int:
+    """value as an int with least <= value <= most <= _LONGEST (no complex
+    array is longer): a Python or numpy integer, never a bool, a float (even 8.0), NaN or +-inf."""
     try:
         n = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         n = None
     if n is not None and least <= n <= most:
         return n
-    bound = f">= {least}" if most == sys.maxsize and (n is None or n < least) else f"in [{least}, {most}]"
+    bound = f">= {least}" if most == _LONGEST and (n is None or n < least) else f"in [{least}, {most}]"
     raise DomainError(f"{name} must be an integer {bound}, got {_shown(value)}")
 
 

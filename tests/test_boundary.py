@@ -74,6 +74,8 @@ BLOCK = build_correlation_matrix(P, 40)
 XY = nu_spectrum(BLOCK)
 XX = nu_spectrum(build_xx_matrix(1.0, 40))
 S = SpectralParameter(2.0)
+# numpy holds at most sys.maxsize bytes, so no complex (16-byte) array has more entries
+LONGEST = sys.maxsize // 16
 
 
 def _symbol(t):
@@ -313,6 +315,13 @@ FORMER_LEAKS = {
     "xy_block_det_asymptotic(s, e, case, 10**400)":
         lambda: xy_block_det_asymptotic(S, E, CASE, 10 ** 400),
     "xx_char_det_asymptotic(s, 1.0, 10**400)": lambda: xx_char_det_asymptotic(S, 1.0, 10 ** 400),
+    # counts under sys.maxsize that no float or complex array can hold:
+    # numpy ValueError ("array is too big"), and OverflowError from multiplicities
+    "build_xx_matrix(0.5, 2**61)": lambda: build_xx_matrix(0.5, 2 ** 61),
+    "theta_zero_ladder(e, 1, 2**61)": lambda: theta_zero_ladder(E, 1, 2 ** 61),
+    "density_spectrum(p, 2**61)": lambda: density_spectrum(P, 2 ** 61),
+    "finite_l_eigenvalues(nus, 2**61)": lambda: finite_l_eigenvalues(XY, 2 ** 61),
+    "multiplicities(case, 2**61)": lambda: multiplicities(CASE, 2 ** 61),
 }
 
 
@@ -353,7 +362,9 @@ def test_malformed_spectrum_is_a_range_error(call):
                                           ("renyi_limit_modular(5e-324, e, case)", "beyond double range"),
                                           ("ModelParams(10**5000, 1.0)", "got an integer of 16610 bits$"),
                                           ("build_xx_matrix(0.5, 10**30)",
-                                           rf"^block length L must be an integer in \[1, {sys.maxsize}\]"),
+                                           rf"^block length L must be an integer in \[1, {LONGEST}\]"),
+                                          ("build_xx_matrix(0.5, 2**61)",
+                                           rf"^block length L must be an integer in \[1, {LONGEST}\]"),
                                           ])
 def test_refusal_names_its_cause(name, refuse):
     with pytest.raises(DomainError, match=refuse):
@@ -447,11 +458,13 @@ def test_count_accepts_python_and_numpy_integers():
     assert _count("sigma", 1, 0, 1) == 1
     with pytest.raises(DomainError, match=r"sigma must be an integer in \[0, 1\], got 2"):
         _count("sigma", 2, 0, 1)
-    # no array is longer than sys.maxsize; a value too long to print is named by its size
-    assert _count("n", sys.maxsize, 1) == sys.maxsize
-    with pytest.raises(DomainError, match=rf"^n must be an integer in \[1, {sys.maxsize}\], got 1000"):
+    # no complex array is longer than LONGEST; a value too long to print is named by its size
+    assert _count("n", LONGEST, 1) == LONGEST
+    with pytest.raises(DomainError, match=rf"^n must be an integer in \[1, {LONGEST}\], got {LONGEST + 1}$"):
+        _count("n", LONGEST + 1, 1)
+    with pytest.raises(DomainError, match=rf"^n must be an integer in \[1, {LONGEST}\], got 1000"):
         _count("n", 10 ** 30, 1)
-    with pytest.raises(DomainError, match=rf"\[1, {sys.maxsize}\], got an integer of 16610 bits$"):
+    with pytest.raises(DomainError, match=rf"\[1, {LONGEST}\], got an integer of 16610 bits$"):
         _count("n", 10 ** 5000, 1)
 
 

@@ -538,8 +538,9 @@ class TestNuSpectrum:
 
     @pytest.mark.parametrize("L", [100, 400])
     def test_edge_modes_keep_failed_solve_guard(self, monkeypatch, L):
-        # the edge route's r modes reach NuSpectrum without from_nus, under
-        # its rule: a singular value of G^T U at 1 + 1e-7 is a failed solve,
+        # the edge route's r modes reach NuSpectrum through the assembly the
+        # XX values and from_nus share (chain._assemble), under its rule: a
+        # singular value of G^T U at 1 + 1e-7 is a failed solve,
         # and a factor singular value s = 1e-9, whose sqrt(1 - s^2) rounds
         # to 1.0, is a trivial mode, counted in n_plus.  L = 100 takes
         # direct columns, L = 400 FFT ones
@@ -563,6 +564,25 @@ class TestNuSpectrum:
         spec = nu_spectrum(c)
         assert (len(spec), spec.n_plus, spec.n_minus) == (L, base.n_plus + 1, 0)
         assert np.array_equal(spec.modes, base.modes[1:])
+
+    def test_every_route_assembles_once(self, monkeypatch):
+        # the XX block's L eigenvalues, the edge route's r modes with the
+        # L - r it never formed, and from_nus's values each reach NuSpectrum
+        # through one call of chain._assemble
+        calls = []
+        assemble = chain._assemble
+
+        def recording(values, unformed):
+            calls.append((values.size, unformed))
+            return assemble(values, unformed)
+
+        monkeypatch.setattr(chain, "_assemble", recording)
+        xx = nu_spectrum(build_xx_matrix(1.0, 40))
+        xy = nu_spectrum(build_correlation_matrix(ModelParams(0.5, 1.0), 40))
+        again = NuSpectrum.from_nus(xx.nus)
+        r = calls[1][0]
+        assert calls == [(40, 0), (r, 40 - r), (40, 0)] and xy.modes.size <= r < 40
+        assert np.array_equal(again.modes, xx.modes) and again.n_plus == xx.n_plus
 
     def test_direct_columns_form_no_tail(self):
         # (0.02, 0.6), L = 35, on a 3750-point grid: L (n - L) just under

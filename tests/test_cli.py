@@ -264,6 +264,9 @@ class TestExitCodes:
         "detcheck --gamma 0.5 --h 1 --L 10 --lambda 2,1,0",  # a lambda that does not parse
         "spectrum --gamma 1 --h 3 --nmax abc",  # a count that does not parse
         "entropy --gamma 0.5 --h 1 --L 99999999999999999999",  # L past sys.maxsize
+        # under sys.maxsize, but longer than any array: a numpy traceback, exit 1
+        "entropy --gamma 0 --h 1 --L 2305843009213693952",
+        "spectrum --gamma 1 --h 3 --nmax 2305843009213693952",
         "renyi --gamma 0.5 --h 1 --L 10",  # no --alpha
         "detcheck --gamma 0.5 --h 1 --lambda 2",  # no --L
         "",  # no command

@@ -52,6 +52,11 @@ __all__ = ["parse_args", "run", "main"]
 # would need millions of subset products for no display value.
 _FINITE_CAP = 4096
 
+# Most block sizes one --L range may name.  Each size is one exact solve, so
+# a range is a batch of work, and its sizes are all built before the first
+# solve; past this many a range is a typing slip (1:1000000000:1), not a run.
+_RANGE_CAP = 10_000
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse whose own refusals (no command or an unknown one, a missing
@@ -76,8 +81,13 @@ def _checked(check, name: str, convert, *bounds):
     return read
 
 
-def _parse_range(text: str) -> tuple[int, ...]:
-    """--L as block sizes: '12' -> (12,); '10:40:10' -> (10, 20, 30, 40)."""
+_read_L = _checked(_count, "block length L", int, 1)
+
+
+def _sizes(text: str) -> tuple[range, int]:
+    """--L as a range of block sizes, not yet built, and how many it holds
+    (len() of a range past sys.maxsize raises OverflowError):
+    '12' -> (range(12, 13), 1); '10:40:10' -> (range(10, 41, 10), 4)."""
     parts = text.split(":")
     try:
         start, stop, step = map(int, parts) if len(parts) == 3 else (int(text), int(text), 1)
@@ -85,17 +95,26 @@ def _parse_range(text: str) -> tuple[int, ...]:
         raise ConfigError(f"could not parse block length(s) {text!r}; use N or start:stop:step") from None
     if step < 1 or stop < start:
         raise ConfigError(f"bad range {text!r}: need start <= stop, step >= 1")
-    return tuple(map(_checked(_count, "block length L", int, 1), range(start, stop + 1, step)))
+    return range(start, stop + 1, step), (stop - start) // step + 1
+
+
+def _parse_range(text: str) -> tuple[int, ...]:
+    """--L as block sizes: '12' -> (12,); '10:40:10' -> (10, 20, 30, 40).
+    A range of more than _RANGE_CAP sizes is refused before it is built."""
+    sizes, count = _sizes(text)
+    if count > _RANGE_CAP:
+        raise ConfigError(f"range {text!r} holds {count} block sizes; at most {_RANGE_CAP} per run")
+    return tuple(map(_read_L, sizes))
 
 
 def _one_size(command: str):
     """The --L reader of a command that reads one block: one size, never a range."""
     def read(text: str) -> int:
-        Ls = _parse_range(text)
-        if len(Ls) > 1:
-            raise ConfigError(f"the {command} command takes one block size, got {len(Ls)} "
-                              f"from --L ({Ls[0]} to {Ls[-1]})")
-        return Ls[0]
+        sizes, count = _sizes(text)
+        if count > 1:
+            raise ConfigError(f"the {command} command takes one block size, got {count} "
+                              f"from --L ({sizes[0]} to {sizes[-1]})")
+        return _read_L(sizes[0])
     return read
 
 

@@ -8,7 +8,7 @@ import pytest
 
 import xyent
 from xyent import ConfigError
-from xyent.cli import main, parse_args
+from xyent.cli import _RANGE_CAP, main, parse_args
 
 
 def run_cli(capsys, *argv):
@@ -34,6 +34,17 @@ class TestParsing:
         assert cfg.Ls == (10, 20, 30, 40)
         cfg = parse_args(["entropy", "--L", "12"])
         assert cfg.Ls == (12,)
+
+    def test_range_cap(self):
+        # a range is counted before it is built, so past the cap nothing is built
+        top = _RANGE_CAP
+        assert len(parse_args(["entropy", "--L", f"1:{top}:1"]).Ls) == top
+        with pytest.raises(ConfigError, match=f"holds {top + 1} block sizes"):
+            parse_args(["entropy", "--L", f"1:{top + 1}:1"])
+        with pytest.raises(ConfigError, match="holds 10000000000000000000000 block sizes"):
+            parse_args(["entropy", "--L", f"1:{10**22}:1"])
+        with pytest.raises(ConfigError, match="one block size, got 10000000000000000000000"):
+            parse_args(["renyi", "--alpha", "2", "--L", f"1:{10**22}:1"])
 
     def test_alpha_list(self):
         cfg = parse_args(["renyi", "--gamma", "0.5", "--h", "1", "--L", "10", "--alpha", "0.5,2,3"])
@@ -267,6 +278,9 @@ class TestExitCodes:
         # under sys.maxsize, but longer than any array: a numpy traceback, exit 1
         "entropy --gamma 0 --h 1 --L 2305843009213693952",
         "spectrum --gamma 1 --h 3 --nmax 2305843009213693952",
+        # 10^9 sizes, once all built before the first block: a MemoryError
+        "entropy --gamma 0 --h 1 --L 1:1000000000:1",
+        "renyi --gamma 0.5 --h 1 --L 1:1000000000:1 --alpha 2",
         "renyi --gamma 0.5 --h 1 --L 10",  # no --alpha
         "detcheck --gamma 0.5 --h 1 --lambda 2",  # no --L
         "",  # no command

@@ -1,4 +1,6 @@
 import cmath
+import contextlib
+import functools
 import math
 
 import mpmath
@@ -161,6 +163,94 @@ class TestFourierCoeffs:
                 SmoothSymbolFactorization.from_symbol(sym, 8)
 
 
+def _random_block(L, imag):
+    """2L + 5 random coefficients, c_0 raised by 3 sqrt(L); imaginary parts
+    scaled by imag, held as complex unless imag is None."""
+    rng = np.random.default_rng(L)
+    c = rng.standard_normal(2 * L + 5)
+    c[L + 2] += 3.0 * math.sqrt(L)
+    if imag is not None:
+        c = c + 1j * imag * rng.standard_normal(c.size)
+    return c
+
+
+@functools.cache
+def _mp_log_det(L, imag):
+    """ln det of _random_block(L, 1.0 if imag else None)'s T_L by a
+    40-digit LU in mpmath; imaginary part pi for a negative real det."""
+    c = _random_block(L, 1.0 if imag else None)
+    with mpmath.workdps(40):
+        return complex(mpmath.log(mpmath.det(mpmath.matrix(toeplitz_gather(c, L, zero=L + 2).tolist()))))
+
+
+def _no_lu(*args, **kwargs):
+    raise AssertionError("the dense LU ran")
+
+
+def _lu_sizes(monkeypatch):
+    """Route np.linalg.slogdet through a spy; returns the list of the
+    sizes of the matrices it was handed."""
+    sizes = []
+    slogdet = np.linalg.slogdet
+
+    def spy(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return slogdet(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "slogdet", spy)
+    return sizes
+
+
+# log-symbol V of degree 3 for the routing test: |V_k| <= 0.43/|k|, as the
+# bench's smooth symbols
+_V3 = {0: 0.1 - 0.3j, 1: 0.2 + 0.1j, -1: -0.25 + 0.05j, 2: 0.1 - 0.12j, -2: 0.08 + 0.1j,
+       3: -0.06 + 0.09j, -3: 0.1 + 0.02j}
+
+
+class TestDetRoute:
+    def test_smooth_symbol_takes_the_recursion(self, monkeypatch):
+        # exp(trig polynomial) at L = 1024, the dense LU refused: its
+        # determinant is exp(L V_0 + sum_k k V_k V_{-k}) to rounding, since
+        # e^V is entire; measured 2.0e-13 from ln|det| (the dense LU: 1.5e-12)
+        # and 3.3e-14 from its phase, where L V_0 = 102.4 - 307.2i
+        monkeypatch.setattr(np.linalg, "slogdet", _no_lu)
+        L = 1024
+        c = fft_coeffs(lambda t: cmath.exp(sum(v * cmath.exp(1j * k * t) for k, v in _V3.items())), L - 1)
+        got = toeplitz_det_exact(c, L)
+        want = L * _V3[0] + sum(k * _V3[k] * _V3[-k] for k in (1, 2, 3))
+        assert abs(got.log_abs - want.real) <= 4e-13
+        assert abs(cmath.phase(cmath.rect(1.0, got.phase - want.imag))) <= 1e-13
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 6, 7])
+    def test_real_sign_is_exact(self, monkeypatch, L):
+        # -T_L has the sign (-1)^L of T_L's positive det: phase pi or 0, exactly
+        c = -_random_block(L, None)
+        assert np.linalg.det(toeplitz_gather(c, L, zero=L + 2)) * (-1) ** L > 0
+        monkeypatch.setattr(np.linalg, "slogdet", _no_lu)
+        assert toeplitz_det_exact(c, L).phase == (math.pi if L % 2 else 0.0)
+
+    @pytest.mark.parametrize("c, L", [
+        (np.array([1.0, 0.0, 2.0]), 2),  # c_0 = 0
+        (np.array([2.0, 1.0, 1.0, 1.0, -1.0]), 3),  # singular T_2 in a nonsingular T_3
+        (_random_block(256, None), 256),  # growth past the bound (about 5.9e3)
+    ], ids=["c0_zero", "singular_minor", "growth"])
+    def test_blocks_the_recursion_cannot_take(self, monkeypatch, c, L):
+        # each runs one dense LU of the whole block and keeps its value;
+        # none raises a RuntimeWarning
+        sizes = _lu_sizes(monkeypatch)
+        got = toeplitz_det_exact(c, L)
+        t = toeplitz_gather(c, L, zero=c.size // 2)
+        sign, logdet = np.linalg.slogdet(t)
+        assert sizes == [L, L]  # the route's LU, then the one above
+        assert got == ScaledValue(float(logdet), float(cmath.phase(complex(sign))))
+
+    def test_singular_block_warns(self, monkeypatch):
+        sizes = _lu_sizes(monkeypatch)
+        with pytest.warns(UserWarning, match="numerically singular"):
+            v = toeplitz_det_exact(np.zeros(3), 2)
+        assert sizes == [2] and v == ScaledValue(-math.inf, 0.0)
+
+
 class TestToeplitzDet:
     def test_two_by_two(self):
         c = np.array([0.5j, 2.0, 0.25], dtype=complex)  # c_{-1}, c_0, c_1
@@ -175,18 +265,35 @@ class TestToeplitzDet:
         assert t[1, 0] == 2.0  # c_{+1}
 
     @pytest.mark.parametrize("imag", [None, 0.0, 1.0])
+    @pytest.mark.parametrize("L", [1, 2, 7, 64])
+    def test_recursion_meets_mpmath(self, monkeypatch, imag, L):
+        # the recursion alone (the dense LU refused) against a 40-digit LU of
+        # the same block: within 1 ulp of ln|det| where measured; real
+        # coefficients, also when held as complex, run in real arithmetic,
+        # so the phase is exactly 0 or pi
+        monkeypatch.setattr(np.linalg, "slogdet", _no_lu)
+        got = toeplitz_det_exact(_random_block(L, imag), L)
+        want = _mp_log_det(L, bool(imag))
+        assert abs(got.log_abs - want.real) <= 2.0 * np.spacing(abs(want.real))
+        if imag:
+            assert abs(cmath.phase(cmath.rect(1.0, got.phase - want.imag))) <= 1e-15  # measured 2.2e-16
+        else:
+            assert got.phase == abs(want.imag)  # mpmath's ln of a negative det has imag +pi
+
+    @pytest.mark.parametrize("imag", [None, 0.0, 1.0])
     @pytest.mark.parametrize("L", [1, 2, 7, 256])
     def test_reads_the_view_bitwise(self, imag, L):
-        # the LU of the strided view is the LU of the owned matrix, bitwise;
-        # real coefficients, also when held as complex, take the real solve
-        rng = np.random.default_rng(L)
-        c = rng.standard_normal(2 * L + 5)
-        c[L + 2] += 3.0 * math.sqrt(L)
-        if imag is not None:
-            c = c + 1j * imag * rng.standard_normal(c.size)
+        # c_0 = 0 sends the block to the dense LU at once; the LU of the
+        # strided view is then the LU of the owned matrix, bitwise, real for
+        # real input.  The block is nonsingular but at L = 1, where it is
+        # [0] and the LU's det = 0 comes with the warning
+        c = _random_block(L, imag)
+        c[c.size // 2] = 0.0
         t = toeplitz_gather(c, L, zero=c.size // 2)
         sign, logdet = np.linalg.slogdet(t if imag else t.real)
-        got = toeplitz_det_exact(c, L)
+        assert (sign == 0) == (L == 1)
+        with pytest.warns(UserWarning, match="singular") if L == 1 else contextlib.nullcontext():
+            got = toeplitz_det_exact(c, L)
         assert got == ScaledValue(float(logdet), float(cmath.phase(complex(sign))))
 
     def test_singular_warns(self):
